@@ -108,7 +108,8 @@ def select_params(b_sup: float, T: float, beta: BetaFunction,
         lambda_scale=float(lambda_scale), s_scale=float(s_scale),
         beta_sup=float(beta.sup_norm), horizon_T=float(T), b_sup=float(b_sup),
     )
-    assert params.constraints_certified()
+    if not params.constraints_certified():
+        raise ValueError(f"weight parameters fail the admissibility constraints: {params}")
     if params.delta0 * params.s * abs(params.alpha0_mid) > 700.0:
         warnings.warn(
             "raw mid-horizon weight underflows; normalized table remains usable",

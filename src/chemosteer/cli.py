@@ -23,11 +23,11 @@ from .diagnostics import (RecursionSpec, observability_probe,
                           observability_ratio, recursion_simulate)
 from .elliptic import DriftField, PhysicsParams, drift_from_state, drift_from_v, solve_elliptic
 from .grid import build_beta, build_domain, build_time_grid
-from .hum import (control_bound_report, dense_gramian, feedback_control,
+from .hum import (control_bound_report, dense_gramian,
                   gramian_apply, gramian_quadratic_form, solve_penalized)
 from .nonlinear import remark_check, run_nonlinear, threshold_sweep
-from .parabolic import (inner_l2, level_l2, linf_estimate_report, solve_adjoint,
-                        solve_forward)
+from .parabolic import (inner_l2, level_l2, linf_estimate_report,
+                        m_matrix_report, solve_adjoint, solve_forward)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -95,18 +95,31 @@ def _hum_report(sol):
         "cg_converged": sol.cg_converged,
         "epsilon": sol.epsilon,
         "kappa": sol.kappa,
+        "residual_history": sol.residual_history,
     }
 
 
-def _params_report(params):
+def _params_report(params, log_w_peak):
     return {
         "lambda": params.lam,
         "s": params.s,
         "delta0": params.delta0,
         "gamma_of_lambda": params.gamma_of_lambda,
         "omega_of_lambda": params.omega_of_lambda,
-        "log_raw_weight_peak_certified": params.constraints_certified(),
+        "constraints_certified": params.constraints_certified(),
+        "log_w_peak": log_w_peak,
     }
+
+
+def _scales(cfg: RunConfig) -> dict:
+    c = cfg.carleman
+    return {"delta0": c.delta0, "lambda_scale": c.lambda_scale, "s_scale": c.s_scale}
+
+
+def _weights(cfg: RunConfig, drift, beta, domain, tgrid):
+    """Carleman parameters for drift at the configured scales, and their weights."""
+    params = select_params(drift.sup_norm, tgrid.horizon_T, beta, **_scales(cfg))
+    return params, build_weights(params, beta, domain, tgrid)
 
 
 def _linear_setup(cfg: RunConfig):
@@ -118,11 +131,7 @@ def _linear_setup(cfg: RunConfig):
         _, drift = drift_from_state(xi, physics, domain, tgrid)
     else:
         drift = DriftField.zero(domain, tgrid)
-    params = select_params(drift.sup_norm, tgrid.horizon_T, beta,
-                           delta0=cfg.carleman.delta0,
-                           lambda_scale=cfg.carleman.lambda_scale,
-                           s_scale=cfg.carleman.s_scale)
-    weights = build_weights(params, beta, domain, tgrid)
+    params, weights = _weights(cfg, drift, beta, domain, tgrid)
     return domain, tgrid, beta, physics, u0, drift, params, weights
 
 
@@ -131,15 +140,15 @@ def cmd_linear(cfg: RunConfig) -> int:
     domain, tgrid, beta, physics, u0, drift, params, weights = _linear_setup(cfg)
     sol = solve_penalized(u0, drift, weights, domain, tgrid, cfg.hum.epsilon,
                           cg_tol=cfg.hum.cg_tol, cg_max_iters=cfg.hum.cg_max_iters)
-    v = np.array([solve_elliptic(sol.u[k], physics, domain)
-                  for k in range(tgrid.n_steps + 1)])
+    v = solve_elliptic(sol.u, physics, domain)
     out = _out_dir(cfg)
     _write_field_csv(os.path.join(out, "u.csv"), sol.u, tgrid.levels, domain.centers)
     _write_field_csv(os.path.join(out, "f.csv"), sol.f, tgrid.levels, domain.centers)
     _write_field_csv(os.path.join(out, "v.csv"), v, tgrid.levels, domain.centers)
     _write_weights_csv(os.path.join(out, "weights.csv"), weights, domain.centers)
     reports = {
-        "carleman": _params_report(params),
+        "carleman": _params_report(params, weights.log_w_peak),
+        "m_matrix": m_matrix_report(drift, domain, tgrid),
         "hum": _hum_report(sol),
         "control_bound": control_bound_report(sol, u0, domain),
         "linf_estimate": linf_estimate_report(sol.u, u0, sol.f, drift, domain, tgrid),
@@ -154,9 +163,7 @@ def cmd_nonlinear(cfg: RunConfig) -> int:
     u0 = initial_data(cfg, domain)
     result = run_nonlinear(
         u0, physics, domain, tgrid, beta,
-        delta0=cfg.carleman.delta0, lambda_scale=cfg.carleman.lambda_scale,
-        s_scale=cfg.carleman.s_scale,
-        freeze_after_first=cfg.carleman.freeze_after_first,
+        **_scales(cfg), freeze_after_first=cfg.carleman.freeze_after_first,
         epsilon=cfg.hum.epsilon, cg_tol=cfg.hum.cg_tol,
         cg_max_iters=cfg.hum.cg_max_iters,
         fp_tol=cfg.fixed_point.tol, fp_max_iters=cfg.fixed_point.max_iters,
@@ -178,13 +185,15 @@ def cmd_nonlinear(cfg: RunConfig) -> int:
             "converged": result.converged,
             "in_K": result.in_K,
             "verification_terminal_l2": result.verification_terminal_l2,
+            "verification_sweeps": result.verification_sweeps,
             "history": result.history,
         },
         "remark": remark_check(result, domain, tgrid) if result.iterations else None,
     }
     if result.hum_last is not None:
         reports["hum"] = _hum_report(result.hum_last)
-        reports["carleman"] = _params_report(result.params_last)
+        reports["carleman"] = _params_report(result.params_last, result.log_w_peak)
+        reports["m_matrix"] = result.m_matrix
     _write_report(out, cfg, reports, {"wall_s": _time.perf_counter() - t0})
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
@@ -195,15 +204,11 @@ def cmd_observability(cfg: RunConfig, n_samples: int, t_list=None) -> int:
     t0 = _time.perf_counter()
     horizons = t_list if t_list else [cfg.time.T]
     per_t = []
+    domain, _, beta, _ = build_geometry(cfg)
     for T in horizons:
-        domain, _, beta, physics = build_geometry(cfg)
         tgrid = build_time_grid(T, cfg.time.n_steps)
         drift = DriftField.zero(domain, tgrid)
-        params = select_params(drift.sup_norm, T, beta,
-                               delta0=cfg.carleman.delta0,
-                               lambda_scale=cfg.carleman.lambda_scale,
-                               s_scale=cfg.carleman.s_scale)
-        weights = build_weights(params, beta, domain, tgrid)
+        _, weights = _weights(cfg, drift, beta, domain, tgrid)
         report = observability_probe(drift, weights, domain, tgrid,
                                      n_samples, cfg.seed)
         # closed-form cross-check with the constant terminal datum
@@ -268,9 +273,7 @@ def cmd_sweep_T(cfg: RunConfig, t_list, amplitudes) -> int:
 
     table = threshold_sweep(
         t_list, amplitudes, shape_fn, physics, domain, steps_for, beta,
-        delta0=cfg.carleman.delta0, lambda_scale=cfg.carleman.lambda_scale,
-        s_scale=cfg.carleman.s_scale,
-        freeze_after_first=cfg.carleman.freeze_after_first,
+        **_scales(cfg), freeze_after_first=cfg.carleman.freeze_after_first,
         epsilon=cfg.hum.epsilon, cg_tol=cfg.hum.cg_tol,
         cg_max_iters=cfg.hum.cg_max_iters,
         fp_tol=cfg.fixed_point.tol, fp_max_iters=cfg.fixed_point.max_iters,
@@ -296,11 +299,7 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
     faces = np.zeros(domain.n_cells + 1)
     faces[1:-1] = rng.uniform(-1.0, 1.0, domain.n_cells - 1)
     drift = DriftField.constant(faces, tgrid)
-    params = select_params(drift.sup_norm, tgrid.horizon_T, beta,
-                           delta0=cfg.carleman.delta0,
-                           lambda_scale=cfg.carleman.lambda_scale,
-                           s_scale=cfg.carleman.s_scale)
-    weights = build_weights(params, beta, domain, tgrid)
+    params, weights = _weights(cfg, drift, beta, domain, tgrid)
 
     sol = solve_penalized(u0, drift, weights, domain, tgrid, cfg.hum.epsilon,
                           cg_tol=1e-13, cg_max_iters=2000)

@@ -19,8 +19,11 @@ import scipy.linalg
 from .carleman import WeightTables
 from .elliptic import DriftField
 from .grid import DomainSpec, TimeGrid
-from .hum import dense_gramian, gramian_quadratic_form, kappa_const
+from .hum import adjoint_energy, dense_gramian, kappa_const
 from .parabolic import level_l2, solve_adjoint
+
+
+_BATCH_FLOATS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -74,11 +77,12 @@ def observability_probe(drift: DriftField, weights: WeightTables,
     if n_samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(rng_seed)
-    ratios = []
-    for _ in range(n_samples):
-        ratios.append(observability_ratio(_unit_sample(rng, domain),
-                                          drift, weights, domain, time))
-    ratios_arr = np.array(ratios)
+    samples = np.column_stack([_unit_sample(rng, domain) for _ in range(n_samples)])
+    # batches of at most _BATCH_FLOATS trajectory values bound the memory
+    size = max(1, _BATCH_FLOATS // ((time.n_steps + 1) * domain.n_cells))
+    ratios_arr = np.concatenate([
+        observability_ratio(samples[:, j:j + size], drift, weights, domain, time)
+        for j in range(0, n_samples, size)])
     max_ratio = float(ratios_arr.max())
     kappa = kappa_const(drift.sup_norm, time.horizon_T)
     return ObservabilityReport(
@@ -91,19 +95,20 @@ def observability_probe(drift: DriftField, weights: WeightTables,
         },
         kappa=kappa,
         c_hat_obs=float(np.log(max_ratio) / kappa),
-        ratios=[float(r) for r in ratios],
+        ratios=ratios_arr.tolist(),
     )
 
 
 def observability_ratio(phiT: np.ndarray, drift: DriftField,
                         weights: WeightTables, domain: DomainSpec,
-                        time: TimeGrid) -> float:
-    """Single observability ratio for a given terminal datum."""
+                        time: TimeGrid):
+    """Observability ratio of a terminal datum (N,), or one per column of a
+    batch (N, K), from a single adjoint march."""
     phi = solve_adjoint(phiT, drift, domain, time)
-    denom = gramian_quadratic_form(phiT, drift, weights, domain, time)
-    if denom <= 0.0:
-        return float("inf")
-    return level_l2(phi[0], domain.h) ** 2 / denom
+    denom = adjoint_energy(phi, weights, domain, time)
+    num = domain.h * np.sum(np.square(phi[0]), axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom > 0.0, num / denom, np.inf)[()]
 
 
 def observability_extremal_ratio(drift: DriftField, weights: WeightTables,
@@ -118,11 +123,7 @@ def observability_extremal_ratio(drift: DriftField, weights: WeightTables,
     n = domain.n_cells
     if n > 64:
         raise ValueError("dense extremal mode is limited to n_cells <= 64")
-    s_map = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        s_map[:, j] = solve_adjoint(e, drift, domain, time)[0]
+    s_map = solve_adjoint(np.eye(n), drift, domain, time)[0]
     g = dense_gramian(drift, weights, domain, time)
     g = 0.5 * (g + g.T)
     g_reg = g + ridge * (np.trace(g) / n) * np.eye(n)

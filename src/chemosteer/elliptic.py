@@ -43,7 +43,10 @@ class DriftField:
     faces: np.ndarray
 
     def __post_init__(self):
-        f = self.faces
+        # a read-only copy: marches reuse the factors of a drift they have seen
+        f = np.array(self.faces, dtype=float)
+        f.flags.writeable = False
+        object.__setattr__(self, "faces", f)
         if f.ndim != 2:
             raise ValueError("drift faces must be a (n_steps, n_faces) array")
         if np.any(f[:, 0] != 0.0) or np.any(f[:, -1] != 0.0):
@@ -66,15 +69,16 @@ class DriftField:
         return cls(faces=np.tile(face_slice, (time.n_steps, 1)))
 
 
-def solve_elliptic(eta_slice: np.ndarray, physics: PhysicsParams,
+def solve_elliptic(eta: np.ndarray, physics: PhysicsParams,
                    domain: DomainSpec) -> np.ndarray:
     """Solve -(v_{i+1} - 2 v_i + v_{i-1})/h^2 + gamma v_i = delta eta_i.
 
     Ghost-cell reflection (v_{-1} = v_0, v_N = v_{N-1}) encodes the Neumann
     condition; the resulting matrix is SPD and solved by banded Cholesky.
+    eta is one level (N,) or a stack of levels (L, N), solved in one call.
     """
-    eta_slice = np.asarray(eta_slice, dtype=float)
-    if not np.all(np.isfinite(eta_slice)):
+    eta = np.asarray(eta, dtype=float)
+    if not np.all(np.isfinite(eta)):
         raise ValueError("elliptic source contains non-finite values")
     n = domain.n_cells
     h2 = domain.h * domain.h
@@ -83,31 +87,26 @@ def solve_elliptic(eta_slice: np.ndarray, physics: PhysicsParams,
     ab[1, :] = physics.gamma + 2.0 / h2
     ab[1, 0] -= 1.0 / h2                       # reflected ghost at x=0
     ab[1, -1] -= 1.0 / h2                      # reflected ghost at x=1
-    return solveh_banded(ab, physics.delta * eta_slice)
+    return solveh_banded(ab, physics.delta * eta.T).T
 
 
-def drift_from_v(v_slice: np.ndarray, chi: float, domain: DomainSpec) -> np.ndarray:
-    """Face-sampled drift chi * dv/dx; boundary faces exactly zero."""
-    v_slice = np.asarray(v_slice, dtype=float)
-    faces = np.zeros(domain.n_cells + 1)
-    faces[1:-1] = chi * np.diff(v_slice) / domain.h
+def drift_from_v(v: np.ndarray, chi: float, domain: DomainSpec) -> np.ndarray:
+    """Face-sampled drift chi * dv/dx of (N,) or (L, N) levels; boundary
+    faces exactly zero."""
+    v = np.asarray(v, dtype=float)
+    faces = np.zeros(v.shape[:-1] + (domain.n_cells + 1,))
+    faces[..., 1:-1] = chi * np.diff(v) / domain.h
     return faces
 
 
 def drift_from_state(xi: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
                      time: TimeGrid) -> tuple:
-    """Elliptic solve per level of a state trajectory, then per-step drift.
+    """Elliptic solve of every level of a state trajectory, then per-step drift.
 
-    Returns (v, drift) where v has shape (M+1, N) (one elliptic solve per
-    time level) and drift is a DriftField whose step-k row is computed from
-    the average of the adjacent levels, i.e. the trajectory sampled at the
-    step midpoint (exact by linearity of the elliptic solve).
+    Returns (v, drift) where v has shape (M+1, N) and drift is a DriftField
+    whose step-k row is computed from the average of the adjacent levels,
+    i.e. the trajectory sampled at the step midpoint (exact by linearity of
+    the elliptic solve).
     """
-    xi = np.asarray(xi, dtype=float)
-    v = np.empty_like(xi)
-    for k in range(xi.shape[0]):
-        v[k] = solve_elliptic(xi[k], physics, domain)
-    faces = np.empty((time.n_steps, domain.n_cells + 1))
-    for k in range(time.n_steps):
-        faces[k] = drift_from_v(0.5 * (v[k] + v[k + 1]), physics.chi, domain)
-    return v, DriftField(faces=faces)
+    v = solve_elliptic(xi, physics, domain)
+    return v, DriftField(faces=drift_from_v(0.5 * (v[:-1] + v[1:]), physics.chi, domain))

@@ -53,43 +53,47 @@ def feedback_control(phi: np.ndarray, weights: WeightTables,
     The weight row for control level k lives at midpoint t_{k-1/2} and the
     adjoint value pairing with f^k under the exact transpose identity is the
     one stored at level k-1.  Levels outside omega, and the unused level 0,
-    are exactly zero.
+    are exactly zero.  phi is (M+1, N) or a batch (M+1, N, K).
     """
-    m, n = weights.w.shape
-    f = np.zeros((m + 1, n))
-    f[1:] = weights.w * phi[:-1]
+    w = weights.w.reshape(weights.w.shape + (1,) * (phi.ndim - 2))
+    f = np.zeros(phi.shape)
+    f[1:] = w * phi[:-1]
     f[:, ~domain.omega_mask] = 0.0
     return f
 
 
 def gramian_apply(phiT: np.ndarray, drift: DriftField, weights: WeightTables,
                   domain: DomainSpec, time: TimeGrid) -> np.ndarray:
-    """G phiT = terminal value of the forward solve driven by the feedback."""
+    """G phiT = terminal value of the forward solve driven by the feedback.
+
+    phiT is (N,) or a batch (N, K) of data, one column each.
+    """
     phi = solve_adjoint(phiT, drift, domain, time)
     f = feedback_control(phi, weights, domain)
-    u = solve_forward(np.zeros(domain.n_cells), drift, f, domain, time)
-    return u[-1]
+    u = solve_forward(np.zeros(phi.shape[1:]), drift, f, domain, time)
+    return u[-1].copy()
+
+
+def adjoint_energy(phi: np.ndarray, weights: WeightTables, domain: DomainSpec,
+                   time: TimeGrid):
+    """Weighted energy dt h sum_{k, omega} w_k phi_{k-1}^2 of an adjoint
+    trajectory, one per column of a batch; <G phiT, phiT> for phi from phiT."""
+    w = np.where(domain.omega_mask, weights.w, 0.0)
+    return time.dt * domain.h * np.einsum("kn,kn...,kn...->...", w, phi[:-1], phi[:-1])
 
 
 def gramian_quadratic_form(phiT: np.ndarray, drift: DriftField,
                            weights: WeightTables, domain: DomainSpec,
                            time: TimeGrid) -> float:
     """<G phiT, phiT> computed directly as the weighted adjoint energy."""
-    phi = solve_adjoint(phiT, drift, domain, time)
-    restricted = np.where(domain.omega_mask[None, :], phi[:-1], 0.0)
-    return float(time.dt * domain.h * np.sum(weights.w * restricted * restricted))
+    return float(adjoint_energy(solve_adjoint(phiT, drift, domain, time),
+                                weights, domain, time))
 
 
 def dense_gramian(drift: DriftField, weights: WeightTables, domain: DomainSpec,
                   time: TimeGrid) -> np.ndarray:
-    """Assemble G column by column from basis vectors (small grids only)."""
-    n = domain.n_cells
-    g = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        g[:, j] = gramian_apply(e, drift, weights, domain, time)
-    return g
+    """Assemble G from all basis vectors in one batched apply (small grids only)."""
+    return gramian_apply(np.eye(domain.n_cells), drift, weights, domain, time)
 
 
 def solve_penalized(u0: np.ndarray, drift: DriftField, weights: WeightTables,

@@ -17,8 +17,7 @@ from .carleman import build_weights, select_params
 from .elliptic import DriftField, PhysicsParams, drift_from_state, drift_from_v, solve_elliptic
 from .grid import BetaFunction, DomainSpec, TimeGrid
 from .hum import HumSolution, solve_penalized
-from .parabolic import level_l2, space_time_l2, solve_forward, step_matrix_banded
-from scipy.linalg import solve_banded
+from .parabolic import Propagator, level_l2, m_matrix_report, space_time_l2
 
 
 @dataclass
@@ -34,8 +33,11 @@ class NonlinearResult:
     in_K: bool
     verification_terminal_l2: float
     verification_u: np.ndarray = field(repr=False, default=None)
+    verification_sweeps: dict = None   # inner sweeps of verify_nonlinear
     hum_last: HumSolution = field(repr=False, default=None)
     params_last: object = field(repr=False, default=None)
+    log_w_peak: float = float("nan")   # raw weight-peak exponent, last iteration
+    m_matrix: dict = None              # m_matrix_report of the last drift
 
 
 def _initial_guess(kind: str, u0: np.ndarray, time: TimeGrid) -> np.ndarray:
@@ -110,27 +112,31 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
                                converged=False, in_K=in_k,
                                verification_terminal_l2=float("nan"))
 
-    v_final = np.empty_like(xi)
-    for k in range(xi.shape[0]):
-        v_final[k] = solve_elliptic(xi[k], physics, domain)
-    verification = verify_nonlinear(u0, sol.f, physics, domain, time)
+    verification, sweeps = verify_nonlinear(u0, sol.f, physics, domain, time,
+                                            full_output=True)
     return NonlinearResult(
-        u=xi, v=v_final, f=sol.f, iterations=iterations, history=history,
+        u=xi, v=solve_elliptic(xi, physics, domain), f=sol.f,
+        iterations=iterations, history=history,
         converged=converged, in_K=in_k,
         verification_terminal_l2=level_l2(verification[-1], domain.h),
-        verification_u=verification,
+        verification_u=verification, verification_sweeps=sweeps,
         hum_last=sol, params_last=params,
+        log_w_peak=weights.log_w_peak, m_matrix=m_matrix_report(drift, domain, time),
     )
 
 
 def verify_nonlinear(u0: np.ndarray, f: np.ndarray, physics: PhysicsParams,
                      domain: DomainSpec, time: TimeGrid,
-                     inner_tol: float = 1e-10, max_sweeps: int = 5) -> np.ndarray:
+                     inner_tol: float = 1e-10, max_sweeps: int = 5,
+                     full_output: bool = False):
     """Forward solve of the nonlinear discrete dynamics with a given control.
 
     Each implicit step runs a frozen-coefficient inner loop: the drift is
     recomputed from the elliptic solve of the step-midpoint state until the
-    step iterate stabilizes (or after max_sweeps sweeps).
+    step iterate stabilizes (or after max_sweeps sweeps).  Returns the
+    trajectory; with full_output, also a dict with the total number of
+    sweeps and the number of steps stopped at max_sweeps before meeting
+    inner_tol ("capped_steps").
     """
     u0 = np.asarray(u0, dtype=float)
     n = domain.n_cells
@@ -138,21 +144,27 @@ def verify_nonlinear(u0: np.ndarray, f: np.ndarray, physics: PhysicsParams,
     mask = domain.omega_mask
     u = np.empty((m + 1, n))
     u[0] = u0
+    sweeps = capped = 0
     for k in range(m):
         rhs = u[k].copy()
         if f is not None:
             rhs[mask] += time.dt * f[k + 1][mask]
         u_next = u[k].copy()
         for _ in range(max_sweeps):
+            sweeps += 1
             v_mid = solve_elliptic(0.5 * (u[k] + u_next), physics, domain)
             faces = drift_from_v(v_mid, physics.chi, domain)
-            ab = step_matrix_banded(faces, domain, time.dt)
-            candidate = solve_banded((1, 1), ab, rhs)
+            candidate = Propagator(faces[None], domain, time.dt).march(rhs)[1]
             delta = level_l2(candidate - u_next, domain.h)
             u_next = candidate
             if delta <= inner_tol * max(1.0, level_l2(u_next, domain.h)):
                 break
+        else:
+            capped += 1
         u[k + 1] = u_next
+    if full_output:
+        return u, {"sweeps": sweeps, "capped_steps": capped,
+                   "max_sweeps": max_sweeps, "inner_tol": inner_tol}
     return u
 
 

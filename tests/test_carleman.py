@@ -49,6 +49,12 @@ class TestSelectParams:
         with pytest.warns(RuntimeWarning):
             select_params(0.0, 1.0, beta32, s_scale=50.0)
 
+    def test_uncertified_params_raise(self, beta32):
+        # a non-finite drift bound leaves lam and s undefined; the check is
+        # a raised error, not an assert that vanishes under python -O
+        with pytest.raises(ValueError, match="admissibility"):
+            select_params(float("nan"), 1.0, beta32)
+
 
 class TestWeightTables:
     def test_alpha_negative_everywhere(self, domain32, tgrid24, beta32):

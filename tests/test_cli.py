@@ -112,6 +112,13 @@ class TestCommands:
         assert report["config"]["domain"]["n_cells"] == 24
         assert "config_hash" in report
         assert report["reports"]["hum"]["cg_converged"]
+        reports = report["reports"]
+        assert reports["carleman"]["constraints_certified"] is True
+        assert reports["carleman"]["log_w_peak"] < 0.0
+        assert reports["m_matrix"]["is_m_matrix"] is True
+        history = reports["hum"]["residual_history"]
+        assert len(history) == reports["hum"]["cg_iters"]
+        assert history[-1] == reports["hum"]["cg_residual"]
 
         with open(out / "u.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -135,6 +142,13 @@ class TestCommands:
         report = read_report(out)
         fp = report["reports"]["fixed_point"]
         assert fp["converged"] and fp["in_K"]
+        assert fp["verification_sweeps"]["capped_steps"] == 0
+        assert fp["verification_sweeps"]["sweeps"] >= 24
+        reports = report["reports"]
+        assert reports["carleman"]["constraints_certified"] is True
+        assert reports["carleman"]["log_w_peak"] < 0.0
+        assert "is_m_matrix" in reports["m_matrix"]
+        assert len(reports["hum"]["residual_history"]) == reports["hum"]["cg_iters"]
         with open(out / "history.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == fp["iterations"]

@@ -52,6 +52,15 @@ def test_sup_bound(domain32, seed):
     assert np.abs(v).max() <= phys.delta / phys.gamma * np.abs(eta).max() + 1e-14
 
 
+def test_batched_levels_match_per_level_solves(domain32):
+    phys = PhysicsParams(chi=1.0, gamma=2.0, delta=3.0)
+    eta = np.random.default_rng(8).standard_normal((25, 32))
+    v = solve_elliptic(eta, phys, domain32)
+    loop = np.array([solve_elliptic(level, phys, domain32) for level in eta])
+    assert v.shape == eta.shape
+    assert np.abs(v - loop).max() <= 1e-14 * np.abs(loop).max()
+
+
 def test_nonfinite_source_rejected(domain32):
     phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
     bad = np.zeros(32)

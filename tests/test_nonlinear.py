@@ -94,6 +94,29 @@ def test_verify_nonlinear_zero_control_mass(small_setup):
     assert np.abs(mass - mass[0]).max() <= 1e-12 * max(abs(mass[0]), 1e-300)
 
 
+def test_verify_nonlinear_reports_capped_steps(small_setup):
+    domain, tgrid, beta, u0 = small_setup
+    phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
+    u, sweeps = verify_nonlinear(u0, None, phys, domain, tgrid, full_output=True)
+    assert np.array_equal(u, verify_nonlinear(u0, None, phys, domain, tgrid))
+    assert sweeps["capped_steps"] == 0
+    assert tgrid.n_steps < sweeps["sweeps"] <= 5 * tgrid.n_steps
+    # one sweep never confirms the step iterate, so every step is capped
+    _, capped = verify_nonlinear(u0, None, phys, domain, tgrid, max_sweeps=1,
+                                 full_output=True)
+    assert capped["capped_steps"] == tgrid.n_steps
+    assert capped["sweeps"] == tgrid.n_steps
+
+
+def test_run_nonlinear_reports_verification_sweeps(small_setup):
+    domain, tgrid, beta, u0 = small_setup
+    phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
+    result = run_nonlinear(u0, phys, domain, tgrid, beta, epsilon=1e-6)
+    assert result.verification_sweeps["capped_steps"] == 0
+    assert result.m_matrix["is_m_matrix"]
+    assert result.log_w_peak < 0.0
+
+
 def test_remark_check_tail(small_setup):
     domain, tgrid, beta, u0 = small_setup
     phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)

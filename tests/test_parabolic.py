@@ -3,11 +3,12 @@ import pytest
 
 from chemosteer.elliptic import DriftField
 from chemosteer.grid import build_domain, build_time_grid
-from chemosteer.parabolic import (SolverError, SpaceTimeField, inner_l2,
-                                  level_l2, linf_estimate_report,
-                                  m_matrix_report, solve_adjoint,
+from chemosteer.hum import dense_gramian, gramian_apply
+from chemosteer.parabolic import (Propagator, SolverError, SpaceTimeField,
+                                  inner_l2, level_l2, linf_estimate_report,
+                                  m_matrix_report, propagator, solve_adjoint,
                                   solve_forward, space_time_l2)
-from conftest import random_drift
+from conftest import default_weights, random_drift
 
 
 def test_constant_preserved(domain32, tgrid24):
@@ -158,3 +159,83 @@ class TestLinfReport:
         rep = linf_estimate_report(u, u0, f, drift, domain32, tgrid24)
         assert np.isfinite(rep["K0"]) and rep["K0"] > 0.0
         assert rep["rho0"] == (1.0 + drift.sup_norm ** 2) * 2.0
+
+
+class TestPropagator:
+    def test_batch_columns_equal_single_marches_bitwise(self, domain32, tgrid24):
+        rng = np.random.default_rng(21)
+        drift = random_drift(rng, domain32, tgrid24, amplitude=1.5, per_step=True)
+        start = rng.standard_normal((32, 5))
+        f = rng.standard_normal((tgrid24.n_steps + 1, 32, 5))
+        u = solve_forward(start, drift, f, domain32, tgrid24)
+        phi = solve_adjoint(start, drift, domain32, tgrid24)
+        assert u.shape == phi.shape == (tgrid24.n_steps + 1, 32, 5)
+        for j in range(5):
+            single_u = solve_forward(start[:, j], drift, f[..., j], domain32, tgrid24)
+            single_phi = solve_adjoint(start[:, j], drift, domain32, tgrid24)
+            assert np.array_equal(u[..., j], single_u)
+            assert np.array_equal(phi[..., j], single_phi)
+
+    def test_duality_and_symmetry_per_step_drift(self, domain32, tgrid24, beta32):
+        rng = np.random.default_rng(22)
+        drift = random_drift(rng, domain32, tgrid24, amplitude=1.0, per_step=True)
+        u0 = rng.standard_normal(32)
+        phiT = rng.standard_normal(32)
+        lhs = inner_l2(solve_forward(u0, drift, None, domain32, tgrid24)[-1],
+                       phiT, domain32.h)
+        rhs = inner_l2(u0, solve_adjoint(phiT, drift, domain32, tgrid24)[0],
+                       domain32.h)
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+        weights = default_weights(domain32, tgrid24, beta32, b_sup=drift.sup_norm)
+        g = dense_gramian(drift, weights, domain32, tgrid24)
+        assert np.abs(g - g.T).max() <= 1e-12 * np.abs(g).max()
+        for j in (0, 13, 31):
+            e = np.zeros(32)
+            e[j] = 1.0
+            assert np.array_equal(g[:, j], gramian_apply(e, drift, weights,
+                                                         domain32, tgrid24))
+
+    def test_time_invariant_drift_factored_once(self, domain32, tgrid24):
+        rng = np.random.default_rng(23)
+        constant = random_drift(rng, domain32, tgrid24, amplitude=1.0)
+        per_step = random_drift(rng, domain32, tgrid24, amplitude=1.0, per_step=True)
+        zero = DriftField.zero(domain32, tgrid24)
+        assert propagator(zero, domain32, tgrid24.dt).n_factored == 1
+        assert propagator(constant, domain32, tgrid24.dt).n_factored == 1
+        assert propagator(per_step, domain32, tgrid24.dt).n_factored == tgrid24.n_steps
+        # consecutive marches on one drift share its factors
+        prop = propagator(constant, domain32, tgrid24.dt)
+        assert propagator(constant, domain32, tgrid24.dt) is prop
+
+    def test_shared_factors_match_per_step_factors(self, domain32, tgrid24):
+        rng = np.random.default_rng(24)
+        drift = random_drift(rng, domain32, tgrid24, amplitude=1.0)
+        shared = Propagator(drift.faces, domain32, tgrid24.dt)
+        faces = drift.faces.copy()
+        faces[-1, 1] += 1.0  # breaks time invariance at the last step only
+        per_step = Propagator(faces, domain32, tgrid24.dt)
+        assert (shared.n_factored, per_step.n_factored) == (1, tgrid24.n_steps)
+        u0 = rng.standard_normal(32)
+        a = shared.march(u0)[:-1]
+        b = per_step.march(u0)[:-1]
+        assert np.array_equal(a, b)
+
+    def test_singular_step_raises(self):
+        # h = 1/8, B = 2/h on face 1 and dt = -h^2/2 make row 0 of I - dt*A
+        # exactly zero, so the LU factorization meets an exact zero pivot
+        dom = build_domain(8, (0.25, 0.75), 0.5)
+        faces = np.zeros((3, 9))
+        faces[:, 1] = 2.0 / dom.h
+        with pytest.raises(SolverError, match="singular"):
+            Propagator(faces, dom, -dom.h ** 2 / 2.0)
+
+    def test_nonfinite_data_and_forward_level_reported(self, domain32, tgrid24):
+        drift = DriftField.zero(domain32, tgrid24)
+        phiT = np.ones(32)
+        phiT[3] = np.nan
+        with pytest.raises(SolverError, match="terminal data"):
+            solve_adjoint(phiT, drift, domain32, tgrid24)
+        f = np.zeros((tgrid24.n_steps + 1, 32))
+        f[5, domain32.omega_mask] = np.inf
+        with pytest.raises(SolverError, match="after forward step 5$"):
+            solve_forward(np.ones(32), drift, f, domain32, tgrid24)
