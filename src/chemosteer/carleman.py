@@ -65,7 +65,7 @@ class CarlemanParams:
 
 @dataclass(frozen=True)
 class WeightTables:
-    """alpha, phi and normalized weight tables at the M time midpoints.
+    """alpha and normalized weight tables at the M time midpoints.
 
     Row k-1 of each table corresponds to the midpoint t_{k-1/2} and hence to
     the control level k.  w is e^{delta0 s (alpha - alpha_peak)}, in [0, 1],
@@ -75,7 +75,6 @@ class WeightTables:
     params: CarlemanParams
     t_mid: np.ndarray    # (M,)
     alpha: np.ndarray    # (M, N)
-    phi: np.ndarray      # (M, N)
     w: np.ndarray        # (M, N)
     log_w_peak: float    # delta0 * s * max(alpha): log of the raw peak weight
 
@@ -120,7 +119,7 @@ def select_params(b_sup: float, T: float, beta: BetaFunction,
 
 def build_weights(params: CarlemanParams, beta: BetaFunction, domain: DomainSpec,
                   time: TimeGrid) -> WeightTables:
-    """Evaluate alpha, phi and the normalized weight at all midpoints.
+    """Evaluate alpha and the normalized weight at all midpoints.
 
     All exponentials are assembled in log space; underflow to exactly zero
     is accepted and is what switches the feedback off near t = 0 and t = T.
@@ -133,11 +132,10 @@ def build_weights(params: CarlemanParams, beta: BetaFunction, domain: DomainSpec
     e_lb = np.exp(params.lam * beta.at_centers)[None, :]
     gamma_lam = params.gamma_of_lambda
     alpha = (e_lb - gamma_lam) / denom
-    phi = e_lb / denom
     exponent = params.delta0 * params.s * alpha
     peak = float(exponent.max())
     w = np.exp(exponent - peak)
     return WeightTables(
         params=params, t_mid=time.midpoints.copy(),
-        alpha=alpha, phi=phi, w=w, log_w_peak=peak,
+        alpha=alpha, w=w, log_w_peak=peak,
     )

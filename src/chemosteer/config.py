@@ -7,12 +7,13 @@ reproduced from their own config echo.
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from .elliptic import PhysicsParams
-from .grid import DomainSpec, GeometryError, TimeGrid, build_beta, build_domain, build_time_grid
+from .grid import DomainSpec, GeometryError, build_beta, build_domain, build_time_grid
 
 
 class ConfigError(ValueError):
@@ -72,7 +73,6 @@ class InitialDataConfig:
 @dataclass
 class OutputConfig:
     dir: str = "out"
-    formats: list = field(default_factory=lambda: ["csv", "json"])
 
 
 @dataclass
@@ -97,46 +97,50 @@ class RunConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
-_SECTIONS = {
-    "domain": DomainConfig,
-    "time": TimeConfig,
-    "physics": PhysicsConfig,
-    "carleman": CarlemanConfig,
-    "hum": HumConfig,
-    "fixed_point": FixedPointConfig,
-    "initial_data": InitialDataConfig,
-    "output": OutputConfig,
-}
+def _checked(path: str, kind: type, value, default):
+    """value if it fits a field of type kind, else ConfigError: ints must be real ints (no
+    bool or float), floats finite (an int is taken), None only where it is the default."""
+    if value is None and default is None:
+        return value
+    if type(value) not in ((int, float) if kind is float else (kind,)):
+        raise ConfigError(f"{path} must be of type {kind.__name__}, got {value!r}")
+    # rejects NaN, infinities and ints past the float range alike
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path} must be finite, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _build(cls, data, where: str):
+    """Instance of the config dataclass cls from a (possibly partial) dict."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where or 'config document'} must be a JSON object")
+    unknown = set(data) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown keys in {where or 'config'}: {sorted(unknown)}")
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in data:
+            path = f"{where}.{f.name}" if where else f.name
+            kwargs[f.name] = (_build(f.type, data[f.name], path) if is_dataclass(f.type)
+                              else _checked(path, f.type, data[f.name], f.default))
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Build a RunConfig from a (possibly partial) plain dict."""
-    if not isinstance(data, dict):
-        raise ConfigError("config document must be a JSON object")
-    kwargs = {}
-    for key, cls in _SECTIONS.items():
-        section = data.get(key, {})
-        if not isinstance(section, dict):
-            raise ConfigError(f"section '{key}' must be an object")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(section) - known
-        if unknown:
-            raise ConfigError(f"unknown keys in section '{key}': {sorted(unknown)}")
-        kwargs[key] = cls(**section)
-    extra = set(data) - set(_SECTIONS) - {"seed"}
-    if extra:
-        raise ConfigError(f"unknown top-level keys: {sorted(extra)}")
-    cfg = RunConfig(seed=int(data.get("seed", 0)), **kwargs)
+    """Build a validated RunConfig from a (possibly partial) plain dict."""
+    cfg = _build(RunConfig, data, "")
     validate_config(cfg)
     return cfg
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return config_from_dict(data)
 
 
@@ -160,13 +164,7 @@ def apply_override(cfg_dict: dict, dotted: str, raw_value: str) -> None:
 def validate_config(cfg: RunConfig) -> None:
     """Re-run the structural validations of every referenced module."""
     try:
-        domain = build_domain(cfg.domain.n_cells,
-                              (cfg.domain.omega_a, cfg.domain.omega_b),
-                              cfg.domain.x0)
-        build_beta(domain)
-        build_time_grid(cfg.time.T, cfg.time.n_steps)
-        PhysicsParams(chi=cfg.physics.chi, gamma=cfg.physics.gamma,
-                      delta=cfg.physics.delta)
+        build_geometry(cfg)
     except (GeometryError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     if not (1.0 < cfg.carleman.delta0 < 2.0):
@@ -211,10 +209,13 @@ def initial_data(cfg: RunConfig, domain: DomainSpec) -> np.ndarray:
         return a * (1.0 + np.cos(np.pi * x)) / 2.0
     if cfg.initial_data.shape == "bump":
         return a * np.exp(-100.0 * (x - domain.x0) ** 2)
-    values = np.loadtxt(cfg.initial_data.file_path)
-    if values.shape != (domain.n_cells,):
+    try:
+        values = np.loadtxt(cfg.initial_data.file_path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read initial data file: {exc}") from exc
+    if values.shape != (domain.n_cells,) or not np.all(np.isfinite(values)):
         raise ConfigError(
-            f"initial data file must hold {domain.n_cells} cell values, "
+            f"initial data file must hold {domain.n_cells} finite cell values, "
             f"got shape {values.shape}"
         )
     return a * values

@@ -134,11 +134,6 @@ def observability_extremal_ratio(drift: DriftField, weights: WeightTables,
     return float(vals[-1])
 
 
-def recursion_threshold(spec: RecursionSpec) -> float:
-    """Largest Y0 for which the recursion lemma guarantees decay."""
-    return spec.threshold
-
-
 def recursion_simulate(spec: RecursionSpec, y0: float, n_steps: int) -> dict:
     """Run the recursion at equality, Y_{s+1} = c b^s Y_s^{1+eps}.
 

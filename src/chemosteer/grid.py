@@ -60,17 +60,13 @@ class BetaFunction:
 
     Attributes:
         eta: exponent slope.
-        at_centers, at_faces: samples on the grid.
-        d_at_centers, d_at_faces: analytic derivative samples.
+        at_centers: samples at the cell centers.
         sup_norm: max of beta over [0, 1], from dense sampling.
         validation: numeric certificate of the profile invariants.
     """
 
     eta: float
     at_centers: np.ndarray
-    at_faces: np.ndarray
-    d_at_centers: np.ndarray
-    d_at_faces: np.ndarray
     sup_norm: float
     validation: dict
 
@@ -181,9 +177,6 @@ def build_beta(domain: DomainSpec, dense_factor: int = 10) -> BetaFunction:
     return BetaFunction(
         eta=eta,
         at_centers=beta_values(domain.centers, x0),
-        at_faces=beta_values(domain.faces, x0),
-        d_at_centers=beta_derivative(domain.centers, x0),
-        d_at_faces=beta_derivative(domain.faces, x0),
         sup_norm=float(bs.max()),
         validation=validation,
     )

@@ -32,7 +32,6 @@ class NonlinearResult:
     converged: bool
     in_K: bool
     verification_terminal_l2: float
-    verification_u: np.ndarray = field(repr=False, default=None)
     verification_sweeps: dict = None   # inner sweeps of verify_nonlinear
     hum_last: HumSolution = field(repr=False, default=None)
     params_last: object = field(repr=False, default=None)
@@ -40,7 +39,8 @@ class NonlinearResult:
     m_matrix: dict = None              # m_matrix_report of the last drift
 
 
-def _initial_guess(kind: str, u0: np.ndarray, time: TimeGrid) -> np.ndarray:
+def state_guess(kind: str, u0: np.ndarray, time: TimeGrid) -> np.ndarray:
+    """The (M+1, N) state trajectory an outer iteration starts from."""
     u0 = np.asarray(u0, dtype=float)
     if kind == "zero":
         return np.zeros((time.n_steps + 1, u0.size))
@@ -67,7 +67,7 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
     u0 = np.asarray(u0, dtype=float)
     if fp_tol <= 0.0:
         raise ValueError("fp_tol must be positive")
-    xi = _initial_guess(initial_guess, u0, time)
+    xi = state_guess(initial_guess, u0, time)
     history = []
     converged = False
     in_k = True
@@ -119,7 +119,7 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
         iterations=iterations, history=history,
         converged=converged, in_K=in_k,
         verification_terminal_l2=level_l2(verification[-1], domain.h),
-        verification_u=verification, verification_sweeps=sweeps,
+        verification_sweeps=sweeps,
         hum_last=sol, params_last=params,
         log_w_peak=weights.log_w_peak, m_matrix=m_matrix_report(drift, domain, time),
     )

@@ -13,8 +13,6 @@ discrete L2 inner products, not an independent discretization: this is what
 makes the control Gramian exactly symmetric.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
@@ -24,25 +22,6 @@ from .grid import DomainSpec, TimeGrid
 
 class SolverError(RuntimeError):
     """Non-finite values encountered during time stepping."""
-
-
-@dataclass(frozen=True)
-class SpaceTimeField:
-    """Cell-sampled scalar field over all time levels, values shape (M+1, N)."""
-
-    values: np.ndarray
-    h: float
-    dt: float
-
-    @property
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values).max())
-
-    def l2_at_level(self, k: int) -> float:
-        return level_l2(self.values[k], self.h)
-
-    def l2_space_time(self) -> float:
-        return space_time_l2(self.values, self.h, self.dt)
 
 
 def level_l2(slice_values: np.ndarray, h: float) -> float:

