@@ -3,8 +3,8 @@
 Subcommands: linear, nonlinear, observability, sweep-eps, sweep-T,
 oracle-check, selftest.  Every run writes report.json (config echo plus
 content hash plus reports) and CSV artifacts into the output directory.
-Exit codes: 0 success, 1 selftest/oracle failure, 2 invalid input,
-3 solver non-convergence or breakdown.
+Exit codes: 0 success, 1 selftest/oracle failure, 2 invalid input or an
+unwritable output directory, 3 solver non-convergence or breakdown.
 """
 
 import argparse
@@ -19,7 +19,7 @@ from . import __version__
 from .carleman import build_weights, select_params
 from .checks import constant_mode_ratios, dense_kkt_deviation, random_drift, run_checks
 from .config import (ConfigError, RunConfig, apply_override, build_geometry,
-                     config_from_dict, initial_data, load_config)
+                     config_from_dict, initial_data, read_config)
 from .diagnostics import observability_probe
 from .elliptic import DriftField, drift_from_state, solve_elliptic
 from .grid import build_time_grid
@@ -43,22 +43,33 @@ def _out_dir(cfg: RunConfig) -> str:
     return out
 
 
+def _row_template(centers, columns):
+    """The rows of one time level: NUL for t, the formatted x, `columns` %.17g slots.
+
+    A level is ``template.replace("\\0", _fmt(t)) % values``, byte for byte
+    what _fmt gives for each value, with x and t formatted once.
+    """
+    fields = ",%.17g" * columns
+    return "".join(f"\0,{_fmt(x)}{fields}\n" for x in centers)
+
+
 def _write_field_csv(path, values, levels, centers):
-    """Level-major 't,x,value' rows."""
+    """Level-major 't,x,value' rows, written one level at a time."""
+    template = _row_template(centers, 1)
     with open(path, "w") as fh:
         fh.write("t,x,value\n")
-        for k, t in enumerate(levels):
-            for x, v in zip(centers, values[k]):
-                fh.write(f"{_fmt(t)},{_fmt(x)},{_fmt(v)}\n")
+        for t, row in zip(levels, values):
+            fh.write(template.replace("\0", _fmt(t)) % tuple(row.tolist()))
 
 
 def _write_weights_csv(path, weights, centers):
+    """'t_mid,x,alpha,w' rows, written one level at a time."""
+    template = _row_template(centers, 2)
     with open(path, "w") as fh:
         fh.write("t_mid,x,alpha,w\n")
-        for k, t in enumerate(weights.t_mid):
-            for i, x in enumerate(centers):
-                fh.write(f"{_fmt(t)},{_fmt(x)},{_fmt(weights.alpha[k, i])},"
-                         f"{_fmt(weights.w[k, i])}\n")
+        for t, alpha, w in zip(weights.t_mid, weights.alpha, weights.w):
+            pairs = np.column_stack((alpha, w)).ravel().tolist()
+            fh.write(template.replace("\0", _fmt(t)) % tuple(pairs))
 
 
 def _write_report(out, cfg, reports, timings):
@@ -132,11 +143,11 @@ def _linear_setup(cfg: RunConfig):
 
 def cmd_linear(cfg: RunConfig) -> int:
     t0 = _time.perf_counter()
+    out = _out_dir(cfg)
     domain, tgrid, beta, physics, u0, drift, params, weights = _linear_setup(cfg)
     sol = solve_penalized(u0, drift, weights, domain, tgrid, cfg.hum.epsilon,
                           cg_tol=cfg.hum.cg_tol, cg_max_iters=cfg.hum.cg_max_iters)
     v = solve_elliptic(sol.u, physics, domain)
-    out = _out_dir(cfg)
     _write_field_csv(os.path.join(out, "u.csv"), sol.u, tgrid.levels, domain.centers)
     _write_field_csv(os.path.join(out, "f.csv"), sol.f, tgrid.levels, domain.centers)
     _write_field_csv(os.path.join(out, "v.csv"), v, tgrid.levels, domain.centers)
@@ -154,6 +165,7 @@ def cmd_linear(cfg: RunConfig) -> int:
 
 def cmd_nonlinear(cfg: RunConfig) -> int:
     t0 = _time.perf_counter()
+    out = _out_dir(cfg)
     domain, tgrid, beta, physics = build_geometry(cfg)
     u0 = initial_data(cfg, domain)
     result = run_nonlinear(
@@ -164,7 +176,6 @@ def cmd_nonlinear(cfg: RunConfig) -> int:
         fp_tol=cfg.fixed_point.tol, fp_max_iters=cfg.fixed_point.max_iters,
         initial_guess=cfg.fixed_point.initial_guess,
     )
-    out = _out_dir(cfg)
     _write_field_csv(os.path.join(out, "u.csv"), result.u, tgrid.levels, domain.centers)
     _write_field_csv(os.path.join(out, "f.csv"), result.f, tgrid.levels, domain.centers)
     _write_field_csv(os.path.join(out, "v.csv"), result.v, tgrid.levels, domain.centers)
@@ -197,6 +208,7 @@ def cmd_observability(cfg: RunConfig, n_samples: int, t_list=None) -> int:
     if n_samples < 1:
         raise ConfigError("need at least one observability sample")
     t0 = _time.perf_counter()
+    out = _out_dir(cfg)
     horizons = t_list if t_list else [cfg.time.T]
     per_t = []
     domain, _, beta, _ = build_geometry(cfg)
@@ -215,7 +227,6 @@ def cmd_observability(cfg: RunConfig, n_samples: int, t_list=None) -> int:
             "c_hat_obs": report.c_hat_obs,
             "constant_mode": constant_mode_ratios(drift, weights, domain, tgrid),
         })
-    out = _out_dir(cfg)
     _write_report(out, cfg, {"observability": per_t},
                   {"wall_s": _time.perf_counter() - t0})
     return EXIT_OK
@@ -225,6 +236,7 @@ def cmd_sweep_eps(cfg: RunConfig, eps_list) -> int:
     if not eps_list or any(e <= 0.0 for e in eps_list):
         raise ConfigError("eps sweep needs a list of positive values")
     t0 = _time.perf_counter()
+    out = _out_dir(cfg)
     domain, tgrid, beta, physics, u0, drift, params, weights = _linear_setup(cfg)
     rows = []
     all_converged = True
@@ -234,7 +246,6 @@ def cmd_sweep_eps(cfg: RunConfig, eps_list) -> int:
                               cg_max_iters=cfg.hum.cg_max_iters)
         all_converged = all_converged and sol.cg_converged
         rows.append(_hum_report(sol))
-    out = _out_dir(cfg)
     with open(os.path.join(out, "eps_sweep.csv"), "w") as fh:
         fh.write("epsilon,terminal_norm,weighted_energy,control_sup,cg_iters\n")
         for r in rows:
@@ -250,6 +261,7 @@ def cmd_sweep_T(cfg: RunConfig, t_list, amplitudes) -> int:
     if not t_list or not amplitudes:
         raise ConfigError("sweep-T needs horizons and amplitudes")
     t0 = _time.perf_counter()
+    out = _out_dir(cfg)
     domain, _, beta, physics = build_geometry(cfg)
 
     def shape_fn(dom):
@@ -262,7 +274,6 @@ def cmd_sweep_T(cfg: RunConfig, t_list, amplitudes) -> int:
         cg_max_iters=cfg.hum.cg_max_iters,
         fp_tol=cfg.fixed_point.tol, fp_max_iters=cfg.fixed_point.max_iters,
     )
-    out = _out_dir(cfg)
     with open(os.path.join(out, "threshold_sweep.csv"), "w") as fh:
         fh.write("T,kappa0,a_star\n")
         for row in table["rows"]:
@@ -277,13 +288,13 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
     if cfg.domain.n_cells > 16 or cfg.time.n_steps > 16:
         raise ConfigError("oracle check is limited to n_cells <= 16 and n_steps <= 16")
     t0 = _time.perf_counter()
+    out = _out_dir(cfg)
     domain, tgrid, beta, physics = build_geometry(cfg)
     u0 = initial_data(cfg, domain)
     drift = random_drift(np.random.default_rng(cfg.seed), domain, tgrid)
     _, weights = _weights(cfg, drift, beta, domain, tgrid)
     deviation = dense_kkt_deviation(u0, drift, weights, domain, tgrid, cfg.hum.epsilon)
     passed = deviation <= 1e-8
-    out = _out_dir(cfg)
     reports = {"oracle_check": {
         "max_relative_deviation": deviation,
         "tolerance": 1e-8,
@@ -369,12 +380,9 @@ def _parse_args(argv):
 
 
 def _config_from_args(args) -> RunConfig:
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
-        data = cfg.to_dict()
-    else:
-        data = RunConfig().to_dict()
-    for override in getattr(args, "set", []):
+    """The --config document with the --set overrides applied, validated once."""
+    data = read_config(args.config) if args.config else {}
+    for override in args.set:
         if "=" not in override:
             raise ConfigError(f"override '{override}' must look like path=value")
         path, raw = override.split("=", 1)
@@ -404,6 +412,9 @@ def main(argv=None) -> int:
     except (ConfigError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID if isinstance(exc, ConfigError) else EXIT_NO_CONVERGENCE
+    except OSError as exc:  # unreadable inputs raise ConfigError: this is an output
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -133,7 +133,8 @@ def config_from_dict(data: dict) -> RunConfig:
     return cfg
 
 
-def load_config(path: str) -> RunConfig:
+def read_config(path: str) -> dict:
+    """The JSON object in the config file at path, not yet validated."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -141,7 +142,13 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+    if not isinstance(data, dict):
+        raise ConfigError("config document must be a JSON object")
+    return data
+
+
+def load_config(path: str) -> RunConfig:
+    return config_from_dict(read_config(path))
 
 
 def apply_override(cfg_dict: dict, dotted: str, raw_value: str) -> None:

@@ -1,5 +1,6 @@
 import csv
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ SMALL = [
 ]
 
 
-# Each of these once ended in a traceback and exit code 1.
+# Each of these must exit 2 with one line; most once ended in a traceback and
+# exit code 1.
 INVALID_INPUTS = {
     "epsilon-nan": ["--set", "hum.epsilon=NaN"],
     "amplitude-nan": ["--set", "initial_data.amplitude=NaN"],
@@ -31,6 +33,8 @@ INVALID_INPUTS = {
     "garbled-data-file": ["--set", "initial_data.shape=file",
                           "--set", "initial_data.file_path={tmp}/garbled.txt"],
     "missing-config-file": ["--config", "{tmp}/missing.json"],
+    "garbled-config-file": ["--config", "{tmp}/garbled.txt"],
+    "config-not-an-object": ["--config", "{tmp}/list.json", "--set", "seed=1"],
 }
 
 
@@ -39,6 +43,12 @@ def run_cli(args, tmp_path, monkeypatch):
     monkeypatch.setenv("CHEMOSTEER_OUT", str(out))
     code = main(args)
     return code, out
+
+
+def reference_csv(header, rows):
+    """The CSV text of rows with every float formatted on its own by %.17g."""
+    return header + "".join(",".join("%.17g" % float(v) for v in row) + "\n"
+                            for row in rows)
 
 
 def read_report(out):
@@ -243,6 +253,7 @@ class TestCommands:
     def test_invalid_input_exits_2_with_one_line(self, args, tmp_path, monkeypatch,
                                                  capsys):
         (tmp_path / "garbled.txt").write_text("1 2 x\n")
+        (tmp_path / "list.json").write_text("[1, 2]")
         args = ["linear"] + SMALL + [a.format(tmp=tmp_path) for a in args]
         code, _ = run_cli(args, tmp_path, monkeypatch)
         err = capsys.readouterr().err
@@ -259,14 +270,84 @@ class TestCommands:
         assert code == EXIT_NO_CONVERGENCE
         assert capsys.readouterr().err == "error: non-finite state after forward step 3\n"
 
-    def test_config_file_plus_override(self, tmp_path, monkeypatch):
+    @staticmethod
+    def bad_config(tmp_path):
+        """A config file whose hum.epsilon is invalid."""
         cfg_path = tmp_path / "cfg.json"
         d = RunConfig().to_dict()
         d["domain"]["n_cells"] = 24
         d["time"]["n_steps"] = 24
+        d["hum"]["epsilon"] = -1
         cfg_path.write_text(json.dumps(d))
-        code, out = run_cli(["linear", "--config", str(cfg_path),
+        return str(cfg_path)
+
+    def test_config_file_plus_override(self, tmp_path, monkeypatch):
+        # the override corrects the file value before validation
+        code, out = run_cli(["linear", "--config", self.bad_config(tmp_path),
                              "--set", "hum.epsilon=1e-4"],
                             tmp_path, monkeypatch)
         assert code == EXIT_OK
         assert read_report(out)["config"]["hum"]["epsilon"] == 1e-4
+
+    def test_config_file_without_override_exits_2(self, tmp_path, monkeypatch, capsys):
+        code, _ = run_cli(["linear", "--config", self.bad_config(tmp_path)],
+                          tmp_path, monkeypatch)
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == "error: hum.epsilon must be positive\n"
+
+
+class TestWriters:
+    # Non-uniform levels and centers; the values hold the edge cases of %.17g.
+    LEVELS = np.array([0.0, 1.0 / 3.0, 0.5, 1e-3 + 1.0])
+    CENTERS = np.array([2.0**-30, 0.1, 1.0 / 7.0, 0.9999999999999999, 3.0])
+    SPECIAL = [-0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 3.0, -17.0,
+               0.1, 2.0 / 3.0, -1e-310, 0.0, 123456789012345678.0, 1.5e-8]
+
+    def field(self, offset=0):
+        shape = (self.LEVELS.size, self.CENTERS.size)
+        return np.resize(np.roll(self.SPECIAL, offset), shape)
+
+    def test_field_csv_bytes(self, tmp_path):
+        values = self.field()
+        cli._write_field_csv(tmp_path / "u.csv", values, self.LEVELS, self.CENTERS)
+        rows = [(t, x, values[k, i]) for k, t in enumerate(self.LEVELS)
+                for i, x in enumerate(self.CENTERS)]
+        assert (tmp_path / "u.csv").read_text() == reference_csv("t,x,value\n", rows)
+
+    def test_weights_csv_bytes(self, tmp_path):
+        weights = SimpleNamespace(t_mid=self.LEVELS, alpha=self.field(), w=self.field(5))
+        cli._write_weights_csv(tmp_path / "weights.csv", weights, self.CENTERS)
+        rows = [(t, x, weights.alpha[k, i], weights.w[k, i])
+                for k, t in enumerate(self.LEVELS) for i, x in enumerate(self.CENTERS)]
+        assert (tmp_path / "weights.csv").read_text() == reference_csv(
+            "t_mid,x,alpha,w\n", rows)
+
+
+class TestOutputErrors:
+    COMMANDS = {
+        "linear": ["linear"],
+        "nonlinear": ["nonlinear"],
+        "sweep-eps": ["sweep-eps", "--eps-list", "1e-2"],
+        "sweep-T": ["sweep-T", "--t-list", "1", "--amplitudes", "1"],
+    }
+
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS)
+    def test_unwritable_output_exits_2_before_the_solve(self, argv, tmp_path,
+                                                        monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("solved before the output directory was made")
+
+        for name in ("solve_penalized", "run_nonlinear", "threshold_sweep"):
+            monkeypatch.setattr(cli, name, never)
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("CHEMOSTEER_OUT", str(tmp_path / "file" / "out"))
+        assert main(argv + SMALL) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+    def test_failed_artifact_write_exits_2(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "out" / "u.csv").mkdir(parents=True)
+        code, _ = run_cli(["linear"] + SMALL, tmp_path, monkeypatch)
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
