@@ -9,6 +9,7 @@ unwritable output directory, 3 solver non-convergence or breakdown.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time as _time
@@ -141,9 +142,16 @@ def _linear_setup(cfg: RunConfig):
     return domain, tgrid, beta, physics, u0, drift, params, weights
 
 
-def cmd_linear(cfg: RunConfig) -> int:
-    t0 = _time.perf_counter()
-    out = _out_dir(cfg)
+def _run_options(cfg: RunConfig) -> dict:
+    """The keyword options of run_nonlinear, from the config."""
+    return {**_scales(cfg), "freeze_after_first": cfg.carleman.freeze_after_first,
+            "epsilon": cfg.hum.epsilon, "cg_tol": cfg.hum.cg_tol,
+            "cg_max_iters": cfg.hum.cg_max_iters, "fp_tol": cfg.fixed_point.tol,
+            "fp_max_iters": cfg.fixed_point.max_iters,
+            "initial_guess": cfg.fixed_point.initial_guess}
+
+
+def cmd_linear(cfg: RunConfig, args, out):
     domain, tgrid, beta, physics, u0, drift, params, weights = _linear_setup(cfg)
     sol = solve_penalized(u0, drift, weights, domain, tgrid, cfg.hum.epsilon,
                           cg_tol=cfg.hum.cg_tol, cg_max_iters=cfg.hum.cg_max_iters)
@@ -159,23 +167,13 @@ def cmd_linear(cfg: RunConfig) -> int:
         "control_bound": control_bound_report(sol, u0, domain),
         "linf_estimate": linf_estimate_report(sol.u, u0, sol.f, drift, domain, tgrid),
     }
-    _write_report(out, cfg, reports, {"wall_s": _time.perf_counter() - t0})
-    return EXIT_OK if sol.cg_converged else EXIT_NO_CONVERGENCE
+    return reports, EXIT_OK if sol.cg_converged else EXIT_NO_CONVERGENCE
 
 
-def cmd_nonlinear(cfg: RunConfig) -> int:
-    t0 = _time.perf_counter()
-    out = _out_dir(cfg)
+def cmd_nonlinear(cfg: RunConfig, args, out):
     domain, tgrid, beta, physics = build_geometry(cfg)
     u0 = initial_data(cfg, domain)
-    result = run_nonlinear(
-        u0, physics, domain, tgrid, beta,
-        **_scales(cfg), freeze_after_first=cfg.carleman.freeze_after_first,
-        epsilon=cfg.hum.epsilon, cg_tol=cfg.hum.cg_tol,
-        cg_max_iters=cfg.hum.cg_max_iters,
-        fp_tol=cfg.fixed_point.tol, fp_max_iters=cfg.fixed_point.max_iters,
-        initial_guess=cfg.fixed_point.initial_guess,
-    )
+    result = run_nonlinear(u0, physics, domain, tgrid, beta, **_run_options(cfg))
     _write_field_csv(os.path.join(out, "u.csv"), result.u, tgrid.levels, domain.centers)
     _write_field_csv(os.path.join(out, "f.csv"), result.f, tgrid.levels, domain.centers)
     _write_field_csv(os.path.join(out, "v.csv"), result.v, tgrid.levels, domain.centers)
@@ -200,24 +198,18 @@ def cmd_nonlinear(cfg: RunConfig) -> int:
         reports["hum"] = _hum_report(result.hum_last)
         reports["carleman"] = _params_report(result.params_last, result.log_w_peak)
         reports["m_matrix"] = result.m_matrix
-    _write_report(out, cfg, reports, {"wall_s": _time.perf_counter() - t0})
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    return reports, EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
-def cmd_observability(cfg: RunConfig, n_samples: int, t_list=None) -> int:
-    if n_samples < 1:
-        raise ConfigError("need at least one observability sample")
-    t0 = _time.perf_counter()
-    out = _out_dir(cfg)
-    horizons = t_list if t_list else [cfg.time.T]
+def cmd_observability(cfg: RunConfig, args, out):
     per_t = []
     domain, _, beta, _ = build_geometry(cfg)
-    for T in horizons:
+    for T in args.t_list or [cfg.time.T]:
         tgrid = build_time_grid(T, cfg.time.n_steps)
         drift = DriftField.zero(domain, tgrid)
         _, weights = _weights(cfg, drift, beta, domain, tgrid)
         report = observability_probe(drift, weights, domain, tgrid,
-                                     n_samples, cfg.seed)
+                                     args.samples, cfg.seed)
         per_t.append({
             "T": float(T),
             "n_samples": report.n_samples,
@@ -227,20 +219,14 @@ def cmd_observability(cfg: RunConfig, n_samples: int, t_list=None) -> int:
             "c_hat_obs": report.c_hat_obs,
             "constant_mode": constant_mode_ratios(drift, weights, domain, tgrid),
         })
-    _write_report(out, cfg, {"observability": per_t},
-                  {"wall_s": _time.perf_counter() - t0})
-    return EXIT_OK
+    return {"observability": per_t}, EXIT_OK
 
 
-def cmd_sweep_eps(cfg: RunConfig, eps_list) -> int:
-    if not eps_list or any(e <= 0.0 for e in eps_list):
-        raise ConfigError("eps sweep needs a list of positive values")
-    t0 = _time.perf_counter()
-    out = _out_dir(cfg)
+def cmd_sweep_eps(cfg: RunConfig, args, out):
     domain, tgrid, beta, physics, u0, drift, params, weights = _linear_setup(cfg)
     rows = []
     all_converged = True
-    for eps in eps_list:
+    for eps in args.eps_list:
         sol = solve_penalized(u0, drift, weights, domain, tgrid, eps,
                               cg_tol=cfg.hum.cg_tol,
                               cg_max_iters=cfg.hum.cg_max_iters)
@@ -252,61 +238,42 @@ def cmd_sweep_eps(cfg: RunConfig, eps_list) -> int:
             fh.write(f"{_fmt(r['epsilon'])},{_fmt(r['terminal_norm'])},"
                      f"{_fmt(r['weighted_energy'])},{_fmt(r['control_sup'])},"
                      f"{r['cg_iters']}\n")
-    _write_report(out, cfg, {"eps_sweep": rows},
-                  {"wall_s": _time.perf_counter() - t0})
-    return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
+    return {"eps_sweep": rows}, EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
 
 
-def cmd_sweep_T(cfg: RunConfig, t_list, amplitudes) -> int:
-    if not t_list or not amplitudes:
-        raise ConfigError("sweep-T needs horizons and amplitudes")
-    t0 = _time.perf_counter()
-    out = _out_dir(cfg)
+def cmd_sweep_T(cfg: RunConfig, args, out):
     domain, _, beta, physics = build_geometry(cfg)
-
-    def shape_fn(dom):
-        return (1.0 + np.cos(np.pi * dom.centers)) / 2.0
-
-    table = threshold_sweep(
-        t_list, amplitudes, shape_fn, physics, domain, cfg.time.n_steps, beta,
-        **_scales(cfg), freeze_after_first=cfg.carleman.freeze_after_first,
-        epsilon=cfg.hum.epsilon, cg_tol=cfg.hum.cg_tol,
-        cg_max_iters=cfg.hum.cg_max_iters,
-        fp_tol=cfg.fixed_point.tol, fp_max_iters=cfg.fixed_point.max_iters,
-    )
+    shape = (1.0 + np.cos(np.pi * domain.centers)) / 2.0
+    table = threshold_sweep(args.t_list, args.amplitudes, shape, physics, domain,
+                            cfg.time.n_steps, beta, **_run_options(cfg))
     with open(os.path.join(out, "threshold_sweep.csv"), "w") as fh:
         fh.write("T,kappa0,a_star\n")
         for row in table["rows"]:
             a_star = _fmt(row["a_star"]) if row["a_star"] is not None else "nan"
             fh.write(f"{_fmt(row['T'])},{_fmt(row['kappa0'])},{a_star}\n")
-    _write_report(out, cfg, {"threshold_sweep": table},
-                  {"wall_s": _time.perf_counter() - t0})
-    return EXIT_OK
+    return {"threshold_sweep": table}, EXIT_OK
 
 
-def cmd_oracle_check(cfg: RunConfig) -> int:
+def cmd_oracle_check(cfg: RunConfig, args, out):
     if cfg.domain.n_cells > 16 or cfg.time.n_steps > 16:
         raise ConfigError("oracle check is limited to n_cells <= 16 and n_steps <= 16")
-    t0 = _time.perf_counter()
-    out = _out_dir(cfg)
     domain, tgrid, beta, physics = build_geometry(cfg)
     u0 = initial_data(cfg, domain)
     drift = random_drift(np.random.default_rng(cfg.seed), domain, tgrid)
     _, weights = _weights(cfg, drift, beta, domain, tgrid)
     deviation = dense_kkt_deviation(u0, drift, weights, domain, tgrid, cfg.hum.epsilon)
     passed = deviation <= 1e-8
+    print(f"oracle-check deviation={_fmt(deviation)} {'PASS' if passed else 'FAIL'}")
     reports = {"oracle_check": {
         "max_relative_deviation": deviation,
         "tolerance": 1e-8,
         "passed": passed,
     }}
-    _write_report(out, cfg, reports, {"wall_s": _time.perf_counter() - t0})
-    print(f"oracle-check deviation={_fmt(deviation)} {'PASS' if passed else 'FAIL'}")
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    return reports, EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def cmd_selftest(corrupt_adjoint: bool = False) -> int:
-    results = run_checks(corrupt_adjoint)
+def cmd_selftest(args) -> int:
+    results = run_checks(args.inject_adjoint_fault)
     width = max(len(name) for name, *_ in results)
     for name, tol, value, ok in results:
         print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  value={_fmt(value)}  "
@@ -316,17 +283,46 @@ def cmd_selftest(corrupt_adjoint: bool = False) -> int:
     return EXIT_OK if passed == len(results) else EXIT_CHECK_FAILED
 
 
-# Subcommand -> one-line help.  Only the chosen command's parser is built, and
+def _positive(kind):
+    """An argparse type: a value of `kind` that is finite and > 0."""
+    def parse(text):
+        value = kind(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be finite and > 0: '{text}'")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_CONFIG_OPTIONS = {
+    "--config": {"help": "path to a JSON config document"},
+    "--set": {"action": "append", "default": [], "metavar": "PATH=VALUE",
+              "help": "dot-path config override, e.g. hum.epsilon=1e-6"},
+}
+_POSITIVE_FLOAT = _positive(float)
+_POSITIVES = {"type": _POSITIVE_FLOAT, "nargs": "+", "required": True}
+
+# name -> (help line, handler, {flag: argparse keywords}).  A handler
+# (cfg, args, out) writes its artifacts into the output directory `out`, which
+# main makes before the solve, and returns (reports, exit code); main times it
+# and writes report.json.  selftest alone takes no config: its handler
+# (args) returns the exit code.  Only the chosen command's parser is built, and
 # the top-level one only when the first argument is not a command: building a
 # parser per command cost every run more than the rest of argument handling.
 COMMANDS = {
-    "linear": "linear penalized null-control run",
-    "nonlinear": "fixed-point nonlinear run",
-    "observability": "random observability probe",
-    "sweep-eps": "penalty parameter sweep",
-    "sweep-T": "initial-amplitude threshold sweep",
-    "oracle-check": "dense-solve cross check (small grids)",
-    "selftest": "run the invariant suite",
+    "linear": ("linear penalized null-control run", cmd_linear, _CONFIG_OPTIONS),
+    "nonlinear": ("fixed-point nonlinear run", cmd_nonlinear, _CONFIG_OPTIONS),
+    "observability": ("random observability probe", cmd_observability, {
+        **_CONFIG_OPTIONS, "--samples": {"type": _positive(int), "default": 20},
+        "--t-list": {"type": _POSITIVE_FLOAT, "nargs": "*"}}),
+    "sweep-eps": ("penalty parameter sweep", cmd_sweep_eps,
+                  {**_CONFIG_OPTIONS, "--eps-list": _POSITIVES}),
+    "sweep-T": ("initial-amplitude threshold sweep", cmd_sweep_T, {
+        **_CONFIG_OPTIONS, "--t-list": _POSITIVES, "--amplitudes": _POSITIVES}),
+    "oracle-check": ("dense-solve cross check (small grids)", cmd_oracle_check,
+                     _CONFIG_OPTIONS),
+    "selftest": ("run the invariant suite", cmd_selftest, {
+        "--inject-adjoint-fault": {"action": "store_true", "help": argparse.SUPPRESS}}),
 }
 
 
@@ -336,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="chemosteer",
         description="Null-control experiments for the 1-D chemotaxis system",
         epilog="commands:\n" + "\n".join(f"  {name:<{width}}  {text}"
-                                          for name, text in COMMANDS.items()),
+                                          for name, (text, *_) in COMMANDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=__version__)
@@ -346,27 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _command_parser(command: str) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog=f"chemosteer {command}",
-                                description=COMMANDS[command])
-    if command == "selftest":
-        p.add_argument("--inject-adjoint-fault", action="store_true",
-                       help=argparse.SUPPRESS)
-        return p
-    p.add_argument("--config", help="path to a JSON config document")
-    p.add_argument("--set", action="append", default=[], metavar="PATH=VALUE",
-                   help="dot-path config override, e.g. hum.epsilon=1e-6")
-    if command == "observability":
-        p.add_argument("--samples", type=int, default=20)
-        p.add_argument("--t-list", type=float, nargs="*", default=None)
-    elif command == "sweep-eps":
-        p.add_argument("--eps-list", type=float, nargs="+", required=True)
-    elif command == "sweep-T":
-        p.add_argument("--t-list", type=float, nargs="+", required=True)
-        p.add_argument("--amplitudes", type=float, nargs="+", required=True)
-    return p
-
-
 def _parse_args(argv):
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in COMMANDS:
@@ -374,7 +349,11 @@ def _parse_args(argv):
     else:  # --help, --version or a usage error
         top = _build_parser().parse_args(argv)
         command, rest = top.command, top.args
-    args = _command_parser(command).parse_args(rest)
+    text, _, options = COMMANDS[command]
+    parser = argparse.ArgumentParser(prog=f"chemosteer {command}", description=text)
+    for flag, spec in options.items():
+        parser.add_argument(flag, **spec)
+    args = parser.parse_args(rest)
     args.command = command
     return args
 
@@ -392,23 +371,16 @@ def _config_from_args(args) -> RunConfig:
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
+    handler = COMMANDS[args.command][1]
     try:
         if args.command == "selftest":
-            return cmd_selftest(corrupt_adjoint=args.inject_adjoint_fault)
+            return handler(args)
         cfg = _config_from_args(args)
-        if args.command == "linear":
-            return cmd_linear(cfg)
-        if args.command == "nonlinear":
-            return cmd_nonlinear(cfg)
-        if args.command == "observability":
-            return cmd_observability(cfg, args.samples, args.t_list)
-        if args.command == "sweep-eps":
-            return cmd_sweep_eps(cfg, args.eps_list)
-        if args.command == "sweep-T":
-            return cmd_sweep_T(cfg, args.t_list, args.amplitudes)
-        if args.command == "oracle-check":
-            return cmd_oracle_check(cfg)
-        raise ConfigError(f"unknown command {args.command}")
+        t0 = _time.perf_counter()
+        out = _out_dir(cfg)
+        reports, code = handler(cfg, args, out)
+        _write_report(out, cfg, reports, {"wall_s": _time.perf_counter() - t0})
+        return code
     except (ConfigError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID if isinstance(exc, ConfigError) else EXIT_NO_CONVERGENCE

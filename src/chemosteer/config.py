@@ -147,10 +147,6 @@ def read_config(path: str) -> dict:
     return data
 
 
-def load_config(path: str) -> RunConfig:
-    return config_from_dict(read_config(path))
-
-
 def apply_override(cfg_dict: dict, dotted: str, raw_value: str) -> None:
     """Apply one --set override of the form section.key=value in place."""
     if "=" in dotted:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .carleman import build_weights, select_params
 from .elliptic import DriftField, PhysicsParams, drift_from_state, drift_from_v, solve_elliptic
-from .grid import BetaFunction, DomainSpec, TimeGrid
+from .grid import BetaFunction, DomainSpec, TimeGrid, build_time_grid
 from .hum import HumSolution, solve_penalized
 from .parabolic import Propagator, level_l2, m_matrix_report, space_time_l2
 
@@ -112,8 +112,7 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
                                converged=False, in_K=in_k,
                                verification_terminal_l2=float("nan"))
 
-    verification, sweeps = verify_nonlinear(u0, sol.f, physics, domain, time,
-                                            full_output=True)
+    verification, sweeps = verify_nonlinear(u0, sol.f, physics, domain, time)
     return NonlinearResult(
         u=xi, v=solve_elliptic(xi, physics, domain), f=sol.f,
         iterations=iterations, history=history,
@@ -127,16 +126,14 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
 
 def verify_nonlinear(u0: np.ndarray, f: np.ndarray, physics: PhysicsParams,
                      domain: DomainSpec, time: TimeGrid,
-                     inner_tol: float = 1e-10, max_sweeps: int = 5,
-                     full_output: bool = False):
+                     inner_tol: float = 1e-10, max_sweeps: int = 5):
     """Forward solve of the nonlinear discrete dynamics with a given control.
 
     Each implicit step runs a frozen-coefficient inner loop: the drift is
     recomputed from the elliptic solve of the step-midpoint state until the
     step iterate stabilizes (or after max_sweeps sweeps).  Returns the
-    trajectory; with full_output, also a dict with the total number of
-    sweeps and the number of steps stopped at max_sweeps before meeting
-    inner_tol ("capped_steps").
+    trajectory and a dict with the total number of sweeps and the number of
+    steps stopped at max_sweeps before meeting inner_tol ("capped_steps").
     """
     u0 = np.asarray(u0, dtype=float)
     n = domain.n_cells
@@ -162,10 +159,8 @@ def verify_nonlinear(u0: np.ndarray, f: np.ndarray, physics: PhysicsParams,
         else:
             capped += 1
         u[k + 1] = u_next
-    if full_output:
-        return u, {"sweeps": sweeps, "capped_steps": capped,
-                   "max_sweeps": max_sweeps, "inner_tol": inner_tol}
-    return u
+    return u, {"sweeps": sweeps, "capped_steps": capped,
+               "max_sweeps": max_sweeps, "inner_tol": inner_tol}
 
 
 def remark_check(result: NonlinearResult, domain: DomainSpec, time: TimeGrid) -> dict:
@@ -187,28 +182,25 @@ def remark_check(result: NonlinearResult, domain: DomainSpec, time: TimeGrid) ->
     }
 
 
-def threshold_sweep(T_list, amplitude_grid, shape_fn, physics: PhysicsParams,
-                    domain: DomainSpec, n_steps_per_T, beta: BetaFunction,
+def threshold_sweep(T_list, amplitude_grid, shape: np.ndarray, physics: PhysicsParams,
+                    domain: DomainSpec, n_steps: int, beta: BetaFunction,
                     success_rel_terminal: float = 0.05, **run_kwargs) -> dict:
     """Scan, per horizon, for the largest admissible initial amplitude.
 
-    For each T the amplitudes are scanned in increasing order; a cell counts
-    as successful when the fixed point converges, stays in the unit ball,
-    and the nonlinear verification terminal norm is below
+    The initial data are u0 = a * shape, marched in n_steps steps over each
+    horizon T.  For each T the amplitudes are scanned in increasing order; a
+    cell counts as successful when the fixed point converges, stays in the
+    unit ball, and the nonlinear verification terminal norm is below
     success_rel_terminal * |u0|_2.  The scan stops at the first failure, so
     the success indicator is monotone by construction.  The fitted c1_hat is
     the through-origin least-squares slope of -ln a*(T) against 1 + T + 1/T.
     """
-    from .grid import build_time_grid
-
     amplitude_grid = sorted(float(a) for a in amplitude_grid)
     if any(a <= 0.0 for a in amplitude_grid):
         raise ValueError("amplitude grid must be positive")
     rows = []
     for T in T_list:
-        time = build_time_grid(T, n_steps_per_T(T) if callable(n_steps_per_T)
-                               else int(n_steps_per_T))
-        shape = shape_fn(domain)
+        time = build_time_grid(T, n_steps)
         a_star = None
         cells = []
         for a in amplitude_grid:

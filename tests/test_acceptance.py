@@ -236,13 +236,10 @@ def test_criterion_11_threshold_sweep():
     dom = build_domain(40, (0.3, 0.7), 0.5)
     beta = build_beta(dom)
     phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
-
-    def shape(d):
-        return (1.0 + np.cos(np.pi * d.centers)) / 2.0
-
+    shape = (1.0 + np.cos(np.pi * dom.centers)) / 2.0
     table = threshold_sweep(
         [0.25, 1.0, 4.0], [1e-3, 1e-2, 0.1, 0.5, 2.0], shape, phys, dom,
-        lambda T: 60, beta, epsilon=1e-6, fp_max_iters=20,
+        60, beta, epsilon=1e-6, fp_max_iters=20,
     )
     monotone = all(
         [c["success"] for c in row["cells"]]

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 from types import SimpleNamespace
 
@@ -10,14 +11,37 @@ from chemosteer.checks import run_checks
 from chemosteer.cli import (EXIT_CHECK_FAILED, EXIT_INVALID,
                             EXIT_NO_CONVERGENCE, EXIT_OK, main)
 from chemosteer.config import (ConfigError, RunConfig, apply_override,
-                               config_from_dict, initial_data, load_config)
+                               config_from_dict, initial_data, read_config)
 from chemosteer.grid import build_domain
+from chemosteer.nonlinear import run_nonlinear
 from chemosteer.parabolic import SolverError
 
 SMALL = [
     "--set", "domain.n_cells=24",
     "--set", "time.n_steps=24",
 ]
+# The solvers behind the report-writing commands.
+SOLVERS = ("solve_penalized", "run_nonlinear", "observability_probe",
+           "threshold_sweep", "dense_kkt_deviation")
+
+
+# Each of these option values must be a usage error with exit 2; most once
+# ended in a traceback with exit 1, or in a solver breakdown with exit 3.
+OUT_OF_RANGE_OPTIONS = {
+    "sweep-T-amplitude-0": ["sweep-T", "--t-list", "1", "--amplitudes", "0"],
+    "sweep-T-horizon-0": ["sweep-T", "--t-list", "0", "--amplitudes", "1"],
+    "sweep-T-horizon-inf": ["sweep-T", "--t-list", "inf", "--amplitudes", "1"],
+    "observability-horizon-0": ["observability", "--samples", "2", "--t-list", "0"],
+    "observability-horizon-negative": ["observability", "--samples", "2",
+                                       "--t-list", "-1"],
+    "observability-horizon-nan": ["observability", "--samples", "2", "--t-list", "nan"],
+    "observability-samples-0": ["observability", "--samples", "0"],
+    "sweep-eps-nan": ["sweep-eps", "--eps-list", "nan"],
+}
+
+
+def never(*args, **kwargs):
+    raise AssertionError("solver reached")
 
 
 # Each of these must exit 2 with one line; most once ended in a traceback and
@@ -86,7 +110,7 @@ class TestConfig:
         p = tmp_path / "cfg.json"
         p.write_text("{not json")
         with pytest.raises(ConfigError):
-            load_config(str(p))
+            read_config(str(p))
 
     def test_apply_override_types(self):
         d = RunConfig().to_dict()
@@ -151,6 +175,25 @@ class TestParser:
             main(argv)
         assert exc.value.code == EXIT_INVALID
         assert "usage: chemosteer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", OUT_OF_RANGE_OPTIONS.values(),
+                             ids=OUT_OF_RANGE_OPTIONS)
+    def test_out_of_range_option_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        for name in SOLVERS:
+            monkeypatch.setattr(cli, name, never)
+        monkeypatch.setenv("CHEMOSTEER_OUT", str(tmp_path / "out"))
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--set", "domain.n_cells=16", "--set", "time.n_steps=16"])
+        assert exc.value.code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "usage: chemosteer" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_command_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == EXIT_OK
+        assert f"usage: chemosteer {command}" in capsys.readouterr().out
 
 
 class TestCommands:
@@ -227,6 +270,23 @@ class TestCommands:
         rows = read_report(out)["reports"]["eps_sweep"]
         assert rows[0]["terminal_norm"] > rows[1]["terminal_norm"]
         assert (out / "eps_sweep.csv").exists()
+
+    def test_sweep_T_forwards_every_run_option(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return {"rows": [], "c1_hat": float("nan"), "fit_rms_residual": float("nan"),
+                    "n_fitted": 0}
+
+        monkeypatch.setattr(cli, "threshold_sweep", spy)
+        args = ["sweep-T", "--t-list", "1", "--amplitudes", "1e-3",
+                "--set", "fixed_point.initial_guess=u0-constant"] + SMALL
+        code, _ = run_cli(args, tmp_path, monkeypatch)
+        assert code == EXIT_OK and len(calls) == 1
+        assert calls[0]["initial_guess"] == "u0-constant"
+        options = list(inspect.signature(run_nonlinear).parameters)[5:]
+        assert set(calls[0]) == set(options)
 
     def test_oracle_check(self, tmp_path, monkeypatch, capsys):
         args = ["oracle-check", "--set", "domain.n_cells=8",
@@ -329,15 +389,14 @@ class TestOutputErrors:
         "nonlinear": ["nonlinear"],
         "sweep-eps": ["sweep-eps", "--eps-list", "1e-2"],
         "sweep-T": ["sweep-T", "--t-list", "1", "--amplitudes", "1"],
+        "observability": ["observability", "--samples", "2"],
+        "oracle-check": ["oracle-check"],
     }
 
     @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS)
     def test_unwritable_output_exits_2_before_the_solve(self, argv, tmp_path,
                                                         monkeypatch, capsys):
-        def never(*args, **kwargs):
-            raise AssertionError("solved before the output directory was made")
-
-        for name in ("solve_penalized", "run_nonlinear", "threshold_sweep"):
+        for name in SOLVERS:
             monkeypatch.setattr(cli, name, never)
         (tmp_path / "file").write_text("")
         monkeypatch.setenv("CHEMOSTEER_OUT", str(tmp_path / "file" / "out"))

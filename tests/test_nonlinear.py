@@ -89,7 +89,7 @@ def test_freeze_after_first(small_setup):
 def test_verify_nonlinear_zero_control_mass(small_setup):
     domain, tgrid, beta, u0 = small_setup
     phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
-    u = verify_nonlinear(u0, None, phys, domain, tgrid)
+    u, _ = verify_nonlinear(u0, None, phys, domain, tgrid)
     mass = domain.h * u.sum(axis=1)
     assert np.abs(mass - mass[0]).max() <= 1e-12 * max(abs(mass[0]), 1e-300)
 
@@ -97,13 +97,11 @@ def test_verify_nonlinear_zero_control_mass(small_setup):
 def test_verify_nonlinear_reports_capped_steps(small_setup):
     domain, tgrid, beta, u0 = small_setup
     phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
-    u, sweeps = verify_nonlinear(u0, None, phys, domain, tgrid, full_output=True)
-    assert np.array_equal(u, verify_nonlinear(u0, None, phys, domain, tgrid))
+    _, sweeps = verify_nonlinear(u0, None, phys, domain, tgrid)
     assert sweeps["capped_steps"] == 0
     assert tgrid.n_steps < sweeps["sweeps"] <= 5 * tgrid.n_steps
     # one sweep never confirms the step iterate, so every step is capped
-    _, capped = verify_nonlinear(u0, None, phys, domain, tgrid, max_sweeps=1,
-                                 full_output=True)
+    _, capped = verify_nonlinear(u0, None, phys, domain, tgrid, max_sweeps=1)
     assert capped["capped_steps"] == tgrid.n_steps
     assert capped["sweeps"] == tgrid.n_steps
 
@@ -139,13 +137,10 @@ class TestThresholdSweep:
         domain = build_domain(40, (0.3, 0.7), 0.5)
         beta = build_beta(domain)
         phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
-
-        def shape(dom):
-            return (1.0 + np.cos(np.pi * dom.centers)) / 2.0
-
+        shape = (1.0 + np.cos(np.pi * domain.centers)) / 2.0
         table = threshold_sweep(
             [0.5, 1.0], [1e-3, 1e-2, 2.0], shape, phys, domain,
-            lambda T: 40, beta, epsilon=1e-6, fp_max_iters=15,
+            40, beta, epsilon=1e-6, fp_max_iters=15,
         )
         for row in table["rows"]:
             flags = [c["success"] for c in row["cells"]]
@@ -160,5 +155,5 @@ class TestThresholdSweep:
         beta = build_beta(domain)
         phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
         with pytest.raises(ValueError):
-            threshold_sweep([1.0], [0.0, 1.0], lambda d: np.ones(d.n_cells),
+            threshold_sweep([1.0], [0.0, 1.0], np.ones(domain.n_cells),
                             phys, domain, 40, beta)
