@@ -49,12 +49,6 @@ class CarlemanParams:
     def omega_of_lambda(self) -> float:
         return float(np.exp(-self.lam * self.beta_sup))
 
-    @property
-    def alpha0_mid(self) -> float:
-        """Min of alpha over the closed domain at t = T/2."""
-        T = self.horizon_T
-        return float((1.0 - self.gamma_of_lambda) * 4.0 / (T * T))
-
     def constraints_certified(self) -> bool:
         return (
             1.0 < self.delta0 < 2.0
@@ -109,7 +103,8 @@ def select_params(b_sup: float, T: float, beta: BetaFunction,
     )
     if not params.constraints_certified():
         raise ValueError(f"weight parameters fail the admissibility constraints: {params}")
-    if params.delta0 * params.s * abs(params.alpha0_mid) > 700.0:
+    alpha0_mid = (1.0 - gamma_lam) * 4.0 / (T * T)  # min of alpha at t = T/2
+    if params.delta0 * params.s * abs(alpha0_mid) > 700.0:
         warnings.warn(
             "raw mid-horizon weight underflows; normalized table remains usable",
             RuntimeWarning, stacklevel=2,

@@ -23,7 +23,7 @@ from .config import (ConfigError, RunConfig, apply_override, build_geometry,
                      config_from_dict, initial_data, read_config)
 from .diagnostics import observability_probe
 from .elliptic import DriftField, drift_from_state, solve_elliptic
-from .grid import build_time_grid
+from .grid import HORIZON_RANGE, build_time_grid
 from .hum import control_bound_report, solve_penalized
 from .nonlinear import remark_check, run_nonlinear, state_guess, threshold_sweep
 from .parabolic import SolverError, linf_estimate_report, m_matrix_report
@@ -283,12 +283,14 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if passed == len(results) else EXIT_CHECK_FAILED
 
 
-def _positive(kind):
-    """An argparse type: a value of `kind` that is finite and > 0."""
+def _positive(kind, lo=0, hi=math.inf):
+    """An argparse type: a value of `kind` that is finite and > 0, and in [lo, hi]."""
     def parse(text):
         value = kind(text)
         if not (math.isfinite(value) and value > 0):
             raise argparse.ArgumentTypeError(f"must be finite and > 0: '{text}'")
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must lie in [{lo:g}, {hi:g}]: '{text}'")
         return value
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
     return parse
@@ -301,6 +303,7 @@ _CONFIG_OPTIONS = {
 }
 _POSITIVE_FLOAT = _positive(float)
 _POSITIVES = {"type": _POSITIVE_FLOAT, "nargs": "+", "required": True}
+_HORIZON = _positive(float, *HORIZON_RANGE)
 
 # name -> (help line, handler, {flag: argparse keywords}).  A handler
 # (cfg, args, out) writes its artifacts into the output directory `out`, which
@@ -314,11 +317,12 @@ COMMANDS = {
     "nonlinear": ("fixed-point nonlinear run", cmd_nonlinear, _CONFIG_OPTIONS),
     "observability": ("random observability probe", cmd_observability, {
         **_CONFIG_OPTIONS, "--samples": {"type": _positive(int), "default": 20},
-        "--t-list": {"type": _POSITIVE_FLOAT, "nargs": "*"}}),
+        "--t-list": {"type": _HORIZON, "nargs": "*"}}),
     "sweep-eps": ("penalty parameter sweep", cmd_sweep_eps,
                   {**_CONFIG_OPTIONS, "--eps-list": _POSITIVES}),
     "sweep-T": ("initial-amplitude threshold sweep", cmd_sweep_T, {
-        **_CONFIG_OPTIONS, "--t-list": _POSITIVES, "--amplitudes": _POSITIVES}),
+        **_CONFIG_OPTIONS, "--t-list": {**_POSITIVES, "type": _HORIZON},
+        "--amplitudes": _POSITIVES}),
     "oracle-check": ("dense-solve cross check (small grids)", cmd_oracle_check,
                      _CONFIG_OPTIONS),
     "selftest": ("run the invariant suite", cmd_selftest, {

@@ -6,20 +6,18 @@ The observability ratio of a terminal datum phiT is
     |phi(., 0)|_2^2  /  (dt h sum_{k, omega} w_k phi_{k-1}^2),
 
 the denominator being exactly the Gramian quadratic form.  Random sampling
-bounds the hidden constant from below only; for small grids a dense
-generalized eigensolve gives the extremal ratio.
+bounds the hidden constant from below only.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .carleman import WeightTables
 from .elliptic import DriftField
 from .grid import DomainSpec, TimeGrid
-from .hum import adjoint_energy, dense_gramian, kappa_const
+from .hum import adjoint_energy, kappa_const
 from .parabolic import level_l2, solve_adjoint
 
 
@@ -109,29 +107,6 @@ def observability_ratio(phiT: np.ndarray, drift: DriftField,
     num = domain.h * np.sum(np.square(phi[0]), axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(denom > 0.0, num / denom, np.inf)[()]
-
-
-def observability_extremal_ratio(drift: DriftField, weights: WeightTables,
-                                 domain: DomainSpec, time: TimeGrid,
-                                 ridge: float = 1e-14) -> float:
-    """Extremal ratio via a dense generalized eigensolve (small grids).
-
-    Assembles the map phiT -> phi(., 0) and the Gramian densely and solves
-    S^T S x = mu G x; the Gramian is regularized by a relative ridge, so the
-    value is a lower bound on the true extremal ratio.
-    """
-    n = domain.n_cells
-    if n > 64:
-        raise ValueError("dense extremal mode is limited to n_cells <= 64")
-    s_map = solve_adjoint(np.eye(n), drift, domain, time)[0]
-    g = dense_gramian(drift, weights, domain, time)
-    g = 0.5 * (g + g.T)
-    g_reg = g + ridge * (np.trace(g) / n) * np.eye(n)
-    # both forms carry the same cell-quadrature factor h
-    a = domain.h * (s_map.T @ s_map)
-    b = domain.h * g_reg
-    vals = scipy.linalg.eigh(a, b, eigvals_only=True)
-    return float(vals[-1])
 
 
 def recursion_simulate(spec: RecursionSpec, y0: float, n_steps: int) -> dict:

@@ -7,10 +7,11 @@ B = chi * v' lives on cell faces so that B.nu = 0 holds exactly on the
 boundary.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grid import DomainSpec, TimeGrid
 
@@ -69,25 +70,34 @@ class DriftField:
         return cls(faces=np.tile(face_slice, (time.n_steps, 1)))
 
 
+@functools.lru_cache(maxsize=1)
+def _factors(gamma: float, n_cells: int, h: float) -> tuple:
+    """LDL^T factors (d, e) of the elliptic operator (LAPACK dpttrf), kept for
+    the last grid; keyed on scalars, as a DomainSpec holds arrays."""
+    h2 = h * h
+    diag = np.full(n_cells, gamma + 2.0 / h2)
+    diag[0] -= 1.0 / h2                        # reflected ghost at x=0
+    diag[-1] -= 1.0 / h2                       # reflected ghost at x=1
+    d, e, info = dpttrf(diag, np.full(n_cells - 1, -1.0 / h2))
+    if info != 0 or not np.all(np.isfinite(diag)):
+        raise ValueError("elliptic operator is not positive definite")
+    return d, e
+
+
 def solve_elliptic(eta: np.ndarray, physics: PhysicsParams,
                    domain: DomainSpec) -> np.ndarray:
     """Solve -(v_{i+1} - 2 v_i + v_{i-1})/h^2 + gamma v_i = delta eta_i.
 
     Ghost-cell reflection (v_{-1} = v_0, v_N = v_{N-1}) encodes the Neumann
-    condition; the resulting matrix is SPD and solved by banded Cholesky.
+    condition; the resulting matrix is SPD, its LDL^T factors are computed
+    once per grid and each call is one back substitution (LAPACK dpttrs).
     eta is one level (N,) or a stack of levels (L, N), solved in one call.
     """
-    eta = np.asarray(eta, dtype=float)
-    if not np.all(np.isfinite(eta)):
+    source = physics.delta * np.asarray(eta, dtype=float).T
+    if not np.isfinite(source).all():
         raise ValueError("elliptic source contains non-finite values")
-    n = domain.n_cells
-    h2 = domain.h * domain.h
-    ab = np.zeros((2, n))
-    ab[0, 1:] = -1.0 / h2                      # superdiagonal
-    ab[1, :] = physics.gamma + 2.0 / h2
-    ab[1, 0] -= 1.0 / h2                       # reflected ghost at x=0
-    ab[1, -1] -= 1.0 / h2                      # reflected ghost at x=1
-    return solveh_banded(ab, physics.delta * eta.T).T
+    v, _ = dpttrs(*_factors(physics.gamma, domain.n_cells, domain.h), source)
+    return v.T
 
 
 def drift_from_v(v: np.ndarray, chi: float, domain: DomainSpec) -> np.ndarray:
@@ -95,7 +105,7 @@ def drift_from_v(v: np.ndarray, chi: float, domain: DomainSpec) -> np.ndarray:
     faces exactly zero."""
     v = np.asarray(v, dtype=float)
     faces = np.zeros(v.shape[:-1] + (domain.n_cells + 1,))
-    faces[..., 1:-1] = chi * np.diff(v) / domain.h
+    faces[..., 1:-1] = chi * (v[..., 1:] - v[..., :-1]) / domain.h
     return faces
 
 

@@ -100,12 +100,17 @@ def build_domain(n_cells: int, omega: tuple, x0: float) -> DomainSpec:
     )
 
 
+# Horizons T the weights are computed for; far outside, T * T under/overflows.
+HORIZON_RANGE = (1e-6, 1e6)
+
+
 def build_time_grid(horizon_T: float, n_steps: int) -> TimeGrid:
-    """Uniform time grid with M steps on [0, T]."""
+    """Uniform time grid with M steps on [0, T], T inside HORIZON_RANGE."""
     T = float(horizon_T)
     M = int(n_steps)
-    if T <= 0.0:
-        raise GeometryError(f"horizon must be positive, got {T}")
+    lo, hi = HORIZON_RANGE
+    if not lo <= T <= hi:
+        raise GeometryError(f"horizon must lie in [{lo:g}, {hi:g}], got {T}")
     if M < 1:
         raise GeometryError(f"n_steps must be positive, got {M}")
     dt = T / M

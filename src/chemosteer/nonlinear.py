@@ -9,15 +9,18 @@ dynamics; a converged run is re-certified by one genuinely nonlinear forward
 solve with the found control.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
 from .carleman import build_weights, select_params
 from .elliptic import DriftField, PhysicsParams, drift_from_state, drift_from_v, solve_elliptic
 from .grid import BetaFunction, DomainSpec, TimeGrid, build_time_grid
 from .hum import HumSolution, solve_penalized
-from .parabolic import Propagator, level_l2, m_matrix_report, space_time_l2
+from .parabolic import (SolverError, level_l2, m_matrix_report, space_time_l2,
+                        step_matrix_banded)
 
 
 @dataclass
@@ -131,18 +134,19 @@ def verify_nonlinear(u0: np.ndarray, f: np.ndarray, physics: PhysicsParams,
 
     Each implicit step runs a frozen-coefficient inner loop: the drift is
     recomputed from the elliptic solve of the step-midpoint state until the
-    step iterate stabilizes (or after max_sweeps sweeps).  Returns the
-    trajectory and a dict with the total number of sweeps and the number of
-    steps stopped at max_sweeps before meeting inner_tol ("capped_steps").
+    step iterate stabilizes (or after max_sweeps sweeps), each sweep one
+    LAPACK dgtsv solve.  Returns the trajectory and a dict with the total
+    number of sweeps and the number of steps stopped at max_sweeps before
+    meeting inner_tol ("capped_steps").  A breakdown raises SolverError.
     """
     u0 = np.asarray(u0, dtype=float)
-    n = domain.n_cells
-    m = time.n_steps
+    if not np.all(np.isfinite(u0)):
+        raise SolverError("non-finite initial data")
     mask = domain.omega_mask
-    u = np.empty((m + 1, n))
+    u = np.empty((time.n_steps + 1, domain.n_cells))
     u[0] = u0
     sweeps = capped = 0
-    for k in range(m):
+    for k in range(time.n_steps):
         rhs = u[k].copy()
         if f is not None:
             rhs[mask] += time.dt * f[k + 1][mask]
@@ -150,9 +154,14 @@ def verify_nonlinear(u0: np.ndarray, f: np.ndarray, physics: PhysicsParams,
         for _ in range(max_sweeps):
             sweeps += 1
             v_mid = solve_elliptic(0.5 * (u[k] + u_next), physics, domain)
-            faces = drift_from_v(v_mid, physics.chi, domain)
-            candidate = Propagator(faces[None], domain, time.dt).march(rhs)[1]
+            ab = step_matrix_banded(drift_from_v(v_mid, physics.chi, domain),
+                                    domain, time.dt)
+            *_, candidate, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+            if info != 0:
+                raise SolverError(f"singular implicit step matrix at verification step {k + 1}")
             delta = level_l2(candidate - u_next, domain.h)
+            if not math.isfinite(delta):
+                raise SolverError(f"non-finite state after verification step {k + 1}")
             u_next = candidate
             if delta <= inner_tol * max(1.0, level_l2(u_next, domain.h)):
                 break

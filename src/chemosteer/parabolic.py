@@ -13,6 +13,8 @@ discrete L2 inner products, not an independent discretization: this is what
 makes the control Gramian exactly symmetric.
 """
 
+import math
+
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
@@ -26,7 +28,7 @@ class SolverError(RuntimeError):
 
 def level_l2(slice_values: np.ndarray, h: float) -> float:
     """Discrete L2(Omega) norm via cell quadrature."""
-    return float(np.sqrt(h * np.sum(np.square(slice_values))))
+    return math.sqrt(h * np.square(slice_values).sum())
 
 
 def space_time_l2(values: np.ndarray, h: float, dt: float) -> float:
@@ -54,17 +56,17 @@ def step_matrix_banded(face_drift: np.ndarray, domain: DomainSpec,
     """
     face_drift = np.asarray(face_drift, dtype=float)
     n = domain.n_cells
-    h = domain.h
-    bi = face_drift[..., 1:n]                 # interior faces 1..n-1
-    upper = (1.0 / h) * (1.0 / h - 0.5 * bi)  # coeff of u_{i+1} in row i
-    lower = (1.0 / h) * (1.0 / h + 0.5 * bi)  # coeff of u_{i-1} in row i+1
-    diag = np.zeros(face_drift.shape[:-1] + (n,))
-    diag[..., :-1] -= lower
-    diag[..., 1:] -= upper
-    ab = np.zeros((3,) + diag.shape)
-    ab[0, ..., 1:] = -dt * upper
-    ab[1] = 1.0 - dt * diag
-    ab[2, ..., :-1] = -dt * lower
+    ih = 1.0 / domain.h
+    half_b = 0.5 * face_drift[..., 1:n]       # interior faces 1..n-1
+    upper = ih * (ih - half_b)                # coeff of u_{i+1} in row i
+    lower = ih * (ih + half_b)                # coeff of u_{i-1} in row i+1
+    ab = np.zeros((3,) + face_drift.shape[:-1] + (n,))
+    ab[0, ..., 1:] = upper
+    ab[2, ..., :-1] = lower
+    ab[1, ..., :-1] -= lower                  # ab[1] = diagonal of A, for now
+    ab[1, ..., 1:] -= upper
+    ab *= -dt
+    ab[1] += 1.0
     return ab
 
 

@@ -1,12 +1,13 @@
 import csv
 import inspect
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from chemosteer import cli
+from chemosteer import cli, grid, nonlinear
 from chemosteer.checks import run_checks
 from chemosteer.cli import (EXIT_CHECK_FAILED, EXIT_INVALID,
                             EXIT_NO_CONVERGENCE, EXIT_OK, main)
@@ -37,6 +38,11 @@ OUT_OF_RANGE_OPTIONS = {
     "observability-horizon-nan": ["observability", "--samples", "2", "--t-list", "nan"],
     "observability-samples-0": ["observability", "--samples", "0"],
     "sweep-eps-nan": ["sweep-eps", "--eps-list", "nan"],
+    # horizons outside grid.HORIZON_RANGE under- or overflow the weights
+    "observability-horizon-tiny": ["observability", "--t-list", "1e-300"],
+    "sweep-T-horizon-huge": ["sweep-T", "--t-list", "1e300", "--amplitudes", "1"],
+    "observability-horizon-below-range": ["observability", "--t-list", "9.9e-7"],
+    "sweep-T-horizon-above-range": ["sweep-T", "--t-list", "1.01e6", "--amplitudes", "1"],
 }
 
 
@@ -59,6 +65,10 @@ INVALID_INPUTS = {
     "missing-config-file": ["--config", "{tmp}/missing.json"],
     "garbled-config-file": ["--config", "{tmp}/garbled.txt"],
     "config-not-an-object": ["--config", "{tmp}/list.json", "--set", "seed=1"],
+    "horizon-tiny": ["--set", "time.T=1e-300"],
+    "horizon-huge": ["--set", "time.T=1e300"],
+    "horizon-below-range": ["--set", "time.T=9.9e-7"],
+    "horizon-above-range": ["--set", "time.T=1.01e6"],
 }
 
 
@@ -187,6 +197,20 @@ class TestParser:
         assert exc.value.code == EXIT_INVALID
         err = capsys.readouterr().err
         assert "usage: chemosteer" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["linear", "--set", "time.T=1e-6"], ["linear", "--set", "time.T=1e6"],
+        ["observability", "--samples", "2", "--t-list", "1e-6", "1e6"],
+        ["sweep-T", "--t-list", "1e-6", "1e6", "--amplitudes", "1e-3"]],
+        ids=["linear-T-min", "linear-T-max", "observability", "sweep-T"])
+    def test_horizon_range_edges_run(self, argv, tmp_path, monkeypatch):
+        assert grid.HORIZON_RANGE == (1e-6, 1e6)
+        with warnings.catch_warnings():  # the raw weight underflows at the edges
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out = run_cli(argv + ["--set", "domain.n_cells=8",
+                                        "--set", "time.n_steps=8"], tmp_path, monkeypatch)
+        assert code == EXIT_OK
+        assert (out / "report.json").exists()
 
     @pytest.mark.parametrize("command", cli.COMMANDS)
     def test_command_help_exits_0(self, command, capsys):
@@ -329,6 +353,17 @@ class TestCommands:
         code, _ = run_cli(["linear"] + SMALL, tmp_path, monkeypatch)
         assert code == EXIT_NO_CONVERGENCE
         assert capsys.readouterr().err == "error: non-finite state after forward step 3\n"
+
+    def test_verification_breakdown_exits_3_naming_the_step(self, tmp_path, monkeypatch,
+                                                            capsys):
+        def singular(dl, d, du, b):
+            return dl, d, du, b, 1
+
+        monkeypatch.setattr(nonlinear, "dgtsv", singular)
+        code, _ = run_cli(["nonlinear"] + SMALL, tmp_path, monkeypatch)
+        assert code == EXIT_NO_CONVERGENCE
+        assert capsys.readouterr().err == (
+            "error: singular implicit step matrix at verification step 1\n")
 
     @staticmethod
     def bad_config(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 
 from chemosteer.checks import elliptic_constant_defect, elliptic_error, refinement_ratio
 from chemosteer.elliptic import (DriftField, PhysicsParams, drift_from_state,
@@ -49,6 +50,26 @@ def test_batched_levels_match_per_level_solves(domain32):
     loop = np.array([solve_elliptic(level, phys, domain32) for level in eta])
     assert v.shape == eta.shape
     assert np.abs(v - loop).max() <= 1e-14 * np.abs(loop).max()
+
+
+def test_bitwise_equal_to_solveh_banded():
+    # the factors are kept for one grid at a time: alternating grids and
+    # gammas would read stale factors if the cache key missed any of them
+    rng = np.random.default_rng(9)
+    grids = [build_domain(32, (0.3, 0.7), 0.5), build_domain(50, (0.3, 0.7), 0.5)]
+    for domain, gamma in [(grids[0], 1.0), (grids[1], 1.0), (grids[1], 0.3),
+                          (grids[0], 0.3), (grids[0], 1.0)]:
+        phys = PhysicsParams(chi=1.0, gamma=gamma, delta=1.7)
+        n, h2 = domain.n_cells, domain.h * domain.h
+        ab = np.zeros((2, n))
+        ab[0, 1:] = -1.0 / h2
+        ab[1, :] = gamma + 2.0 / h2
+        ab[1, 0] -= 1.0 / h2
+        ab[1, -1] -= 1.0 / h2
+        for eta in (rng.standard_normal(n), rng.standard_normal((7, n))):
+            v = solve_elliptic(eta, phys, domain)
+            assert v.shape == eta.shape
+            assert v.tobytes() == solveh_banded(ab, phys.delta * eta.T).T.tobytes()
 
 
 def test_nonfinite_source_rejected(domain32):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chemosteer.grid import (GeometryError, beta_derivative, beta_values,
+from chemosteer.grid import (HORIZON_RANGE, GeometryError, beta_derivative, beta_values,
                              build_beta, build_domain, build_time_grid)
 
 
@@ -56,6 +56,15 @@ class TestTimeGrid:
             build_time_grid(-1.0, 8)
         with pytest.raises(GeometryError):
             build_time_grid(1.0, 0)
+
+    def test_horizon_range(self):
+        lo, hi = HORIZON_RANGE
+        assert build_time_grid(lo, 8).horizon_T == lo
+        assert build_time_grid(hi, 8).horizon_T == hi
+        for T in (0.0, np.nextafter(lo, 0.0), np.nextafter(hi, np.inf), 1e-300, 1e300,
+                  np.nan, np.inf):
+            with pytest.raises(GeometryError, match="horizon must lie in"):
+                build_time_grid(T, 8)
 
 
 class TestBeta:

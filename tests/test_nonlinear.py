@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from chemosteer.elliptic import PhysicsParams
+from chemosteer import nonlinear
+from chemosteer.elliptic import PhysicsParams, drift_from_v, solve_elliptic
 from chemosteer.grid import build_beta, build_domain, build_time_grid
 from chemosteer.hum import solve_penalized
 from chemosteer.nonlinear import (remark_check, run_nonlinear, threshold_sweep,
                                   verify_nonlinear)
-from chemosteer.parabolic import level_l2
+from chemosteer.parabolic import Propagator, SolverError, level_l2
 from conftest import default_weights
 
 
@@ -104,6 +105,63 @@ def test_verify_nonlinear_reports_capped_steps(small_setup):
     _, capped = verify_nonlinear(u0, None, phys, domain, tgrid, max_sweeps=1)
     assert capped["capped_steps"] == tgrid.n_steps
     assert capped["sweeps"] == tgrid.n_steps
+
+
+def propagator_verification(u0, f, physics, domain, time, inner_tol=1e-10, max_sweeps=5):
+    """verify_nonlinear as it was written with a one-step Propagator march per
+    sweep (dgttrf + dgttrs): the oracle of its one-shot dgtsv kernel."""
+    m, mask = time.n_steps, domain.omega_mask
+    u = np.empty((m + 1, domain.n_cells))
+    u[0] = u0
+    sweeps = capped = 0
+    for k in range(m):
+        rhs = u[k].copy()
+        rhs[mask] += time.dt * f[k + 1][mask]
+        u_next = u[k].copy()
+        for _ in range(max_sweeps):
+            sweeps += 1
+            v_mid = solve_elliptic(0.5 * (u[k] + u_next), physics, domain)
+            faces = drift_from_v(v_mid, physics.chi, domain)
+            candidate = Propagator(faces[None], domain, time.dt).march(rhs)[1]
+            delta = level_l2(candidate - u_next, domain.h)
+            u_next = candidate
+            if delta <= inner_tol * max(1.0, level_l2(u_next, domain.h)):
+                break
+        else:
+            capped += 1
+        u[k + 1] = u_next
+    return u, sweeps, capped
+
+
+@pytest.mark.parametrize("max_sweeps", [5, 1])
+def test_verify_nonlinear_bitwise_equal_to_propagator_sweeps(small_setup, max_sweeps):
+    domain, tgrid, beta, _ = small_setup
+    phys = PhysicsParams(chi=10.0, gamma=1.0, delta=1.0)
+    u0 = 0.5 * (1.0 + np.cos(np.pi * domain.centers))
+    rng = np.random.default_rng(4)
+    f = rng.standard_normal((tgrid.n_steps + 1, domain.n_cells))
+    u, report = verify_nonlinear(u0, f, phys, domain, tgrid, max_sweeps=max_sweeps)
+    u_ref, sweeps, capped = propagator_verification(u0, f, phys, domain, tgrid,
+                                                    max_sweeps=max_sweeps)
+    assert u.tobytes() == u_ref.tobytes()
+    assert (report["sweeps"], report["capped_steps"]) == (sweeps, capped)
+    assert sweeps > tgrid.n_steps if max_sweeps > 1 else capped == tgrid.n_steps
+
+
+def test_verify_nonlinear_breakdowns_raise_solver_error(small_setup, monkeypatch):
+    domain, tgrid, beta, u0 = small_setup
+    phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
+    f = np.zeros((tgrid.n_steps + 1, domain.n_cells))
+    f[3, domain.omega_mask] = np.inf
+    with pytest.raises(SolverError, match="non-finite state after verification step 3$"):
+        verify_nonlinear(u0, f, phys, domain, tgrid)
+    with pytest.raises(SolverError, match="non-finite initial data"):
+        verify_nonlinear(np.full(domain.n_cells, np.nan), None, phys, domain, tgrid)
+    # a zero step matrix: dgtsv reports the singular pivot
+    monkeypatch.setattr(nonlinear, "step_matrix_banded",
+                        lambda faces, domain, dt: np.zeros((3, domain.n_cells)))
+    with pytest.raises(SolverError, match="singular implicit step matrix at verification step 1$"):
+        verify_nonlinear(u0, None, phys, domain, tgrid)
 
 
 def test_run_nonlinear_reports_verification_sweeps(small_setup):
