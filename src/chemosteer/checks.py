@@ -15,7 +15,7 @@ from .carleman import build_weights, select_params
 from .diagnostics import RecursionSpec, observability_ratio, recursion_simulate
 from .elliptic import DriftField, PhysicsParams, drift_from_v, solve_elliptic
 from .grid import build_beta, build_domain, build_time_grid
-from .hum import dense_gramian, gramian_apply, gramian_quadratic_form, solve_penalized
+from .hum import adjoint_energy, dense_gramian, gramian_apply, solve_penalized
 from .parabolic import inner_l2, level_l2, solve_adjoint, solve_forward
 
 
@@ -46,7 +46,7 @@ def gramian_defects(x, y, drift, weights, domain, tgrid) -> dict:
     h = domain.h
     gx, gy = gramian_apply(np.column_stack((x, y)), drift, weights, domain, tgrid).T
     q = inner_l2(gx, x, h)
-    energy = gramian_quadratic_form(x, drift, weights, domain, tgrid)
+    energy = float(adjoint_energy(solve_adjoint(x, drift, domain, tgrid), weights, domain, tgrid))
     return {"symmetry": abs(inner_l2(gx, y, h) - inner_l2(x, gy, h))
             / max(level_l2(x, h) * level_l2(y, h), 1e-300),
             "psd": -q, "energy": abs(q - energy) / max(energy, 1e-300)}
@@ -66,6 +66,27 @@ def refinement_ratio(error) -> float:
     """error(domain) at N = 32 over N = 64: 4 for a second-order scheme."""
     e32, e64 = (error(build_domain(n, (0.3, 0.7), 0.5)) for n in (32, 64))
     return e32 / e64
+
+
+def difference_ratios(values) -> np.ndarray:
+    """(v_k - v_k+1) / (v_k+1 - v_k+2) of a quantity on meshes halved in turn:
+    4 at second order, 2 at first order."""
+    d = np.diff(values)
+    return d[:-1] / d[1:]
+
+
+def refined_control(n_cells, epsilon=None) -> tuple:
+    """(weighted energy, terminal norm, terminal / (sqrt(eps) |u0|)) of the control
+    of u0 = 1e-2 (1 + cos pi x) / 2 without drift, T = 1, N = n_cells, M = 2N;
+    epsilon None is Boyer's eps = h^4, which keeps the last one bounded as h -> 0."""
+    domain, tgrid = build_domain(n_cells, (0.3, 0.7), 0.5), build_time_grid(1.0, 2 * n_cells)
+    beta = build_beta(domain)
+    weights = build_weights(select_params(0.0, 1.0, beta), beta, domain, tgrid)
+    eps = domain.h ** 4 if epsilon is None else epsilon
+    u0 = 1e-2 * (1.0 + np.cos(np.pi * domain.centers)) / 2.0
+    sol = solve_penalized(u0, DriftField.zero(domain, tgrid), weights, domain, tgrid, eps)
+    return (sol.weighted_energy, sol.terminal_norm,
+            sol.terminal_norm / (np.sqrt(eps) * level_l2(u0, domain.h)))
 
 
 def elliptic_error(dom) -> float:

@@ -95,30 +95,18 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+_HUM_REPORT = ("terminal_norm", "weighted_energy", "control_sup", "cg_iters", "cg_residual",
+               "cg_converged", "epsilon", "kappa", "residual_history")
+
+
 def _hum_report(sol):
-    return {
-        "terminal_norm": sol.terminal_norm,
-        "weighted_energy": sol.weighted_energy,
-        "control_sup": sol.control_sup,
-        "cg_iters": sol.cg_iters,
-        "cg_residual": sol.cg_residual,
-        "cg_converged": sol.cg_converged,
-        "epsilon": sol.epsilon,
-        "kappa": sol.kappa,
-        "residual_history": sol.residual_history,
-    }
+    return {name: getattr(sol, name) for name in _HUM_REPORT}
 
 
 def _params_report(params, log_w_peak):
-    return {
-        "lambda": params.lam,
-        "s": params.s,
-        "delta0": params.delta0,
-        "gamma_of_lambda": params.gamma_of_lambda,
-        "omega_of_lambda": params.omega_of_lambda,
-        "constraints_certified": params.constraints_certified(),
-        "log_w_peak": log_w_peak,
-    }
+    return {"lambda": params.lam, "s": params.s, "delta0": params.delta0,
+            "gamma_of_lambda": params.gamma_of_lambda, "omega_of_lambda": params.omega_of_lambda,
+            "constraints_certified": params.constraints_certified(), "log_w_peak": log_w_peak}
 
 
 def _scales(cfg: RunConfig) -> dict:
@@ -156,9 +144,8 @@ def cmd_linear(cfg: RunConfig, args, out):
     sol = solve_penalized(u0, drift, weights, domain, tgrid, cfg.hum.epsilon,
                           cg_tol=cfg.hum.cg_tol, cg_max_iters=cfg.hum.cg_max_iters)
     v = solve_elliptic(sol.u, physics, domain)
-    _write_field_csv(os.path.join(out, "u.csv"), sol.u, tgrid.levels, domain.centers)
-    _write_field_csv(os.path.join(out, "f.csv"), sol.f, tgrid.levels, domain.centers)
-    _write_field_csv(os.path.join(out, "v.csv"), v, tgrid.levels, domain.centers)
+    for name, values in (("u", sol.u), ("f", sol.f), ("v", v)):
+        _write_field_csv(os.path.join(out, f"{name}.csv"), values, tgrid.levels, domain.centers)
     _write_weights_csv(os.path.join(out, "weights.csv"), weights, domain.centers)
     reports = {
         "carleman": _params_report(params, weights.log_w_peak),
@@ -174,9 +161,8 @@ def cmd_nonlinear(cfg: RunConfig, args, out):
     domain, tgrid, beta, physics = build_geometry(cfg)
     u0 = initial_data(cfg, domain)
     result = run_nonlinear(u0, physics, domain, tgrid, beta, **_run_options(cfg))
-    _write_field_csv(os.path.join(out, "u.csv"), result.u, tgrid.levels, domain.centers)
-    _write_field_csv(os.path.join(out, "f.csv"), result.f, tgrid.levels, domain.centers)
-    _write_field_csv(os.path.join(out, "v.csv"), result.v, tgrid.levels, domain.centers)
+    for name, values in (("u", result.u), ("f", result.f), ("v", result.v)):
+        _write_field_csv(os.path.join(out, f"{name}.csv"), values, tgrid.levels, domain.centers)
     with open(os.path.join(out, "history.csv"), "w") as fh:
         fh.write("iteration,increment,sup_u,terminal_l2,B_sup\n")
         for row in result.history:
@@ -210,15 +196,9 @@ def cmd_observability(cfg: RunConfig, args, out):
         _, weights = _weights(cfg, drift, beta, domain, tgrid)
         report = observability_probe(drift, weights, domain, tgrid,
                                      args.samples, cfg.seed)
-        per_t.append({
-            "T": float(T),
-            "n_samples": report.n_samples,
-            "max_ratio": report.max_ratio,
-            "quantiles": report.quantiles,
-            "kappa": report.kappa,
-            "c_hat_obs": report.c_hat_obs,
-            "constant_mode": constant_mode_ratios(drift, weights, domain, tgrid),
-        })
+        summary = {name: v for name, v in vars(report).items() if name != "ratios"}
+        per_t.append({"T": float(T), **summary,
+                      "constant_mode": constant_mode_ratios(drift, weights, domain, tgrid)})
     return {"observability": per_t}, EXIT_OK
 
 
@@ -264,11 +244,8 @@ def cmd_oracle_check(cfg: RunConfig, args, out):
     deviation = dense_kkt_deviation(u0, drift, weights, domain, tgrid, cfg.hum.epsilon)
     passed = deviation <= 1e-8
     print(f"oracle-check deviation={_fmt(deviation)} {'PASS' if passed else 'FAIL'}")
-    reports = {"oracle_check": {
-        "max_relative_deviation": deviation,
-        "tolerance": 1e-8,
-        "passed": passed,
-    }}
+    reports = {"oracle_check": {"max_relative_deviation": deviation, "tolerance": 1e-8,
+                                "passed": passed}}
     return reports, EXIT_OK if passed else EXIT_CHECK_FAILED
 
 

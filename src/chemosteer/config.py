@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .elliptic import PhysicsParams
+from .elliptic import PhysicsParams, elliptic_factors
 from .grid import DomainSpec, GeometryError, build_beta, build_domain, build_time_grid
 
 
@@ -167,7 +167,8 @@ def apply_override(cfg_dict: dict, dotted: str, raw_value: str) -> None:
 def validate_config(cfg: RunConfig) -> None:
     """Re-run the structural validations of every referenced module."""
     try:
-        build_geometry(cfg)
+        domain, _, _, physics = build_geometry(cfg)
+        elliptic_factors(physics.gamma, domain.n_cells, domain.h)
     except (GeometryError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     if not (1.0 < cfg.carleman.delta0 < 2.0):
@@ -213,7 +214,8 @@ def initial_data(cfg: RunConfig, domain: DomainSpec) -> np.ndarray:
     if cfg.initial_data.shape == "bump":
         return a * np.exp(-100.0 * (x - domain.x0) ** 2)
     try:
-        values = np.loadtxt(cfg.initial_data.file_path)
+        with open(cfg.initial_data.file_path) as fh:  # numpy opens a path through gzip
+            values = np.loadtxt(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read initial data file: {exc}") from exc
     if values.shape != (domain.n_cells,) or not np.all(np.isfinite(values)):

@@ -71,16 +71,18 @@ class DriftField:
 
 
 @functools.lru_cache(maxsize=1)
-def _factors(gamma: float, n_cells: int, h: float) -> tuple:
+def elliptic_factors(gamma: float, n_cells: int, h: float) -> tuple:
     """LDL^T factors (d, e) of the elliptic operator (LAPACK dpttrf), kept for
-    the last grid; keyed on scalars, as a DomainSpec holds arrays."""
+    the last grid; keyed on scalars, as a DomainSpec holds arrays.  A gamma
+    too small to keep the operator definite raises ValueError."""
     h2 = h * h
     diag = np.full(n_cells, gamma + 2.0 / h2)
     diag[0] -= 1.0 / h2                        # reflected ghost at x=0
     diag[-1] -= 1.0 / h2                       # reflected ghost at x=1
     d, e, info = dpttrf(diag, np.full(n_cells - 1, -1.0 / h2))
     if info != 0 or not np.all(np.isfinite(diag)):
-        raise ValueError("elliptic operator is not positive definite")
+        raise ValueError(f"elliptic operator is not positive definite "
+                         f"(physics.gamma={gamma!r}, n_cells={n_cells})")
     return d, e
 
 
@@ -96,7 +98,7 @@ def solve_elliptic(eta: np.ndarray, physics: PhysicsParams,
     source = physics.delta * np.asarray(eta, dtype=float).T
     if not np.isfinite(source).all():
         raise ValueError("elliptic source contains non-finite values")
-    v, _ = dpttrs(*_factors(physics.gamma, domain.n_cells, domain.h), source)
+    v, _ = dpttrs(*elliptic_factors(physics.gamma, domain.n_cells, domain.h), source)
     return v.T
 
 

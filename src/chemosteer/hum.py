@@ -10,8 +10,14 @@ where G phiT = u(T) obtained by: adjoint solve from phiT, weighted
 restriction of the adjoint to the control region (the feedback relation),
 forward solve from zero data.  The control is then f = 1_omega * w * phi and
 the controlled state satisfies u(T) = -eps * phiT in exact arithmetic.
+
+CG builds phiT as a sum of steps alpha p, and both phiT -> f and
+phiT -> u - u_free are linear, so the control and the state are summed from
+the feedback and forward trajectories of each G p as CG goes: no march
+follows CG (penalized HUM, Boyer, ESAIM: Proc. 41, 2013).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +25,8 @@ import numpy as np
 from .carleman import WeightTables
 from .elliptic import DriftField
 from .grid import DomainSpec, TimeGrid
-from .parabolic import inner_l2, level_l2, solve_adjoint, solve_forward
+from .parabolic import (SolverError, check_levels, growth_constant, inner_l2, level_l2,
+                        solve_adjoint, solve_forward)
 
 
 def kappa_const(b_sup: float, T: float) -> float:
@@ -46,20 +53,30 @@ class HumSolution:
     kappa: float = 0.0
 
 
-def feedback_control(phi: np.ndarray, weights: WeightTables,
-                     domain: DomainSpec) -> np.ndarray:
+def feedback_control(phi: np.ndarray, weights: WeightTables, domain: DomainSpec,
+                     out=None) -> np.ndarray:
     """Control from the feedback relation: f^k = 1_omega w^k phi^{k-1}.
 
     The weight row for control level k lives at midpoint t_{k-1/2} and the
     adjoint value pairing with f^k under the exact transpose identity is the
     one stored at level k-1.  Levels outside omega, and the unused level 0,
-    are exactly zero.  phi is (M+1, N) or a batch (M+1, N, K).
+    are exactly zero.  phi is (M+1, N) or a batch (M+1, N, K).  f is written
+    in one pass, into out if given: a buffer of zeros outside omega and at
+    level 0.
     """
-    w = weights.w.reshape(weights.w.shape + (1,) * (phi.ndim - 2))
-    f = np.zeros(phi.shape)
-    f[1:] = w * phi[:-1]
-    f[:, ~domain.omega_mask] = 0.0
+    f = np.zeros(phi.shape) if out is None else out
+    extra = (1,) * (phi.ndim - 2)
+    np.multiply(weights.w.reshape(weights.w.shape + extra), phi[:-1], out=f[1:],
+                where=domain.omega_mask.reshape(domain.omega_mask.shape + extra))
     return f
+
+
+def _gramian_trajectory(phiT: np.ndarray, drift: DriftField, weights: WeightTables,
+                        domain: DomainSpec, time: TimeGrid, f=None) -> np.ndarray:
+    """The forward trajectory driven from zero data by the feedback control
+    of the adjoint from phiT (written into f if given); its last level is G phiT."""
+    f = feedback_control(solve_adjoint(phiT, drift, domain, time), weights, domain, f)
+    return solve_forward(np.zeros(f.shape[1:]), drift, f, domain, time)
 
 
 def gramian_apply(phiT: np.ndarray, drift: DriftField, weights: WeightTables,
@@ -68,10 +85,7 @@ def gramian_apply(phiT: np.ndarray, drift: DriftField, weights: WeightTables,
 
     phiT is (N,) or a batch (N, K) of data, one column each.
     """
-    phi = solve_adjoint(phiT, drift, domain, time)
-    f = feedback_control(phi, weights, domain)
-    u = solve_forward(np.zeros(phi.shape[1:]), drift, f, domain, time)
-    return u[-1].copy()
+    return _gramian_trajectory(phiT, drift, weights, domain, time)[-1].copy()
 
 
 def adjoint_energy(phi: np.ndarray, weights: WeightTables, domain: DomainSpec,
@@ -80,14 +94,6 @@ def adjoint_energy(phi: np.ndarray, weights: WeightTables, domain: DomainSpec,
     trajectory, one per column of a batch; <G phiT, phiT> for phi from phiT."""
     w = np.where(domain.omega_mask, weights.w, 0.0)
     return time.dt * domain.h * np.einsum("kn,kn...,kn...->...", w, phi[:-1], phi[:-1])
-
-
-def gramian_quadratic_form(phiT: np.ndarray, drift: DriftField,
-                           weights: WeightTables, domain: DomainSpec,
-                           time: TimeGrid) -> float:
-    """<G phiT, phiT> computed directly as the weighted adjoint energy."""
-    return float(adjoint_energy(solve_adjoint(phiT, drift, domain, time),
-                                weights, domain, time))
 
 
 def dense_gramian(drift: DriftField, weights: WeightTables, domain: DomainSpec,
@@ -99,33 +105,45 @@ def dense_gramian(drift: DriftField, weights: WeightTables, domain: DomainSpec,
 def solve_penalized(u0: np.ndarray, drift: DriftField, weights: WeightTables,
                     domain: DomainSpec, time: TimeGrid, epsilon: float,
                     cg_tol: float = 1e-10, cg_max_iters: int = 500) -> HumSolution:
-    """Conjugate gradient on (G + eps I) phiT = -u_free(T), then synthesis.
+    """Conjugate gradient on (G + eps I) phiT = -u_free(T); the control and
+    the state are summed from CG's own trajectories (see the module
+    docstring), so a solve marches 1 + 2 cg_iters times.
 
-    Non-convergence within the iteration cap is returned as a flag rather
-    than raised: the operator is SPD, so a stall signals conditioning
-    trouble, not a wrong answer.
+    The solve runs on the data scaled by the power of two that gives
+    u_free(T) unit size, and scales every result back: exactly, wherever no
+    value is subnormal, so tiny data cannot underflow the CG.  A CG curvature
+    that is not positive, or an energy past the float range, raises
+    SolverError.  Non-convergence within the iteration cap is returned as a
+    flag rather than raised: the operator is SPD, so a stall signals
+    conditioning trouble, not a wrong answer.
     """
     if epsilon <= 0.0:
         raise ValueError(f"penalty parameter must be positive, got {epsilon}")
     u0 = np.asarray(u0, dtype=float)
     h = domain.h
-    u_free = solve_forward(u0, drift, None, domain, time)
-    rhs = -u_free[-1]
+    u = solve_forward(u0, drift, None, domain, time)  # free, then controlled
+    u_free_terminal = u[-1].copy()
+    e = math.frexp(float(np.abs(u_free_terminal).max()))[1]  # u(T) is 2^e x unit size
+    np.ldexp(u, -e, out=u)
+    rhs = -u[-1]
     rhs_norm = level_l2(rhs, h)
+    f, f_p = np.zeros(u.shape), np.zeros(u.shape)
 
-    phiT = np.zeros(domain.n_cells)
-    history = []
-    iters = 0
-    converged = True
-    if rhs_norm > 0.0:
-        converged = False
-        r = rhs.copy()
-        p = r.copy()
+    phiT, history, iters, converged = np.zeros(domain.n_cells), [], 0, rhs_norm == 0.0
+    if not converged:
+        r, p = rhs.copy(), rhs.copy()
         rs = inner_l2(r, r, h)
         for iters in range(1, cg_max_iters + 1):
-            ap = gramian_apply(p, drift, weights, domain, time) + epsilon * p
-            alpha = rs / inner_l2(p, ap, h)
+            u_p = _gramian_trajectory(p, drift, weights, domain, time, f_p)
+            ap = u_p[-1] + epsilon * p
+            curvature = inner_l2(p, ap, h)
+            alpha = rs / curvature if curvature > 0.0 else math.nan
+            if not math.isfinite(alpha):
+                raise SolverError(f"CG breakdown at iteration {iters}: curvature {curvature:.3g}")
             phiT = phiT + alpha * p
+            f += np.multiply(f_p, alpha, out=f_p)
+            u += np.multiply(u_p, alpha, out=u_p)
+            del u_p  # free this step's trajectory before the next march
             r = r - alpha * ap
             rs_new = inner_l2(r, r, h)
             history.append(float(np.sqrt(rs_new) / rhs_norm))
@@ -134,26 +152,23 @@ def solve_penalized(u0: np.ndarray, drift: DriftField, weights: WeightTables,
                 break
             p = r + (rs_new / rs) * p
             rs = rs_new
-
-    phi = solve_adjoint(phiT, drift, domain, time)
-    f = feedback_control(phi, weights, domain)
-    u = solve_forward(u0, drift, f, domain, time)
+    del f_p
 
     positive = weights.w > 0.0
-    fw = f[1:]
-    energy = time.dt * h * float(
-        np.sum(np.square(fw[positive]) / weights.w[positive])
-    )
+    energy = time.dt * h * float(np.sum(np.square(f[1:][positive]) / weights.w[positive]))
+    try:
+        energy, terminal_norm = math.ldexp(energy, 2 * e), math.ldexp(level_l2(u[-1], h), e)
+    except OverflowError:
+        raise SolverError("the control energy of these data overflows the float range") from None
+    for x in (phiT, f, u):
+        np.ldexp(x, e, out=x)
+    check_levels(u, "non-finite state after forward step {}", first=True)
+    check_levels(f, "non-finite control at level {}", first=True)
     return HumSolution(
-        phiT=phiT, f=f, u=u, u_free_terminal=u_free[-1],
-        terminal_norm=level_l2(u[-1], h),
-        weighted_energy=energy,
-        control_sup=float(np.abs(f).max()),
-        cg_iters=iters,
-        cg_residual=history[-1] if history else 0.0,
-        cg_converged=converged,
-        residual_history=history,
-        epsilon=float(epsilon),
+        phiT=phiT, f=f, u=u, u_free_terminal=u_free_terminal, terminal_norm=terminal_norm,
+        weighted_energy=energy, control_sup=float(np.abs(f).max()), cg_iters=iters,
+        cg_residual=history[-1] if history else 0.0, cg_converged=converged,
+        residual_history=history, epsilon=float(epsilon),
         kappa=kappa_const(drift.sup_norm, time.horizon_T),
     )
 
@@ -165,24 +180,8 @@ def control_bound_report(sol: HumSolution, u0: np.ndarray, domain: DomainSpec) -
     the value of twice the penalized functional at the optimum.
     """
     u0_l2 = level_l2(np.asarray(u0, dtype=float), domain.h)
-    report = {
-        "kappa": sol.kappa,
-        "u0_l2": u0_l2,
-        "control_sup": sol.control_sup,
-        "weighted_energy": sol.weighted_energy,
-        "degenerate": bool(u0_l2 == 0.0),
-    }
-    if u0_l2 == 0.0:
-        report["C_hat_f"] = float("nan")
-        report["C_hat_energy"] = float("nan")
-        return report
-    if sol.control_sup > u0_l2:
-        report["C_hat_f"] = float(np.log(sol.control_sup / u0_l2) / sol.kappa)
-    else:
-        report["C_hat_f"] = float("-inf")
     lhs = sol.weighted_energy + sol.terminal_norm ** 2 / sol.epsilon
-    if lhs > u0_l2 ** 2:
-        report["C_hat_energy"] = float(np.log(lhs / u0_l2 ** 2) / sol.kappa)
-    else:
-        report["C_hat_energy"] = float("-inf")
-    return report
+    return {"kappa": sol.kappa, "u0_l2": u0_l2, "control_sup": sol.control_sup,
+            "weighted_energy": sol.weighted_energy, "degenerate": bool(u0_l2 == 0.0),
+            "C_hat_f": growth_constant(sol.control_sup, u0_l2, sol.kappa),
+            "C_hat_energy": growth_constant(lhs, u0_l2 ** 2, sol.kappa)}

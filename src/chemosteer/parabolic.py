@@ -46,6 +46,14 @@ def rho0_const(b_sup: float, T: float) -> float:
     return (1.0 + b_sup * b_sup) * (1.0 + T)
 
 
+def growth_constant(value: float, base: float, rate: float) -> float:
+    """The constant C of value = base e^{C rate}: ln(value / base) / rate, -inf
+    when value <= base, nan when base is zero."""
+    if base == 0.0:
+        return float("nan")
+    return float(np.log(value / base) / rate) if value > base else float("-inf")
+
+
 def step_matrix_banded(face_drift: np.ndarray, domain: DomainSpec,
                        dt: float) -> np.ndarray:
     """Banded form of I - dt*A, one step or a stack of steps at once.
@@ -85,31 +93,36 @@ class Propagator:
             faces = faces[:1]
         self.n_factored = len(faces)
         ab = step_matrix_banded(faces, domain, dt)
-        self.dl, self.d, self.du = ab[2, :, :-1], ab[1], ab[0, :, 1:]
-        self.du2 = np.empty((self.n_factored, domain.n_cells - 2))
-        self.ipiv = np.empty((self.n_factored, domain.n_cells), dtype=np.int32)
+        self.steps = []  # the dgttrs arguments of each step, built once for every march
         for k in range(self.n_factored):
-            (self.dl[k], self.d[k], self.du[k], self.du2[k], self.ipiv[k],
-             info) = dgttrf(self.dl[k], self.d[k], self.du[k])
+            # the factors overwrite the band rows of step k in place
+            *lu, info = dgttrf(ab[2, k, :-1], ab[1, k], ab[0, k, 1:], 1, 1, 1)
             if info != 0:
                 raise SolverError(f"singular implicit step matrix at step {k + 1}")
+            self.steps.append(lu)
+        self.steps *= self.n_steps // self.n_factored  # shared factors serve every step
 
     def march(self, start: np.ndarray, source=None, transpose: bool = False) -> np.ndarray:
         """All M+1 levels from start, (N,) or a batch (N, K) of columns.
 
         Forward: x[0] = start, x[k+1] = S_k^{-1} (x[k] + source[k]).
         Transpose: x[M] = start, x[k] = S_k^{-T} x[k+1].
+        Each level is written in place: the level it comes from is copied
+        (or, with a source, added) into it, and one dgttrs overwrites it.
         """
         m = self.n_steps
-        # each level of a batch is Fortran-ordered, as LAPACK takes it
+        # each level of a batch is Fortran-ordered, so LAPACK overwrites it in place
         x = np.empty((m + 1,) + start.shape[::-1]).transpose(0, *range(start.ndim, 0, -1))
         x[m if transpose else 0] = start
+        steps, trans = self.steps, "T" if transpose else "N"
         for k in (range(m - 1, -1, -1) if transpose else range(m)):
             src, dst = (k + 1, k) if transpose else (k, k + 1)
-            rhs = x[src] if source is None else x[src] + source[k]
-            i = min(k, self.n_factored - 1)
-            x[dst], _ = dgttrs(self.dl[i], self.d[i], self.du[i], self.du2[i],
-                               self.ipiv[i], rhs, trans="T" if transpose else "N")
+            level = x[dst]
+            if source is None:
+                level[...] = x[src]
+            else:
+                np.add(x[src], source[k], out=level)
+            dgttrs(*steps[k], level, trans, 1)
         return x
 
 
@@ -126,9 +139,11 @@ def propagator(drift: DriftField, domain: DomainSpec, dt: float) -> Propagator:
     return _last[1]
 
 
-def _check_levels(x: np.ndarray, message: str, first: bool):
+def check_levels(x: np.ndarray, message: str, first: bool):
     """Raise SolverError naming the first (or, marching backward, the last)
     level of a march that holds a non-finite value."""
+    if math.isfinite(x.sum()):  # a finite sum has finite terms
+        return
     bad = np.flatnonzero(~np.isfinite(x).all(axis=tuple(range(1, x.ndim))))
     if bad.size:
         raise SolverError(message.format(bad[0] if first else bad[-1]))
@@ -163,7 +178,7 @@ def solve_forward(u0: np.ndarray, drift: DriftField, f, domain: DomainSpec,
     mask = domain.omega_mask.reshape((-1,) + (1,) * (u0.ndim - 1))
     source = None if f is None else time.dt * np.where(mask, f[1:], 0.0)
     u = propagator(drift, domain, time.dt).march(u0, source)
-    _check_levels(u, "non-finite state after forward step {}", first=True)
+    check_levels(u, "non-finite state after forward step {}", first=True)
     return u
 
 
@@ -182,7 +197,7 @@ def solve_adjoint(phiT: np.ndarray, drift: DriftField, domain: DomainSpec,
     if not np.all(np.isfinite(phiT)):
         raise SolverError("non-finite terminal data")
     phi = propagator(drift, domain, time.dt).march(phiT, transpose=True)
-    _check_levels(phi, "non-finite adjoint state at level {}", first=False)
+    check_levels(phi, "non-finite adjoint state at level {}", first=False)
     return phi
 
 
@@ -202,16 +217,6 @@ def linf_estimate_report(u: np.ndarray, u0: np.ndarray, f, drift: DriftField,
     k0 = force_sup + float(np.abs(u0).max())
     sup_u = float(np.abs(u).max())
     rho0 = rho0_const(drift.sup_norm, time.horizon_T)
-    report = {
-        "K0": k0,
-        "rho0": rho0,
-        "sup_u": sup_u,
-        "degenerate": bool(k0 == 0.0),
-    }
-    if k0 == 0.0:
-        report["C_hat"] = float("nan")
-        report["consistent"] = bool(sup_u == 0.0)
-    else:
-        report["C_hat"] = float(np.log(sup_u / k0) / rho0) if sup_u > k0 else float("-inf")
-        report["consistent"] = True
-    return report
+    return {"K0": k0, "rho0": rho0, "sup_u": sup_u, "degenerate": bool(k0 == 0.0),
+            "C_hat": growth_constant(sup_u, k0, rho0),
+            "consistent": bool(k0 > 0.0 or sup_u == 0.0)}

@@ -12,9 +12,10 @@ import time as _time
 
 import numpy as np
 
-from chemosteer.checks import (dense_kkt_deviation, duality_defect, elliptic_error,
-                               gramian_defects, mass_drift, random_drift,
-                               recursion_hand_rows, refinement_ratio, weight_chain_holds)
+from chemosteer.checks import (dense_kkt_deviation, difference_ratios, duality_defect,
+                               elliptic_error, gramian_defects, mass_drift, random_drift,
+                               recursion_hand_rows, refined_control, refinement_ratio,
+                               weight_chain_holds)
 from chemosteer.diagnostics import RecursionSpec, recursion_simulate
 from chemosteer.elliptic import DriftField, PhysicsParams
 from chemosteer.grid import build_beta, build_domain, build_time_grid
@@ -251,3 +252,23 @@ def test_criterion_11_threshold_sweep():
     report("threshold-sweep", ok,
            f"a* = {[row['a_star'] for row in table['rows']]} for "
            f"T = [0.25, 1, 4], fitted c1 = {table['c1_hat']:.4f} >= 0")
+
+
+def test_criterion_12_control_refinement():
+    # penalized control of cosine data without drift on N = 20..320, M = 2N.
+    # Measured: energy ratios 3.60, 3.90, 3.97 (second order); terminal
+    # ratios 4.09, 2.20, 1.91, i.e. first order (implicit Euler) from N = 40;
+    # Boyer ratio 0.170, 0.091, 0.116, 0.048 with eps = h^4 on N = 20..160.
+    # Bounds: the order +- 0.5 (energy) and +- 0.35 (terminal), Boyer <= 0.25.
+    t0 = _time.perf_counter()
+    sizes = (20, 40, 80, 160, 320)
+    energy, terminal, _ = zip(*(refined_control(n, 1e-6) for n in sizes))
+    boyer = [refined_control(n)[2] for n in sizes[:4]]
+    e_ratios, t_ratios = difference_ratios(energy), difference_ratios(terminal[1:])
+    wall = _time.perf_counter() - t0
+    ok = (np.all(np.abs(e_ratios - 4.0) <= 0.5) and np.all(np.abs(t_ratios - 2.0) <= 0.35)
+          and max(boyer) <= 0.25 and wall < 2.0)
+    report("control-refinement", bool(ok),
+           f"energy ratios {np.round(e_ratios, 2).tolist()}, terminal ratios "
+           f"{np.round(t_ratios, 2).tolist()}, terminal / (sqrt(h^4) |u0|) "
+           f"{np.round(boyer, 3).tolist()}, {wall:.2f}s")

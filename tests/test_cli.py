@@ -69,6 +69,8 @@ INVALID_INPUTS = {
     "horizon-huge": ["--set", "time.T=1e300"],
     "horizon-below-range": ["--set", "time.T=9.9e-7"],
     "horizon-above-range": ["--set", "time.T=1.01e6"],
+    # the elliptic operator is not definite: its factorization fails
+    "gamma-singular": ["--set", "physics.gamma=1e-300"],
 }
 
 
@@ -364,6 +366,15 @@ class TestCommands:
         assert code == EXIT_NO_CONVERGENCE
         assert capsys.readouterr().err == (
             "error: singular implicit step matrix at verification step 1\n")
+
+    @pytest.mark.parametrize("command", ["linear", "nonlinear"])
+    def test_tiny_valid_amplitude_solves(self, command, tmp_path, monkeypatch, capsys):
+        # its CG curvature once underflowed to 0: a ZeroDivisionError traceback
+        code, out = run_cli([command] + SMALL + ["--set", "initial_data.amplitude=1e-155"],
+                            tmp_path, monkeypatch)
+        assert code == EXIT_OK and capsys.readouterr().err == ""
+        hum = read_report(out)["reports"]["hum"]
+        assert hum["cg_converged"] and hum["control_sup"] > 0.0
 
     @staticmethod
     def bad_config(tmp_path):

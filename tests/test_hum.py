@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from chemosteer.grid import build_beta, build_domain, build_time_grid
 from chemosteer.hum import (control_bound_report, dense_gramian,
                             feedback_control, gramian_apply, kappa_const,
                             solve_penalized)
-from chemosteer.parabolic import level_l2
+from chemosteer.parabolic import (Propagator, SolverError, level_l2, solve_adjoint,
+                                  solve_forward)
 from conftest import default_weights
 
 
@@ -129,3 +132,81 @@ def test_dense_kkt_oracle_small_grid(eps):
     weights = default_weights(dom, tg, beta, b_sup=drift.sup_norm)
     u0 = rng.standard_normal(8)
     assert dense_kkt_deviation(u0, drift, weights, dom, tg, eps) <= 1e-8
+
+
+def cosine_data(domain, amplitude):
+    return amplitude * (1.0 + np.cos(np.pi * domain.centers)) / 2.0
+
+
+class TestSynthesisByLinearity:
+    def test_one_free_march_and_two_per_cg_iteration(self, domain32, tgrid24, beta32,
+                                                     monkeypatch):
+        rng = np.random.default_rng(41)
+        drift = random_drift(rng, domain32, tgrid24, amplitude=1.0, per_step=True)
+        weights = default_weights(domain32, tgrid24, beta32, b_sup=drift.sup_norm)
+        marches = []
+        march = Propagator.march
+        monkeypatch.setattr(Propagator, "march",
+                            lambda self, *a, **k: marches.append(1) or march(self, *a, **k))
+        sol = solve_penalized(cosine_data(domain32, 1e-2), drift, weights,
+                              domain32, tgrid24, 1e-6)
+        assert sol.cg_iters >= 3
+        assert len(marches) == 1 + 2 * sol.cg_iters
+
+    def test_state_and_control_match_their_marches(self, domain32, tgrid24, beta32):
+        # the synthesized pair against the adjoint and forward marches of phiT
+        rng = np.random.default_rng(42)
+        drift = random_drift(rng, domain32, tgrid24, amplitude=1.5, per_step=True)
+        weights = default_weights(domain32, tgrid24, beta32, b_sup=drift.sup_norm)
+        u0 = rng.uniform(0.0, 1e-2, 32)
+        sol = solve_penalized(u0, drift, weights, domain32, tgrid24, 1e-6)
+        f = feedback_control(solve_adjoint(sol.phiT, drift, domain32, tgrid24),
+                             weights, domain32)
+        u = solve_forward(u0, drift, sol.f, domain32, tgrid24)
+        assert np.abs(sol.f - f).max() <= 1e-12 * np.abs(f).max()
+        assert np.abs(sol.u - u).max() <= 1e-12 * np.abs(u).max()
+        assert np.all(sol.f[:, ~domain32.omega_mask] == 0.0) and np.all(sol.f[0] == 0.0)
+
+    def test_power_of_two_data_scale_every_result_bitwise(self, domain32, tgrid24,
+                                                          beta32):
+        # 2^-600 data underflowed the CG curvature to a zero control before
+        # the solve was scaled to unit size
+        rng = np.random.default_rng(43)
+        drift = random_drift(rng, domain32, tgrid24, amplitude=1.0, per_step=True)
+        weights = default_weights(domain32, tgrid24, beta32, b_sup=drift.sup_norm)
+        one, low = (solve_penalized(np.ldexp(cosine_data(domain32, 1e-2), k), drift,
+                                    weights, domain32, tgrid24, 1e-6) for k in (0, -600))
+        assert low.cg_iters == one.cg_iters and low.residual_history == one.residual_history
+        for a, b in ((one.f, low.f), (one.u, low.u), (one.phiT, low.phiT)):
+            assert np.array_equal(np.ldexp(a, -600), b)
+        assert low.terminal_norm == np.ldexp(one.terminal_norm, -600) > 0.0
+
+    @pytest.mark.parametrize("amplitude", [1e-155, 1e-160, 1e-300])
+    def test_tiny_data_give_the_scaled_control(self, domain32, tgrid24, beta32, amplitude):
+        drift = DriftField.zero(domain32, tgrid24)
+        weights = default_weights(domain32, tgrid24, beta32)
+        one, tiny = (solve_penalized(cosine_data(domain32, a), drift, weights,
+                                     domain32, tgrid24, 1e-6) for a in (1.0, amplitude))
+        assert tiny.cg_converged and tiny.cg_iters == one.cg_iters
+        scale = amplitude * np.abs(one.f).max()
+        assert np.abs(tiny.f - amplitude * one.f).max() <= 1e-12 * scale
+        assert tiny.terminal_norm == pytest.approx(amplitude * one.terminal_norm, rel=1e-10)
+
+    def test_energy_past_the_float_range_raises_solver_error(self, domain32, tgrid24,
+                                                              beta32):
+        drift = DriftField.zero(domain32, tgrid24)
+        weights = default_weights(domain32, tgrid24, beta32)
+        with pytest.raises(SolverError, match="overflows the float range"):
+            solve_penalized(cosine_data(domain32, 1e160), drift, weights, domain32, tgrid24,
+                            1e-6)
+
+    @pytest.mark.parametrize("epsilon", [1e-320, 5e-324])
+    def test_cg_breakdown_raises_solver_error(self, domain32, tgrid24, beta32, epsilon):
+        # no weight leaves G = 0, and a subnormal eps leaves the curvature
+        # eps |p|^2 at zero or its step alpha overflowing
+        drift = DriftField.zero(domain32, tgrid24)
+        weights = default_weights(domain32, tgrid24, beta32)
+        blind = dataclasses.replace(weights, w=np.zeros_like(weights.w))
+        with pytest.raises(SolverError, match="CG breakdown at iteration 1"):
+            solve_penalized(cosine_data(domain32, 1e-2), drift, blind, domain32, tgrid24,
+                            epsilon)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from chemosteer.checks import (duality_defect, forward_constant_defect, mass_drift,
                                random_drift, refinement_ratio)
@@ -9,7 +10,7 @@ from chemosteer.hum import dense_gramian, gramian_apply
 from chemosteer.parabolic import (Propagator, SolverError, level_l2,
                                   linf_estimate_report, m_matrix_report,
                                   propagator, solve_adjoint, solve_forward,
-                                  space_time_l2)
+                                  space_time_l2, step_matrix_banded)
 from conftest import default_weights, heat_error
 
 
@@ -213,3 +214,36 @@ class TestPropagator:
         f[5, domain32.omega_mask] = np.inf
         with pytest.raises(SolverError, match="after forward step 5$"):
             solve_forward(np.ones(32), drift, f, domain32, tgrid24)
+
+
+def reference_march(faces, domain, dt, start, source=None, transpose=False):
+    """Propagator.march as it was written before its levels were solved in
+    place (a fresh right-hand side and a copy of dgttrs' result per step),
+    on factors of its own: dgttrf of every step."""
+    m = len(faces)
+    ab = step_matrix_banded(faces, domain, dt)
+    factors = [dgttrf(ab[2, k, :-1], ab[1, k], ab[0, k, 1:])[:5] for k in range(m)]
+    x = np.empty((m + 1,) + start.shape[::-1]).transpose(0, *range(start.ndim, 0, -1))
+    x[m if transpose else 0] = start
+    for k in (range(m - 1, -1, -1) if transpose else range(m)):
+        src, dst = (k + 1, k) if transpose else (k, k + 1)
+        rhs = x[src] if source is None else x[src] + source[k]
+        x[dst], _ = dgttrs(*factors[k], rhs, trans="T" if transpose else "N")
+    return x
+
+
+@pytest.mark.parametrize("per_step", [False, True], ids=["shared", "per-step"])
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batch"])
+@pytest.mark.parametrize("kind", ["forward-source", "forward", "adjoint"])
+def test_in_place_march_equals_reference_bitwise(domain32, tgrid24, per_step, batch, kind):
+    rng = np.random.default_rng(25)
+    drift = random_drift(rng, domain32, tgrid24, amplitude=1.5, per_step=per_step)
+    prop = Propagator(drift.faces, domain32, tgrid24.dt)
+    assert prop.n_factored == (tgrid24.n_steps if per_step else 1)
+    start = rng.standard_normal((32,) + batch)
+    source = (rng.standard_normal((tgrid24.n_steps, 32) + batch)
+              if kind == "forward-source" else None)
+    transpose = kind == "adjoint"
+    assert np.array_equal(prop.march(start, source, transpose),
+                          reference_march(drift.faces, domain32, tgrid24.dt, start,
+                                          source, transpose))
