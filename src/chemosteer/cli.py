@@ -44,33 +44,20 @@ def _out_dir(cfg: RunConfig) -> str:
     return out
 
 
-def _row_template(centers, columns):
-    """The rows of one time level: NUL for t, the formatted x, `columns` %.17g slots.
-
-    A level is ``template.replace("\\0", _fmt(t)) % values``, byte for byte
-    what _fmt gives for each value, with x and t formatted once.
-    """
-    fields = ",%.17g" * columns
-    return "".join(f"\0,{_fmt(x)}{fields}\n" for x in centers)
-
-
 def _write_field_csv(path, values, levels, centers):
-    """Level-major 't,x,value' rows, written one level at a time."""
-    template = _row_template(centers, 1)
-    with open(path, "w") as fh:
-        fh.write("t,x,value\n")
-        for t, row in zip(levels, values):
-            fh.write(template.replace("\0", _fmt(t)) % tuple(row.tolist()))
+    """Level-major 't,x,value' rows."""
+    from .csvtext import write_rows  # imported here: most commands write no fields
+    with open(path, "wb") as fh:
+        fh.write(b"t,x,value\n")
+        write_rows(fh, levels, centers, values)
 
 
 def _write_weights_csv(path, weights, centers):
-    """'t_mid,x,alpha,w' rows, written one level at a time."""
-    template = _row_template(centers, 2)
-    with open(path, "w") as fh:
-        fh.write("t_mid,x,alpha,w\n")
-        for t, alpha, w in zip(weights.t_mid, weights.alpha, weights.w):
-            pairs = np.column_stack((alpha, w)).ravel().tolist()
-            fh.write(template.replace("\0", _fmt(t)) % tuple(pairs))
+    """'t_mid,x,alpha,w' rows."""
+    from .csvtext import write_rows
+    with open(path, "wb") as fh:
+        fh.write(b"t_mid,x,alpha,w\n")
+        write_rows(fh, weights.t_mid, centers, weights.alpha, weights.w)
 
 
 def _write_report(out, cfg, reports, timings):

@@ -51,6 +51,8 @@ class HumSolution:
     residual_history: list = field(repr=False)
     epsilon: float = 0.0
     kappa: float = 0.0
+    scale: int = 0                # the solve ran on the data times 2^-scale
+    scaled_energy: float = 0.0    # weighted_energy at that scale, 4^-scale of it
 
 
 def feedback_control(phi: np.ndarray, weights: WeightTables, domain: DomainSpec,
@@ -157,7 +159,7 @@ def solve_penalized(u0: np.ndarray, drift: DriftField, weights: WeightTables,
     positive = weights.w > 0.0
     energy = time.dt * h * float(np.sum(np.square(f[1:][positive]) / weights.w[positive]))
     try:
-        energy, terminal_norm = math.ldexp(energy, 2 * e), math.ldexp(level_l2(u[-1], h), e)
+        weighted, terminal_norm = math.ldexp(energy, 2 * e), math.ldexp(level_l2(u[-1], h), e)
     except OverflowError:
         raise SolverError("the control energy of these data overflows the float range") from None
     for x in (phiT, f, u):
@@ -166,10 +168,10 @@ def solve_penalized(u0: np.ndarray, drift: DriftField, weights: WeightTables,
     check_levels(f, "non-finite control at level {}", first=True)
     return HumSolution(
         phiT=phiT, f=f, u=u, u_free_terminal=u_free_terminal, terminal_norm=terminal_norm,
-        weighted_energy=energy, control_sup=float(np.abs(f).max()), cg_iters=iters,
+        weighted_energy=weighted, control_sup=float(np.abs(f).max()), cg_iters=iters,
         cg_residual=history[-1] if history else 0.0, cg_converged=converged,
         residual_history=history, epsilon=float(epsilon),
-        kappa=kappa_const(drift.sup_norm, time.horizon_T),
+        kappa=kappa_const(drift.sup_norm, time.horizon_T), scale=e, scaled_energy=energy,
     )
 
 
@@ -180,8 +182,10 @@ def control_bound_report(sol: HumSolution, u0: np.ndarray, domain: DomainSpec) -
     the value of twice the penalized functional at the optimum.
     """
     u0_l2 = level_l2(np.asarray(u0, dtype=float), domain.h)
-    lhs = sol.weighted_energy + sol.terminal_norm ** 2 / sol.epsilon
+    # squares at the solve's scale, where tiny data do not underflow (same bits otherwise)
+    u0_scaled = math.ldexp(u0_l2, -sol.scale)
+    lhs = sol.scaled_energy + math.ldexp(sol.terminal_norm, -sol.scale) ** 2 / sol.epsilon
     return {"kappa": sol.kappa, "u0_l2": u0_l2, "control_sup": sol.control_sup,
             "weighted_energy": sol.weighted_energy, "degenerate": bool(u0_l2 == 0.0),
             "C_hat_f": growth_constant(sol.control_sup, u0_l2, sol.kappa),
-            "C_hat_energy": growth_constant(lhs, u0_l2 ** 2, sol.kappa)}
+            "C_hat_energy": growth_constant(lhs, u0_scaled ** 2, sol.kappa)}

@@ -19,8 +19,8 @@ from .carleman import build_weights, select_params
 from .elliptic import DriftField, PhysicsParams, drift_from_state, drift_from_v, solve_elliptic
 from .grid import BetaFunction, DomainSpec, TimeGrid, build_time_grid
 from .hum import HumSolution, solve_penalized
-from .parabolic import (SolverError, level_l2, m_matrix_report, space_time_l2,
-                        step_matrix_banded)
+from .parabolic import (SolverError, level_l2, m_matrix_report, release_propagator,
+                        space_time_l2, step_matrix_banded)
 
 
 @dataclass
@@ -115,7 +115,8 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
                                converged=False, in_K=in_k,
                                verification_terminal_l2=float("nan"))
 
-    verification, sweeps = verify_nonlinear(u0, sol.f, physics, domain, time)
+    release_propagator()  # the marching is done: free the factors of the last drift
+    verification, sweeps = verify_nonlinear(u0, sol.f, physics, domain, time, guide=xi)
     return NonlinearResult(
         u=xi, v=solve_elliptic(xi, physics, domain), f=sol.f,
         iterations=iterations, history=history,
@@ -129,13 +130,16 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
 
 def verify_nonlinear(u0: np.ndarray, f: np.ndarray, physics: PhysicsParams,
                      domain: DomainSpec, time: TimeGrid,
-                     inner_tol: float = 1e-10, max_sweeps: int = 5):
+                     inner_tol: float = 1e-10, max_sweeps: int = 5, guide=None):
     """Forward solve of the nonlinear discrete dynamics with a given control.
 
     Each implicit step runs a frozen-coefficient inner loop: the drift is
     recomputed from the elliptic solve of the step-midpoint state until the
     step iterate stabilizes (or after max_sweeps sweeps), each sweep one
-    LAPACK dgtsv solve.  Returns the trajectory and a dict with the total
+    LAPACK dgtsv solve.  The first iterate of step k is u[k], or, given a
+    guide trajectory (a fixed point, which solves nearly the same step
+    equations), u[k] + guide[k+1] - guide[k]; either way every step iterates
+    to inner_tol.  Returns the trajectory and a dict with the total
     number of sweeps and the number of steps stopped at max_sweeps before
     meeting inner_tol ("capped_steps").  A breakdown raises SolverError.
     """
@@ -150,7 +154,7 @@ def verify_nonlinear(u0: np.ndarray, f: np.ndarray, physics: PhysicsParams,
         rhs = u[k].copy()
         if f is not None:
             rhs[mask] += time.dt * f[k + 1][mask]
-        u_next = u[k].copy()
+        u_next = u[k].copy() if guide is None else u[k] + (guide[k + 1] - guide[k])
         for _ in range(max_sweeps):
             sweeps += 1
             v_mid = solve_elliptic(0.5 * (u[k] + u_next), physics, domain)

@@ -26,14 +26,27 @@ class SolverError(RuntimeError):
     """Non-finite values encountered during time stepping."""
 
 
+def _norm(values: np.ndarray, weight: float) -> float:
+    """sqrt(weight sum(values^2)).  Where the plain sum of squares leaves
+    [2^-960, 2^960], the values are first scaled exactly by the power of two
+    that brings their peak into [1/2, 1), so tiny data do not underflow."""
+    s = np.square(values).sum()
+    if not 2.0 ** -960 <= s <= 2.0 ** 960:
+        peak = float(np.abs(values).max(initial=0.0))
+        if 0.0 < peak < math.inf:
+            k = math.frexp(peak)[1]
+            return float(np.ldexp(math.sqrt(weight * np.square(np.ldexp(values, -k)).sum()), k))
+    return math.sqrt(weight * s)
+
+
 def level_l2(slice_values: np.ndarray, h: float) -> float:
     """Discrete L2(Omega) norm via cell quadrature."""
-    return math.sqrt(h * np.square(slice_values).sum())
+    return _norm(slice_values, h)
 
 
 def space_time_l2(values: np.ndarray, h: float, dt: float) -> float:
     """Discrete L2(Q) norm, summing levels 1..M (the implicit-step levels)."""
-    return float(np.sqrt(dt * h * np.sum(np.square(values[1:]))))
+    return _norm(values[1:], dt * h)
 
 
 def inner_l2(x: np.ndarray, y: np.ndarray, h: float) -> float:
@@ -137,6 +150,11 @@ def propagator(drift: DriftField, domain: DomainSpec, dt: float) -> Propagator:
         _last[:] = None, None  # release the previous factors first
         _last[:] = (drift, domain.h, dt), Propagator(drift.faces, domain, dt)
     return _last[1]
+
+
+def release_propagator():
+    """Free the factors held for the last march; the next march rebuilds them."""
+    _last[:] = None, None
 
 
 def check_levels(x: np.ndarray, message: str, first: bool):

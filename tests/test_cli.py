@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from chemosteer import cli, grid, nonlinear
+from chemosteer import cli, csvtext, grid, nonlinear
 from chemosteer.checks import run_checks
 from chemosteer.cli import (EXIT_CHECK_FAILED, EXIT_INVALID,
                             EXIT_NO_CONVERGENCE, EXIT_OK, main)
@@ -376,6 +376,20 @@ class TestCommands:
         hum = read_report(out)["reports"]["hum"]
         assert hum["cg_converged"] and hum["control_sup"] > 0.0
 
+    def test_tiny_data_norms_scale_with_the_data(self, tmp_path, monkeypatch):
+        # squared norms of 1e-160 data once underflowed: u0_l2 and C_hat_energy
+        # lost their 5th digit
+        reports = {}
+        for a in ("1", "1e-160"):
+            argv = ["linear", "--set", "domain.n_cells=16", "--set", "time.n_steps=16",
+                    "--set", f"initial_data.amplitude={a}"]
+            code, out = run_cli(argv, tmp_path / a, monkeypatch)
+            assert code == EXIT_OK
+            reports[a] = read_report(out)["reports"]["control_bound"]
+        unit, tiny = reports["1"], reports["1e-160"]
+        assert tiny["u0_l2"] == pytest.approx(1e-160 * unit["u0_l2"], rel=1e-12)
+        assert tiny["C_hat_energy"] == pytest.approx(unit["C_hat_energy"], rel=1e-9)
+
     @staticmethod
     def bad_config(tmp_path):
         """A config file whose hum.epsilon is invalid."""
@@ -403,11 +417,17 @@ class TestCommands:
 
 
 class TestWriters:
-    # Non-uniform levels and centers; the values hold the edge cases of %.17g.
-    LEVELS = np.array([0.0, 1.0 / 3.0, 0.5, 1e-3 + 1.0])
+    # Non-uniform levels and centers; the values hold the edge cases of %.17g:
+    # the bounds of fixed notation, powers of ten and their neighbours (1e20
+    # and 1e-14 round up to the next power of ten), ties that round half-even
+    # either way, and values outside (1e-270, 1e270).
+    LEVELS = np.array([0.0, 1.0 / 3.0, 0.5, 1e-3 + 1.0, 2.0, 1e-7])
     CENTERS = np.array([2.0**-30, 0.1, 1.0 / 7.0, 0.9999999999999999, 3.0])
     SPECIAL = [-0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 3.0, -17.0,
-               0.1, 2.0 / 3.0, -1e-310, 0.0, 123456789012345678.0, 1.5e-8]
+               0.1, 2.0 / 3.0, -1e-310, 0.0, 123456789012345678.0, 1.5e-8,
+               1e-5, 1e-4, 1e16, 1e17, 1e23, 1e-12, np.nextafter(1e-12, 1.0),
+               -1e-74, np.nextafter(1e74, 0.0), 99999999999999984.0,
+               1234567890123456.25, -1234567890123456.75, 1e270, 1e-270, 1e20, -1e-14]
 
     def field(self, offset=0):
         shape = (self.LEVELS.size, self.CENTERS.size)
@@ -418,6 +438,16 @@ class TestWriters:
         cli._write_field_csv(tmp_path / "u.csv", values, self.LEVELS, self.CENTERS)
         rows = [(t, x, values[k, i]) for k, t in enumerate(self.LEVELS)
                 for i, x in enumerate(self.CENTERS)]
+        assert (tmp_path / "u.csv").read_text() == reference_csv("t,x,value\n", rows)
+
+    def test_field_csv_bytes_across_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(csvtext, "BLOCK", 10)   # 3 levels a block, the last one 1
+        rng = np.random.default_rng(3)
+        levels = np.linspace(0.0, 1.0, 70)
+        values = rng.standard_normal((70, 3)) * 10.0 ** rng.integers(-30, 30, (70, 3))
+        cli._write_field_csv(tmp_path / "u.csv", values, levels, self.CENTERS[:3])
+        rows = [(t, x, values[k, i]) for k, t in enumerate(levels)
+                for i, x in enumerate(self.CENTERS[:3])]
         assert (tmp_path / "u.csv").read_text() == reference_csv("t,x,value\n", rows)
 
     def test_weights_csv_bytes(self, tmp_path):

@@ -1,7 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from chemosteer import nonlinear
+from chemosteer import nonlinear, parabolic
 from chemosteer.elliptic import PhysicsParams, drift_from_v, solve_elliptic
 from chemosteer.grid import build_beta, build_domain, build_time_grid
 from chemosteer.hum import solve_penalized
@@ -146,6 +149,38 @@ def test_verify_nonlinear_bitwise_equal_to_propagator_sweeps(small_setup, max_sw
     assert u.tobytes() == u_ref.tobytes()
     assert (report["sweeps"], report["capped_steps"]) == (sweeps, capped)
     assert sweeps > tgrid.n_steps if max_sweeps > 1 else capped == tgrid.n_steps
+
+
+def test_verification_guided_by_the_fixed_point(small_setup):
+    domain, tgrid, beta, _ = small_setup
+    phys = PhysicsParams(chi=10.0, gamma=1.0, delta=1.0)
+    u0 = 0.05 * (1.0 + np.cos(np.pi * domain.centers))
+    result = run_nonlinear(u0, phys, domain, tgrid, beta, epsilon=1e-6)
+    assert result.converged
+    u_free, free = verify_nonlinear(u0, result.f, phys, domain, tgrid)
+    u_guided, guided = verify_nonlinear(u0, result.f, phys, domain, tgrid, guide=result.u)
+    assert result.verification_sweeps == guided   # run_nonlinear passes its fixed point
+    assert guided["sweeps"] < free["sweeps"]
+    assert guided["capped_steps"] == free["capped_steps"] == 0
+    assert level_l2(u_guided[-1], domain.h) == pytest.approx(
+        level_l2(u_free[-1], domain.h), rel=1e-8)
+
+
+def test_no_factors_outlive_run_nonlinear(small_setup, monkeypatch):
+    domain, tgrid, beta, u0 = small_setup
+    built = []
+
+    class Recorded(Propagator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(parabolic, "Propagator", Recorded)
+    result = run_nonlinear(u0, PhysicsParams(chi=1.0, gamma=1.0, delta=1.0),
+                           domain, tgrid, beta, epsilon=1e-6)
+    gc.collect()
+    assert result.converged and len(built) == result.iterations
+    assert [ref() for ref in built] == [None] * len(built)
 
 
 def test_verify_nonlinear_breakdowns_raise_solver_error(small_setup, monkeypatch):
