@@ -8,15 +8,16 @@ empirical diagnostics for the associated quantitative bounds.
 
 __version__ = "0.1.0"
 
-from .carleman import CarlemanParams, WeightTables, build_weights, select_params
+from .carleman import (CarlemanParams, CarlemanSettings, WeightTables, build_weights,
+                       select_params)
 from .diagnostics import (ObservabilityReport, RecursionSpec,
                           observability_probe, recursion_simulate)
 from .elliptic import DriftField, PhysicsParams, drift_from_v, solve_elliptic
 from .grid import (BetaFunction, DomainSpec, TimeGrid, build_beta,
                    build_domain, build_time_grid)
-from .hum import (HumSolution, control_bound_report, gramian_apply,
+from .hum import (HumSettings, HumSolution, control_bound_report, gramian_apply,
                   kappa_const, solve_penalized)
-from .nonlinear import (NonlinearResult, remark_check, run_nonlinear,
+from .nonlinear import (FixedPointSettings, NonlinearResult, remark_check, run_nonlinear,
                         threshold_sweep, verify_nonlinear)
 from .parabolic import (linf_estimate_report, rho0_const, solve_adjoint,
                         solve_forward)

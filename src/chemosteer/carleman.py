@@ -29,14 +29,30 @@ from .grid import BetaFunction, DomainSpec, TimeGrid
 
 
 @dataclass(frozen=True)
+class CarlemanSettings:
+    """The config's carleman section: delta0 in (1, 2), the positive scales of
+    lam and s, and whether a fixed-point run keeps its first parameters."""
+
+    delta0: float = 1.5
+    lambda_scale: float = 1.0
+    s_scale: float = 1.0
+    freeze_after_first: bool = False
+
+    def __post_init__(self):
+        if not (1.0 < self.delta0 < 2.0):
+            raise ValueError(f"delta0 must lie in (1, 2), got {self.delta0}")
+        for name in ("lambda_scale", "s_scale"):
+            if not (getattr(self, name) > 0.0):
+                raise ValueError(f"{name} must be positive")
+
+
+@dataclass(frozen=True)
 class CarlemanParams:
     """Admissible weight parameters (lam, s, delta0) for a given drift bound."""
 
     lam: float
     s: float
     delta0: float
-    lambda_scale: float
-    s_scale: float
     beta_sup: float
     horizon_T: float
     b_sup: float
@@ -74,8 +90,7 @@ class WeightTables:
 
 
 def select_params(b_sup: float, T: float, beta: BetaFunction,
-                  delta0: float = 1.5, lambda_scale: float = 1.0,
-                  s_scale: float = 1.0) -> CarlemanParams:
+                  settings: CarlemanSettings = CarlemanSettings()) -> CarlemanParams:
     """Choose lam and s from the drift bound, enforcing both constraints.
 
     lam starts from lambda_scale * (1 + b_sup^2) and is raised if needed so
@@ -84,21 +99,16 @@ def select_params(b_sup: float, T: float, beta: BetaFunction,
     warning when the raw mid-horizon weight would underflow (computation
     proceeds on the normalized table regardless).
     """
-    if not (1.0 < delta0 < 2.0):
-        raise ValueError(f"delta0 must lie in (1, 2), got {delta0}")
-    if lambda_scale <= 0.0 or s_scale <= 0.0:
-        raise ValueError("scales must be positive")
     bsq = 1.0 + b_sup * b_sup
-    lam = lambda_scale * bsq
-    lam_min = -np.log(delta0 - 1.0) / beta.sup_norm
+    lam = settings.lambda_scale * bsq
+    lam_min = -np.log(settings.delta0 - 1.0) / beta.sup_norm
     if lam <= lam_min:
         lam = lam_min * (1.0 + 1e-9)
     gamma_lam = float(np.exp(2.0 * lam * beta.sup_norm))
-    s = s_scale * bsq * (T + T * T)
+    s = settings.s_scale * bsq * (T + T * T)
     s = max(s, gamma_lam * (T + T * T))
     params = CarlemanParams(
-        lam=float(lam), s=float(s), delta0=float(delta0),
-        lambda_scale=float(lambda_scale), s_scale=float(s_scale),
+        lam=float(lam), s=float(s), delta0=float(settings.delta0),
         beta_sup=float(beta.sup_norm), horizon_T=float(T), b_sup=float(b_sup),
     )
     if not params.constraints_certified():

@@ -15,7 +15,7 @@ from .carleman import build_weights, select_params
 from .diagnostics import RecursionSpec, observability_ratio, recursion_simulate
 from .elliptic import DriftField, PhysicsParams, drift_from_v, solve_elliptic
 from .grid import build_beta, build_domain, build_time_grid
-from .hum import adjoint_energy, dense_gramian, gramian_apply, solve_penalized
+from .hum import HumSettings, adjoint_energy, dense_gramian, gramian_apply, solve_penalized
 from .parabolic import inner_l2, level_l2, solve_adjoint, solve_forward
 
 
@@ -55,8 +55,8 @@ def gramian_defects(x, y, drift, weights, domain, tgrid) -> dict:
 def dense_kkt_deviation(u0, drift, weights, domain, tgrid, epsilon) -> float:
     """Relative distance of the CG dual datum from the dense solve of the
     penalized optimality system (G + eps I) phiT = -u_free(T)."""
-    sol = solve_penalized(u0, drift, weights, domain, tgrid, epsilon,
-                          cg_tol=1e-13, cg_max_iters=2000)
+    sol = solve_penalized(u0, drift, weights, domain, tgrid,
+                          HumSettings(epsilon=epsilon, cg_tol=1e-13, cg_max_iters=2000))
     g = dense_gramian(drift, weights, domain, tgrid)
     direct = np.linalg.solve(g + epsilon * np.eye(domain.n_cells), -sol.u_free_terminal)
     return level_l2(sol.phiT - direct, domain.h) / max(level_l2(direct, domain.h), 1e-300)
@@ -82,11 +82,11 @@ def refined_control(n_cells, epsilon=None) -> tuple:
     domain, tgrid = build_domain(n_cells, (0.3, 0.7), 0.5), build_time_grid(1.0, 2 * n_cells)
     beta = build_beta(domain)
     weights = build_weights(select_params(0.0, 1.0, beta), beta, domain, tgrid)
-    eps = domain.h ** 4 if epsilon is None else epsilon
+    hum = HumSettings(epsilon=domain.h ** 4 if epsilon is None else epsilon)
     u0 = 1e-2 * (1.0 + np.cos(np.pi * domain.centers)) / 2.0
-    sol = solve_penalized(u0, DriftField.zero(domain, tgrid), weights, domain, tgrid, eps)
+    sol = solve_penalized(u0, DriftField.zero(domain, tgrid), weights, domain, tgrid, hum)
     return (sol.weighted_energy, sol.terminal_norm,
-            sol.terminal_norm / (np.sqrt(eps) * level_l2(u0, domain.h)))
+            sol.terminal_norm / (np.sqrt(hum.epsilon) * level_l2(u0, domain.h)))
 
 
 def elliptic_error(dom) -> float:
@@ -143,7 +143,7 @@ def forward_constant_defect(value, domain, tgrid) -> float:
 
 def zero_data_control(drift, weights, domain, tgrid) -> float:
     """Terminal norm plus sup of the penalized control for zero initial data."""
-    sol = solve_penalized(np.zeros(domain.n_cells), drift, weights, domain, tgrid, 1e-4)
+    sol = solve_penalized(np.zeros(domain.n_cells), drift, weights, domain, tgrid)
     return sol.terminal_norm + sol.control_sup
 
 

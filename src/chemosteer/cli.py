@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import time as _time
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,7 +36,8 @@ EXIT_NO_CONVERGENCE = 3
 
 
 def _fmt(v) -> str:
-    return "%.17g" % float(v)
+    """%.17g of a number; an int as %d writes it, and None (no value) as nan."""
+    return str(v) if type(v) is int else "nan" if v is None else "%.17g" % float(v)
 
 
 def _out_dir(cfg: RunConfig) -> str:
@@ -58,6 +60,13 @@ def _write_weights_csv(path, weights, centers):
     with open(path, "wb") as fh:
         fh.write(b"t_mid,x,alpha,w\n")
         write_rows(fh, weights.t_mid, centers, weights.alpha, weights.w)
+
+
+def _write_table(path, header, rows):
+    """A small CSV: the header's columns of each row dict, each cell through _fmt."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(_fmt(row[name]) for name in header) + "\n" for row in rows)
 
 
 def _write_report(out, cfg, reports, timings):
@@ -96,14 +105,9 @@ def _params_report(params, log_w_peak):
             "constraints_certified": params.constraints_certified(), "log_w_peak": log_w_peak}
 
 
-def _scales(cfg: RunConfig) -> dict:
-    c = cfg.carleman
-    return {"delta0": c.delta0, "lambda_scale": c.lambda_scale, "s_scale": c.s_scale}
-
-
 def _weights(cfg: RunConfig, drift, beta, domain, tgrid):
     """Carleman parameters for drift at the configured scales, and their weights."""
-    params = select_params(drift.sup_norm, tgrid.horizon_T, beta, **_scales(cfg))
+    params = select_params(drift.sup_norm, tgrid.horizon_T, beta, cfg.carleman)
     return params, build_weights(params, beta, domain, tgrid)
 
 
@@ -111,25 +115,15 @@ def _linear_setup(cfg: RunConfig):
     """Geometry, data, drift (from the configured state guess) and weights."""
     domain, tgrid, beta, physics = build_geometry(cfg)
     u0 = initial_data(cfg, domain)
-    xi = state_guess(cfg.fixed_point.initial_guess, u0, tgrid)
+    xi = state_guess(cfg.fixed_point, u0, tgrid)
     _, drift = drift_from_state(xi, physics, domain, tgrid)
     params, weights = _weights(cfg, drift, beta, domain, tgrid)
     return domain, tgrid, beta, physics, u0, drift, params, weights
 
 
-def _run_options(cfg: RunConfig) -> dict:
-    """The keyword options of run_nonlinear, from the config."""
-    return {**_scales(cfg), "freeze_after_first": cfg.carleman.freeze_after_first,
-            "epsilon": cfg.hum.epsilon, "cg_tol": cfg.hum.cg_tol,
-            "cg_max_iters": cfg.hum.cg_max_iters, "fp_tol": cfg.fixed_point.tol,
-            "fp_max_iters": cfg.fixed_point.max_iters,
-            "initial_guess": cfg.fixed_point.initial_guess}
-
-
 def cmd_linear(cfg: RunConfig, args, out):
     domain, tgrid, beta, physics, u0, drift, params, weights = _linear_setup(cfg)
-    sol = solve_penalized(u0, drift, weights, domain, tgrid, cfg.hum.epsilon,
-                          cg_tol=cfg.hum.cg_tol, cg_max_iters=cfg.hum.cg_max_iters)
+    sol = solve_penalized(u0, drift, weights, domain, tgrid, cfg.hum)
     v = solve_elliptic(sol.u, physics, domain)
     for name, values in (("u", sol.u), ("f", sol.f), ("v", v)):
         _write_field_csv(os.path.join(out, f"{name}.csv"), values, tgrid.levels, domain.centers)
@@ -147,15 +141,12 @@ def cmd_linear(cfg: RunConfig, args, out):
 def cmd_nonlinear(cfg: RunConfig, args, out):
     domain, tgrid, beta, physics = build_geometry(cfg)
     u0 = initial_data(cfg, domain)
-    result = run_nonlinear(u0, physics, domain, tgrid, beta, **_run_options(cfg))
+    result = run_nonlinear(u0, physics, domain, tgrid, beta, carleman=cfg.carleman,
+                           hum=cfg.hum, fixed_point=cfg.fixed_point)
     for name, values in (("u", result.u), ("f", result.f), ("v", result.v)):
         _write_field_csv(os.path.join(out, f"{name}.csv"), values, tgrid.levels, domain.centers)
-    with open(os.path.join(out, "history.csv"), "w") as fh:
-        fh.write("iteration,increment,sup_u,terminal_l2,B_sup\n")
-        for row in result.history:
-            fh.write(f"{row['iteration']},{_fmt(row['increment'])},"
-                     f"{_fmt(row['sup_u'])},{_fmt(row['terminal_l2'])},"
-                     f"{_fmt(row['B_sup'])}\n")
+    _write_table(os.path.join(out, "history.csv"),
+                 ("iteration", "increment", "sup_u", "terminal_l2", "B_sup"), result.history)
     reports = {
         "fixed_point": {
             "iterations": result.iterations,
@@ -194,17 +185,13 @@ def cmd_sweep_eps(cfg: RunConfig, args, out):
     rows = []
     all_converged = True
     for eps in args.eps_list:
-        sol = solve_penalized(u0, drift, weights, domain, tgrid, eps,
-                              cg_tol=cfg.hum.cg_tol,
-                              cg_max_iters=cfg.hum.cg_max_iters)
+        sol = solve_penalized(u0, drift, weights, domain, tgrid,
+                              replace(cfg.hum, epsilon=eps))
         all_converged = all_converged and sol.cg_converged
         rows.append(_hum_report(sol))
-    with open(os.path.join(out, "eps_sweep.csv"), "w") as fh:
-        fh.write("epsilon,terminal_norm,weighted_energy,control_sup,cg_iters\n")
-        for r in rows:
-            fh.write(f"{_fmt(r['epsilon'])},{_fmt(r['terminal_norm'])},"
-                     f"{_fmt(r['weighted_energy'])},{_fmt(r['control_sup'])},"
-                     f"{r['cg_iters']}\n")
+    _write_table(os.path.join(out, "eps_sweep.csv"),
+                 ("epsilon", "terminal_norm", "weighted_energy", "control_sup", "cg_iters"),
+                 rows)
     return {"eps_sweep": rows}, EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
 
 
@@ -212,12 +199,10 @@ def cmd_sweep_T(cfg: RunConfig, args, out):
     domain, _, beta, physics = build_geometry(cfg)
     shape = (1.0 + np.cos(np.pi * domain.centers)) / 2.0
     table = threshold_sweep(args.t_list, args.amplitudes, shape, physics, domain,
-                            cfg.time.n_steps, beta, **_run_options(cfg))
-    with open(os.path.join(out, "threshold_sweep.csv"), "w") as fh:
-        fh.write("T,kappa0,a_star\n")
-        for row in table["rows"]:
-            a_star = _fmt(row["a_star"]) if row["a_star"] is not None else "nan"
-            fh.write(f"{_fmt(row['T'])},{_fmt(row['kappa0'])},{a_star}\n")
+                            cfg.time.n_steps, beta, carleman=cfg.carleman, hum=cfg.hum,
+                            fixed_point=cfg.fixed_point)
+    _write_table(os.path.join(out, "threshold_sweep.csv"), ("T", "kappa0", "a_star"),
+                 table["rows"])
     return {"threshold_sweep": table}, EXIT_OK
 
 

@@ -12,8 +12,11 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
+from .carleman import CarlemanSettings
 from .elliptic import PhysicsParams, elliptic_factors
 from .grid import DomainSpec, GeometryError, build_beta, build_domain, build_time_grid
+from .hum import HumSettings
+from .nonlinear import FixedPointSettings
 
 
 class ConfigError(ValueError):
@@ -35,35 +38,6 @@ class TimeConfig:
 
 
 @dataclass
-class PhysicsConfig:
-    chi: float = 1.0
-    gamma: float = 1.0
-    delta: float = 1.0
-
-
-@dataclass
-class CarlemanConfig:
-    delta0: float = 1.5
-    lambda_scale: float = 1.0
-    s_scale: float = 1.0
-    freeze_after_first: bool = False
-
-
-@dataclass
-class HumConfig:
-    epsilon: float = 1e-6
-    cg_tol: float = 1e-10
-    cg_max_iters: int = 500
-
-
-@dataclass
-class FixedPointConfig:
-    tol: float = 1e-6
-    max_iters: int = 30
-    initial_guess: str = "zero"
-
-
-@dataclass
 class InitialDataConfig:
     shape: str = "cosine"
     amplitude: float = 1e-2
@@ -79,10 +53,10 @@ class OutputConfig:
 class RunConfig:
     domain: DomainConfig = field(default_factory=DomainConfig)
     time: TimeConfig = field(default_factory=TimeConfig)
-    physics: PhysicsConfig = field(default_factory=PhysicsConfig)
-    carleman: CarlemanConfig = field(default_factory=CarlemanConfig)
-    hum: HumConfig = field(default_factory=HumConfig)
-    fixed_point: FixedPointConfig = field(default_factory=FixedPointConfig)
+    physics: PhysicsParams = field(default_factory=PhysicsParams)
+    carleman: CarlemanSettings = field(default_factory=CarlemanSettings)
+    hum: HumSettings = field(default_factory=HumSettings)
+    fixed_point: FixedPointSettings = field(default_factory=FixedPointSettings)
     initial_data: InitialDataConfig = field(default_factory=InitialDataConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
     seed: int = 0
@@ -123,7 +97,10 @@ def _build(cls, data, where: str):
             path = f"{where}.{f.name}" if where else f.name
             kwargs[f.name] = (_build(f.type, data[f.name], path) if is_dataclass(f.type)
                               else _checked(path, f.type, data[f.name], f.default))
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # a settings record's message starts with the key it rejects
+        raise ConfigError(f"{where}.{exc}") from exc
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -165,26 +142,12 @@ def apply_override(cfg_dict: dict, dotted: str, raw_value: str) -> None:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Re-run the structural validations of every referenced module."""
+    """The checks that span sections or need the grid; a settings record checks its own."""
     try:
         domain, _, _, physics = build_geometry(cfg)
         elliptic_factors(physics.gamma, domain.n_cells, domain.h)
     except (GeometryError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    if not (1.0 < cfg.carleman.delta0 < 2.0):
-        raise ConfigError(f"carleman.delta0 must lie in (1, 2), got {cfg.carleman.delta0}")
-    if cfg.carleman.lambda_scale <= 0.0 or cfg.carleman.s_scale <= 0.0:
-        raise ConfigError("carleman scales must be positive")
-    if cfg.hum.epsilon <= 0.0:
-        raise ConfigError("hum.epsilon must be positive")
-    if cfg.hum.cg_tol <= 0.0 or cfg.hum.cg_max_iters < 1:
-        raise ConfigError("invalid CG settings")
-    if cfg.fixed_point.tol <= 0.0:
-        raise ConfigError("fixed_point.tol must be positive")
-    if cfg.fixed_point.max_iters < 0:
-        raise ConfigError("fixed_point.max_iters must be nonnegative")
-    if cfg.fixed_point.initial_guess not in ("zero", "u0-constant"):
-        raise ConfigError(f"unknown initial guess '{cfg.fixed_point.initial_guess}'")
     if cfg.initial_data.shape not in ("cosine", "bump", "file"):
         raise ConfigError(f"unknown initial data shape '{cfg.initial_data.shape}'")
     if cfg.initial_data.shape == "file" and not cfg.initial_data.file_path:
@@ -199,10 +162,7 @@ def build_geometry(cfg: RunConfig):
                           (cfg.domain.omega_a, cfg.domain.omega_b),
                           cfg.domain.x0)
     time = build_time_grid(cfg.time.T, cfg.time.n_steps)
-    beta = build_beta(domain)
-    physics = PhysicsParams(chi=cfg.physics.chi, gamma=cfg.physics.gamma,
-                            delta=cfg.physics.delta)
-    return domain, time, beta, physics
+    return domain, time, build_beta(domain), cfg.physics
 
 
 def initial_data(cfg: RunConfig, domain: DomainSpec) -> np.ndarray:

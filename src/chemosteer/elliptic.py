@@ -18,19 +18,19 @@ from .grid import DomainSpec, TimeGrid
 
 @dataclass(frozen=True)
 class PhysicsParams:
-    """Positive model constants: sensitivity chi, decay gamma, secretion delta."""
+    """Positive model constants: sensitivity chi, decay gamma, secretion delta;
+    the config's physics section."""
 
-    chi: float
-    gamma: float
-    delta: float
+    chi: float = 1.0
+    gamma: float = 1.0
+    delta: float = 1.0
 
     def __post_init__(self):
         if not (self.chi >= 0.0):
             raise ValueError(f"chi must be nonnegative, got {self.chi}")
-        if not (self.gamma > 0.0):
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not (self.delta > 0.0):
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        for name in ("gamma", "delta"):
+            if not (getattr(self, name) > 0.0):
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,23 @@ def kappa_const(b_sup: float, T: float) -> float:
 
 
 @dataclass(frozen=True)
+class HumSettings:
+    """The config's hum section: the penalty epsilon, and the relative residual
+    and iteration cap at which CG stops."""
+
+    epsilon: float = 1e-6
+    cg_tol: float = 1e-10
+    cg_max_iters: int = 500
+
+    def __post_init__(self):
+        for name in ("epsilon", "cg_tol"):
+            if not (getattr(self, name) > 0.0):
+                raise ValueError(f"{name} must be positive")
+        if self.cg_max_iters < 1:
+            raise ValueError("cg_max_iters must be at least 1")
+
+
+@dataclass(frozen=True)
 class HumSolution:
     """Control, trajectories and diagnostics of one penalized solve."""
 
@@ -105,8 +122,8 @@ def dense_gramian(drift: DriftField, weights: WeightTables, domain: DomainSpec,
 
 
 def solve_penalized(u0: np.ndarray, drift: DriftField, weights: WeightTables,
-                    domain: DomainSpec, time: TimeGrid, epsilon: float,
-                    cg_tol: float = 1e-10, cg_max_iters: int = 500) -> HumSolution:
+                    domain: DomainSpec, time: TimeGrid,
+                    settings: HumSettings = HumSettings()) -> HumSolution:
     """Conjugate gradient on (G + eps I) phiT = -u_free(T); the control and
     the state are summed from CG's own trajectories (see the module
     docstring), so a solve marches 1 + 2 cg_iters times.
@@ -119,8 +136,6 @@ def solve_penalized(u0: np.ndarray, drift: DriftField, weights: WeightTables,
     flag rather than raised: the operator is SPD, so a stall signals
     conditioning trouble, not a wrong answer.
     """
-    if epsilon <= 0.0:
-        raise ValueError(f"penalty parameter must be positive, got {epsilon}")
     u0 = np.asarray(u0, dtype=float)
     h = domain.h
     u = solve_forward(u0, drift, None, domain, time)  # free, then controlled
@@ -135,9 +150,9 @@ def solve_penalized(u0: np.ndarray, drift: DriftField, weights: WeightTables,
     if not converged:
         r, p = rhs.copy(), rhs.copy()
         rs = inner_l2(r, r, h)
-        for iters in range(1, cg_max_iters + 1):
+        for iters in range(1, settings.cg_max_iters + 1):
             u_p = _gramian_trajectory(p, drift, weights, domain, time, f_p)
-            ap = u_p[-1] + epsilon * p
+            ap = u_p[-1] + settings.epsilon * p
             curvature = inner_l2(p, ap, h)
             alpha = rs / curvature if curvature > 0.0 else math.nan
             if not math.isfinite(alpha):
@@ -149,7 +164,7 @@ def solve_penalized(u0: np.ndarray, drift: DriftField, weights: WeightTables,
             r = r - alpha * ap
             rs_new = inner_l2(r, r, h)
             history.append(float(np.sqrt(rs_new) / rhs_norm))
-            if np.sqrt(rs_new) <= cg_tol * rhs_norm:
+            if np.sqrt(rs_new) <= settings.cg_tol * rhs_norm:
                 converged = True
                 break
             p = r + (rs_new / rs) * p
@@ -170,7 +185,7 @@ def solve_penalized(u0: np.ndarray, drift: DriftField, weights: WeightTables,
         phiT=phiT, f=f, u=u, u_free_terminal=u_free_terminal, terminal_norm=terminal_norm,
         weighted_energy=weighted, control_sup=float(np.abs(f).max()), cg_iters=iters,
         cg_residual=history[-1] if history else 0.0, cg_converged=converged,
-        residual_history=history, epsilon=float(epsilon),
+        residual_history=history, epsilon=float(settings.epsilon),
         kappa=kappa_const(drift.sup_norm, time.horizon_T), scale=e, scaled_energy=energy,
     )
 

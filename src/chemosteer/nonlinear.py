@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .carleman import build_weights, select_params
-from .elliptic import DriftField, PhysicsParams, drift_from_state, drift_from_v, solve_elliptic
+from .carleman import CarlemanSettings, build_weights, select_params
+from .elliptic import PhysicsParams, drift_from_state, drift_from_v, solve_elliptic
 from .grid import BetaFunction, DomainSpec, TimeGrid, build_time_grid
-from .hum import HumSolution, solve_penalized
+from .hum import HumSettings, HumSolution, solve_penalized
 from .parabolic import (SolverError, level_l2, m_matrix_report, release_propagator,
                         space_time_l2, step_matrix_banded)
 
@@ -42,54 +42,58 @@ class NonlinearResult:
     m_matrix: dict = None              # m_matrix_report of the last drift
 
 
-def state_guess(kind: str, u0: np.ndarray, time: TimeGrid) -> np.ndarray:
+@dataclass(frozen=True)
+class FixedPointSettings:
+    """The config's fixed_point section: the relative increment at which the
+    outer iteration stops, its cap, and the state it starts from."""
+
+    tol: float = 1e-6
+    max_iters: int = 30
+    initial_guess: str = "zero"
+
+    def __post_init__(self):
+        if not (self.tol > 0.0):
+            raise ValueError("tol must be positive")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative")
+        if self.initial_guess not in ("zero", "u0-constant"):
+            raise ValueError(f"initial_guess must be zero or u0-constant: {self.initial_guess!r}")
+
+
+def state_guess(settings: FixedPointSettings, u0: np.ndarray, time: TimeGrid) -> np.ndarray:
     """The (M+1, N) state trajectory an outer iteration starts from."""
     u0 = np.asarray(u0, dtype=float)
-    if kind == "zero":
+    if settings.initial_guess == "zero":
         return np.zeros((time.n_steps + 1, u0.size))
-    if kind == "u0-constant":
-        return np.tile(u0, (time.n_steps + 1, 1))
-    raise ValueError(f"unknown initial guess '{kind}'")
+    return np.tile(u0, (time.n_steps + 1, 1))
 
 
 def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
                   time: TimeGrid, beta: BetaFunction,
-                  delta0: float = 1.5, lambda_scale: float = 1.0,
-                  s_scale: float = 1.0, freeze_after_first: bool = False,
-                  epsilon: float = 1e-6, cg_tol: float = 1e-10,
-                  cg_max_iters: int = 500, fp_tol: float = 1e-6,
-                  fp_max_iters: int = 30,
-                  initial_guess: str = "zero") -> NonlinearResult:
+                  carleman: CarlemanSettings = CarlemanSettings(),
+                  hum: HumSettings = HumSettings(),
+                  fixed_point: FixedPointSettings = FixedPointSettings()) -> NonlinearResult:
     """Iterate the linearized control map until the state guess converges.
 
-    Stops when |xi_{k+1} - xi_k|_{L2(Q)} <= fp_tol * max(1, |xi_k|) or at the
-    iteration cap (returned with converged=False, never raised).  The in_K
-    flag records whether every iterate stayed in the unit sup-norm ball; it
-    is diagnostic only and does not stop the iteration.
+    Stops when |xi_{k+1} - xi_k|_{L2(Q)} <= fixed_point.tol * max(1, |xi_k|)
+    or at fixed_point.max_iters (returned with converged=False, never
+    raised).  The in_K flag records whether every iterate stayed in the unit
+    sup-norm ball; it is diagnostic only and does not stop the iteration.
     """
     u0 = np.asarray(u0, dtype=float)
-    if fp_tol <= 0.0:
-        raise ValueError("fp_tol must be positive")
-    xi = state_guess(initial_guess, u0, time)
+    xi = state_guess(fixed_point, u0, time)
     history = []
     converged = False
     in_k = True
     sol = None
     params = None
-    v = np.zeros_like(xi)
-    drift = DriftField.zero(domain, time)
-    iterations = 0
 
-    for it in range(1, fp_max_iters + 1):
-        iterations = it
-        v, drift = drift_from_state(xi, physics, domain, time)
-        if params is None or not freeze_after_first:
-            params = select_params(drift.sup_norm, time.horizon_T, beta,
-                                   delta0=delta0, lambda_scale=lambda_scale,
-                                   s_scale=s_scale)
+    for it in range(1, fixed_point.max_iters + 1):
+        drift = drift_from_state(xi, physics, domain, time)[1]
+        if params is None or not carleman.freeze_after_first:
+            params = select_params(drift.sup_norm, time.horizon_T, beta, carleman)
         weights = build_weights(params, beta, domain, time)
-        sol = solve_penalized(u0, drift, weights, domain, time, epsilon,
-                              cg_tol=cg_tol, cg_max_iters=cg_max_iters)
+        sol = solve_penalized(u0, drift, weights, domain, time, hum)
         xi_new = sol.u
         increment = space_time_l2(xi_new - xi, domain.h, time.dt)
         sup_u = float(np.abs(xi_new).max())
@@ -104,14 +108,14 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
         })
         scale = max(1.0, space_time_l2(xi, domain.h, time.dt))
         xi = xi_new
-        if increment <= fp_tol * scale:
+        if increment <= fixed_point.tol * scale:
             converged = True
             break
 
     if sol is None:
         # iteration cap of zero: report the (empty) initial guess honestly
-        f = np.zeros_like(xi)
-        return NonlinearResult(u=xi, v=v, f=f, iterations=0, history=[],
+        return NonlinearResult(u=xi, v=np.zeros_like(xi), f=np.zeros_like(xi),
+                               iterations=0, history=[],
                                converged=False, in_K=in_k,
                                verification_terminal_l2=float("nan"))
 
@@ -119,7 +123,7 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
     verification, sweeps = verify_nonlinear(u0, sol.f, physics, domain, time, guide=xi)
     return NonlinearResult(
         u=xi, v=solve_elliptic(xi, physics, domain), f=sol.f,
-        iterations=iterations, history=history,
+        iterations=len(history), history=history,
         converged=converged, in_K=in_k,
         verification_terminal_l2=level_l2(verification[-1], domain.h),
         verification_sweeps=sweeps,

@@ -19,8 +19,8 @@ from chemosteer.checks import (dense_kkt_deviation, difference_ratios, duality_d
 from chemosteer.diagnostics import RecursionSpec, recursion_simulate
 from chemosteer.elliptic import DriftField, PhysicsParams
 from chemosteer.grid import build_beta, build_domain, build_time_grid
-from chemosteer.hum import solve_penalized
-from chemosteer.nonlinear import run_nonlinear, threshold_sweep
+from chemosteer.hum import HumSettings, solve_penalized
+from chemosteer.nonlinear import FixedPointSettings, run_nonlinear, threshold_sweep
 from chemosteer.parabolic import level_l2
 from conftest import default_weights, heat_error
 
@@ -103,7 +103,7 @@ def decay_run():
         drift = DriftField.zero(dom, tg)
         weights = default_weights(dom, tg, beta, b_sup=0.0)
         u0 = cosine_data(dom, 1e-2)
-        sols = {eps: solve_penalized(u0, drift, weights, dom, tg, eps)
+        sols = {eps: solve_penalized(u0, drift, weights, dom, tg, HumSettings(epsilon=eps))
                 for eps in (1e-2, 1e-4, 1e-6)}
         _DECAY_CACHE.update(dom=dom, sols=sols,
                             wall=_time.perf_counter() - t0)
@@ -144,7 +144,7 @@ def test_criterion_06_nonlinear_fixed_point():
     beta = build_beta(dom)
     phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
     u0 = cosine_data(dom, 1e-3)
-    result = run_nonlinear(u0, phys, dom, tg, beta, epsilon=1e-6)
+    result = run_nonlinear(u0, phys, dom, tg, beta, hum=HumSettings(epsilon=1e-6))
     wall = _time.perf_counter() - t0
     u0_l2 = level_l2(u0, dom.h)
     value = result.verification_terminal_l2
@@ -166,10 +166,10 @@ def test_criterion_07_decoupled_equivalence():
     beta = build_beta(dom)
     u0 = cosine_data(dom, 1e-2)
     result = run_nonlinear(u0, PhysicsParams(chi=0.0, gamma=1.0, delta=1.0),
-                           dom, tg, beta, epsilon=1e-6)
+                           dom, tg, beta, hum=HumSettings(epsilon=1e-6))
     drift = DriftField.zero(dom, tg)
     weights = default_weights(dom, tg, beta, b_sup=0.0)
-    sol = solve_penalized(u0, drift, weights, dom, tg, 1e-6)
+    sol = solve_penalized(u0, drift, weights, dom, tg, HumSettings(epsilon=1e-6))
     ok = (result.converged
           and np.array_equal(result.u, sol.u)
           and np.array_equal(result.f, sol.f))
@@ -240,7 +240,7 @@ def test_criterion_11_threshold_sweep():
     shape = (1.0 + np.cos(np.pi * dom.centers)) / 2.0
     table = threshold_sweep(
         [0.25, 1.0, 4.0], [1e-3, 1e-2, 0.1, 0.5, 2.0], shape, phys, dom,
-        60, beta, epsilon=1e-6, fp_max_iters=20,
+        60, beta, hum=HumSettings(epsilon=1e-6), fixed_point=FixedPointSettings(max_iters=20),
     )
     monotone = all(
         [c["success"] for c in row["cells"]]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chemosteer.carleman import build_weights, select_params
+from chemosteer.carleman import CarlemanSettings, build_weights, select_params
 from chemosteer.checks import weight_chain_holds
 from chemosteer.grid import build_time_grid
 from conftest import default_weights
@@ -18,14 +18,14 @@ class TestSelectParams:
 
     def test_lambda_scale_dominates_floor(self, beta32):
         with pytest.warns(RuntimeWarning):
-            params = select_params(1.0, 1.0, beta32, lambda_scale=3.0)
+            params = select_params(1.0, 1.0, beta32, CarlemanSettings(lambda_scale=3.0))
         # 3 * (1 + 1) = 6 exceeds the floor, so it is taken verbatim
         assert params.lam == 6.0
         assert params.gamma_of_lambda == pytest.approx(np.exp(3.0))
 
     def test_identity_omega_sqrt_gamma(self, beta32):
         with pytest.warns(RuntimeWarning):
-            params = select_params(0.7, 2.0, beta32, lambda_scale=5.0)
+            params = select_params(0.7, 2.0, beta32, CarlemanSettings(lambda_scale=5.0))
         assert params.omega_of_lambda * np.sqrt(params.gamma_of_lambda) == \
             pytest.approx(1.0, rel=1e-12)
 
@@ -36,19 +36,19 @@ class TestSelectParams:
 
     def test_invalid_delta0(self, beta32):
         with pytest.raises(ValueError):
-            select_params(0.0, 1.0, beta32, delta0=1.0)
+            select_params(0.0, 1.0, beta32, CarlemanSettings(delta0=1.0))
         with pytest.raises(ValueError):
-            select_params(0.0, 1.0, beta32, delta0=2.5)
+            select_params(0.0, 1.0, beta32, CarlemanSettings(delta0=2.5))
 
     def test_invalid_scales(self, beta32):
         with pytest.raises(ValueError):
-            select_params(0.0, 1.0, beta32, lambda_scale=0.0)
+            select_params(0.0, 1.0, beta32, CarlemanSettings(lambda_scale=0.0))
         with pytest.raises(ValueError):
-            select_params(0.0, 1.0, beta32, s_scale=-1.0)
+            select_params(0.0, 1.0, beta32, CarlemanSettings(s_scale=-1.0))
 
     def test_underflow_warning(self, beta32):
         with pytest.warns(RuntimeWarning):
-            select_params(0.0, 1.0, beta32, s_scale=50.0)
+            select_params(0.0, 1.0, beta32, CarlemanSettings(s_scale=50.0))
 
     def test_uncertified_params_raise(self, beta32):
         # a non-finite drift bound leaves lam and s undefined; the check is

@@ -72,6 +72,11 @@ INVALID_INPUTS = {
     # the elliptic operator is not definite: its factorization fails
     "gamma-singular": ["--set", "physics.gamma=1e-300"],
 }
+# Values out of the range their settings record checks; the message names the key.
+OUT_OF_RANGE_SETTINGS = ["carleman.delta0=2", "carleman.s_scale=0", "hum.cg_tol=0",
+                         "hum.cg_max_iters=0", "fixed_point.tol=0", "fixed_point.max_iters=-1",
+                         "fixed_point.initial_guess=bogus", "physics.chi=-1", "physics.delta=0"]
+INVALID_INPUTS.update({setting: ["--set", setting] for setting in OUT_OF_RANGE_SETTINGS})
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -97,6 +102,19 @@ class TestConfig:
         cfg = RunConfig()
         again = config_from_dict(json.loads(cfg.canonical_json()))
         assert again.content_hash() == cfg.content_hash()
+
+    def test_default_echo_and_hash_pinned(self):
+        cfg = RunConfig()
+        assert cfg.canonical_json() == (
+            '{"carleman":{"delta0":1.5,"freeze_after_first":false,"lambda_scale":1.0,'
+            '"s_scale":1.0},"domain":{"n_cells":100,"omega_a":0.3,"omega_b":0.7,"x0":0.5},'
+            '"fixed_point":{"initial_guess":"zero","max_iters":30,"tol":1e-06},'
+            '"hum":{"cg_max_iters":500,"cg_tol":1e-10,"epsilon":1e-06},'
+            '"initial_data":{"amplitude":0.01,"file_path":null,"shape":"cosine"},'
+            '"output":{"dir":"out"},"physics":{"chi":1.0,"delta":1.0,"gamma":1.0},'
+            '"seed":0,"time":{"T":1.0,"n_steps":200}}')
+        assert cfg.content_hash() == (
+            "104b25937736862fa9ec0ddcdb410795f051b88276e7e8a308dd26a62e6c2dfa")
 
     def test_hash_changes_with_content(self):
         base = RunConfig()
@@ -310,7 +328,7 @@ class TestCommands:
                 "--set", "fixed_point.initial_guess=u0-constant"] + SMALL
         code, _ = run_cli(args, tmp_path, monkeypatch)
         assert code == EXIT_OK and len(calls) == 1
-        assert calls[0]["initial_guess"] == "u0-constant"
+        assert calls[0]["fixed_point"].initial_guess == "u0-constant"
         options = list(inspect.signature(run_nonlinear).parameters)[5:]
         assert set(calls[0]) == set(options)
 
@@ -345,6 +363,8 @@ class TestCommands:
         err = capsys.readouterr().err
         assert code == EXIT_INVALID
         assert err.startswith("error: ") and err.count("\n") == 1
+        if args[-1] in OUT_OF_RANGE_SETTINGS:
+            assert err.startswith(f"error: {args[-1].split('=')[0]} ")
 
     def test_solver_breakdown_exits_3_with_one_line(self, tmp_path, monkeypatch,
                                                     capsys):

@@ -7,7 +7,7 @@ from chemosteer.checks import (dense_kkt_deviation, gramian_defects, random_drif
                                zero_data_control)
 from chemosteer.elliptic import DriftField
 from chemosteer.grid import build_beta, build_domain, build_time_grid
-from chemosteer.hum import (control_bound_report, dense_gramian,
+from chemosteer.hum import (HumSettings, control_bound_report, dense_gramian,
                             feedback_control, gramian_apply, kappa_const,
                             solve_penalized)
 from chemosteer.parabolic import (Propagator, SolverError, level_l2, solve_adjoint,
@@ -69,7 +69,8 @@ class TestSolvePenalized:
     def test_zero_data_shortcut(self, domain32, tgrid24, beta32):
         drift = DriftField.zero(domain32, tgrid24)
         weights = default_weights(domain32, tgrid24, beta32)
-        sol = solve_penalized(np.zeros(32), drift, weights, domain32, tgrid24, 1e-4)
+        sol = solve_penalized(np.zeros(32), drift, weights, domain32, tgrid24,
+                              HumSettings(epsilon=1e-4))
         assert sol.cg_converged and sol.cg_iters == 0
         assert zero_data_control(drift, weights, domain32, tgrid24) == 0.0
 
@@ -77,15 +78,16 @@ class TestSolvePenalized:
         drift = DriftField.zero(domain32, tgrid24)
         weights = default_weights(domain32, tgrid24, beta32)
         with pytest.raises(ValueError):
-            solve_penalized(np.ones(32), drift, weights, domain32, tgrid24, 0.0)
+            solve_penalized(np.ones(32), drift, weights, domain32, tgrid24,
+                            HumSettings(epsilon=0.0))
 
     def test_terminal_is_minus_eps_phiT(self, domain32, tgrid24, beta32):
         # optimality: u(T) = -eps phiT up to the CG tolerance
         drift = DriftField.zero(domain32, tgrid24)
         weights = default_weights(domain32, tgrid24, beta32)
         u0 = 1e-2 * (1.0 + np.cos(np.pi * domain32.centers)) / 2.0
-        sol = solve_penalized(u0, drift, weights, domain32, tgrid24, 1e-4,
-                              cg_tol=1e-12)
+        sol = solve_penalized(u0, drift, weights, domain32, tgrid24,
+                              HumSettings(epsilon=1e-4, cg_tol=1e-12))
         assert sol.cg_converged
         defect = level_l2(sol.u[-1] + 1e-4 * sol.phiT, domain32.h)
         assert defect <= 1e-10 * max(sol.terminal_norm, level_l2(u0, domain32.h))
@@ -94,7 +96,7 @@ class TestSolvePenalized:
         drift = DriftField.zero(domain32, tgrid24)
         weights = default_weights(domain32, tgrid24, beta32)
         u0 = 1e-2 * (1.0 + np.cos(np.pi * domain32.centers)) / 2.0
-        sol = solve_penalized(u0, drift, weights, domain32, tgrid24, 1e-6)
+        sol = solve_penalized(u0, drift, weights, domain32, tgrid24, HumSettings(epsilon=1e-6))
         free_norm = level_l2(sol.u_free_terminal, domain32.h)
         assert sol.terminal_norm < 1e-2 * free_norm
 
@@ -103,7 +105,7 @@ class TestSolvePenalized:
         drift = random_drift(rng, domain32, tgrid24, amplitude=0.5)
         weights = default_weights(domain32, tgrid24, beta32, b_sup=drift.sup_norm)
         u0 = rng.uniform(0.0, 1e-2, 32)
-        sol = solve_penalized(u0, drift, weights, domain32, tgrid24, 1e-4)
+        sol = solve_penalized(u0, drift, weights, domain32, tgrid24, HumSettings(epsilon=1e-4))
         assert sol.weighted_energy > 0.0
         assert sol.control_sup == np.abs(sol.f).max()
         rep = control_bound_report(sol, u0, domain32)
@@ -114,8 +116,8 @@ class TestSolvePenalized:
         drift = DriftField.zero(domain32, tgrid24)
         weights = default_weights(domain32, tgrid24, beta32)
         u0 = 1e-2 * (1.0 + np.cos(np.pi * domain32.centers)) / 2.0
-        sol = solve_penalized(u0, drift, weights, domain32, tgrid24, 1e-6,
-                              cg_tol=1e-16, cg_max_iters=1)
+        sol = solve_penalized(u0, drift, weights, domain32, tgrid24,
+                              HumSettings(epsilon=1e-6, cg_tol=1e-16, cg_max_iters=1))
         assert not sol.cg_converged
         assert sol.cg_iters == 1
         assert np.all(np.isfinite(sol.u))
@@ -149,7 +151,7 @@ class TestSynthesisByLinearity:
         monkeypatch.setattr(Propagator, "march",
                             lambda self, *a, **k: marches.append(1) or march(self, *a, **k))
         sol = solve_penalized(cosine_data(domain32, 1e-2), drift, weights,
-                              domain32, tgrid24, 1e-6)
+                              domain32, tgrid24, HumSettings(epsilon=1e-6))
         assert sol.cg_iters >= 3
         assert len(marches) == 1 + 2 * sol.cg_iters
 
@@ -159,7 +161,7 @@ class TestSynthesisByLinearity:
         drift = random_drift(rng, domain32, tgrid24, amplitude=1.5, per_step=True)
         weights = default_weights(domain32, tgrid24, beta32, b_sup=drift.sup_norm)
         u0 = rng.uniform(0.0, 1e-2, 32)
-        sol = solve_penalized(u0, drift, weights, domain32, tgrid24, 1e-6)
+        sol = solve_penalized(u0, drift, weights, domain32, tgrid24, HumSettings(epsilon=1e-6))
         f = feedback_control(solve_adjoint(sol.phiT, drift, domain32, tgrid24),
                              weights, domain32)
         u = solve_forward(u0, drift, sol.f, domain32, tgrid24)
@@ -175,7 +177,8 @@ class TestSynthesisByLinearity:
         drift = random_drift(rng, domain32, tgrid24, amplitude=1.0, per_step=True)
         weights = default_weights(domain32, tgrid24, beta32, b_sup=drift.sup_norm)
         one, low = (solve_penalized(np.ldexp(cosine_data(domain32, 1e-2), k), drift,
-                                    weights, domain32, tgrid24, 1e-6) for k in (0, -600))
+                                    weights, domain32, tgrid24, HumSettings(epsilon=1e-6))
+                     for k in (0, -600))
         assert low.cg_iters == one.cg_iters and low.residual_history == one.residual_history
         for a, b in ((one.f, low.f), (one.u, low.u), (one.phiT, low.phiT)):
             assert np.array_equal(np.ldexp(a, -600), b)
@@ -186,7 +189,8 @@ class TestSynthesisByLinearity:
         drift = DriftField.zero(domain32, tgrid24)
         weights = default_weights(domain32, tgrid24, beta32)
         one, tiny = (solve_penalized(cosine_data(domain32, a), drift, weights,
-                                     domain32, tgrid24, 1e-6) for a in (1.0, amplitude))
+                                     domain32, tgrid24, HumSettings(epsilon=1e-6))
+                      for a in (1.0, amplitude))
         assert tiny.cg_converged and tiny.cg_iters == one.cg_iters
         scale = amplitude * np.abs(one.f).max()
         assert np.abs(tiny.f - amplitude * one.f).max() <= 1e-12 * scale
@@ -198,7 +202,7 @@ class TestSynthesisByLinearity:
         weights = default_weights(domain32, tgrid24, beta32)
         with pytest.raises(SolverError, match="overflows the float range"):
             solve_penalized(cosine_data(domain32, 1e160), drift, weights, domain32, tgrid24,
-                            1e-6)
+                            HumSettings(epsilon=1e-6))
 
     @pytest.mark.parametrize("epsilon", [1e-320, 5e-324])
     def test_cg_breakdown_raises_solver_error(self, domain32, tgrid24, beta32, epsilon):
@@ -209,4 +213,4 @@ class TestSynthesisByLinearity:
         blind = dataclasses.replace(weights, w=np.zeros_like(weights.w))
         with pytest.raises(SolverError, match="CG breakdown at iteration 1"):
             solve_penalized(cosine_data(domain32, 1e-2), drift, blind, domain32, tgrid24,
-                            epsilon)
+                            HumSettings(epsilon=epsilon))

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from chemosteer import nonlinear, parabolic
+from chemosteer.carleman import CarlemanSettings
 from chemosteer.elliptic import PhysicsParams, drift_from_v, solve_elliptic
 from chemosteer.grid import build_beta, build_domain, build_time_grid
-from chemosteer.hum import solve_penalized
-from chemosteer.nonlinear import (remark_check, run_nonlinear, threshold_sweep,
-                                  verify_nonlinear)
+from chemosteer.hum import HumSettings, solve_penalized
+from chemosteer.nonlinear import (FixedPointSettings, remark_check, run_nonlinear,
+                                  threshold_sweep, verify_nonlinear)
 from chemosteer.parabolic import Propagator, SolverError, level_l2
 from conftest import default_weights
 
@@ -26,7 +27,7 @@ def small_setup():
 def test_converges_small_data(small_setup):
     domain, tgrid, beta, u0 = small_setup
     phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
-    result = run_nonlinear(u0, phys, domain, tgrid, beta, epsilon=1e-6)
+    result = run_nonlinear(u0, phys, domain, tgrid, beta, hum=HumSettings(epsilon=1e-6))
     assert result.converged
     assert result.in_K
     assert result.iterations <= 10
@@ -40,13 +41,13 @@ def test_decoupled_matches_linear_exactly(small_setup):
     # correction and reproduces the linear solver bit for bit
     domain, tgrid, beta, u0 = small_setup
     phys = PhysicsParams(chi=0.0, gamma=1.0, delta=1.0)
-    result = run_nonlinear(u0, phys, domain, tgrid, beta, epsilon=1e-6)
+    result = run_nonlinear(u0, phys, domain, tgrid, beta, hum=HumSettings(epsilon=1e-6))
     assert result.converged
 
     from chemosteer.elliptic import DriftField
     drift = DriftField.zero(domain, tgrid)
     weights = default_weights(domain, tgrid, beta, b_sup=0.0)
-    sol = solve_penalized(u0, drift, weights, domain, tgrid, 1e-6)
+    sol = solve_penalized(u0, drift, weights, domain, tgrid, HumSettings(epsilon=1e-6))
     assert np.array_equal(result.u, sol.u)
     assert np.array_equal(result.f, sol.f)
 
@@ -54,7 +55,7 @@ def test_decoupled_matches_linear_exactly(small_setup):
 def test_history_rows_complete(small_setup):
     domain, tgrid, beta, u0 = small_setup
     phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
-    result = run_nonlinear(u0, phys, domain, tgrid, beta, epsilon=1e-6)
+    result = run_nonlinear(u0, phys, domain, tgrid, beta, hum=HumSettings(epsilon=1e-6))
     for row in result.history:
         assert set(row) == {"iteration", "increment", "sup_u",
                             "terminal_l2", "B_sup"}
@@ -65,7 +66,8 @@ def test_history_rows_complete(small_setup):
 def test_zero_iteration_cap(small_setup):
     domain, tgrid, beta, u0 = small_setup
     phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
-    result = run_nonlinear(u0, phys, domain, tgrid, beta, fp_max_iters=0)
+    result = run_nonlinear(u0, phys, domain, tgrid, beta,
+                           fixed_point=FixedPointSettings(max_iters=0))
     assert not result.converged
     assert result.iterations == 0 and result.history == []
 
@@ -73,18 +75,20 @@ def test_zero_iteration_cap(small_setup):
 def test_u0_constant_initial_guess(small_setup):
     domain, tgrid, beta, u0 = small_setup
     phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
-    result = run_nonlinear(u0, phys, domain, tgrid, beta,
-                           initial_guess="u0-constant", epsilon=1e-6)
+    result = run_nonlinear(u0, phys, domain, tgrid, beta, hum=HumSettings(epsilon=1e-6),
+                           fixed_point=FixedPointSettings(initial_guess="u0-constant"))
     assert result.converged
     with pytest.raises(ValueError):
-        run_nonlinear(u0, phys, domain, tgrid, beta, initial_guess="bogus")
+        run_nonlinear(u0, phys, domain, tgrid, beta,
+                      fixed_point=FixedPointSettings(initial_guess="bogus"))
 
 
 def test_freeze_after_first(small_setup):
     domain, tgrid, beta, u0 = small_setup
     phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
     result = run_nonlinear(u0, phys, domain, tgrid, beta,
-                           freeze_after_first=True, epsilon=1e-6)
+                           carleman=CarlemanSettings(freeze_after_first=True),
+                           hum=HumSettings(epsilon=1e-6))
     assert result.converged
     # parameters were selected from the zero initial guess and kept
     assert result.params_last.b_sup == 0.0
@@ -155,7 +159,7 @@ def test_verification_guided_by_the_fixed_point(small_setup):
     domain, tgrid, beta, _ = small_setup
     phys = PhysicsParams(chi=10.0, gamma=1.0, delta=1.0)
     u0 = 0.05 * (1.0 + np.cos(np.pi * domain.centers))
-    result = run_nonlinear(u0, phys, domain, tgrid, beta, epsilon=1e-6)
+    result = run_nonlinear(u0, phys, domain, tgrid, beta, hum=HumSettings(epsilon=1e-6))
     assert result.converged
     u_free, free = verify_nonlinear(u0, result.f, phys, domain, tgrid)
     u_guided, guided = verify_nonlinear(u0, result.f, phys, domain, tgrid, guide=result.u)
@@ -177,7 +181,7 @@ def test_no_factors_outlive_run_nonlinear(small_setup, monkeypatch):
 
     monkeypatch.setattr(parabolic, "Propagator", Recorded)
     result = run_nonlinear(u0, PhysicsParams(chi=1.0, gamma=1.0, delta=1.0),
-                           domain, tgrid, beta, epsilon=1e-6)
+                           domain, tgrid, beta, hum=HumSettings(epsilon=1e-6))
     gc.collect()
     assert result.converged and len(built) == result.iterations
     assert [ref() for ref in built] == [None] * len(built)
@@ -202,7 +206,7 @@ def test_verify_nonlinear_breakdowns_raise_solver_error(small_setup, monkeypatch
 def test_run_nonlinear_reports_verification_sweeps(small_setup):
     domain, tgrid, beta, u0 = small_setup
     phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
-    result = run_nonlinear(u0, phys, domain, tgrid, beta, epsilon=1e-6)
+    result = run_nonlinear(u0, phys, domain, tgrid, beta, hum=HumSettings(epsilon=1e-6))
     assert result.verification_sweeps["capped_steps"] == 0
     assert result.m_matrix["is_m_matrix"]
     assert result.log_w_peak < 0.0
@@ -211,7 +215,7 @@ def test_run_nonlinear_reports_verification_sweeps(small_setup):
 def test_remark_check_tail(small_setup):
     domain, tgrid, beta, u0 = small_setup
     phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
-    result = run_nonlinear(u0, phys, domain, tgrid, beta, epsilon=1e-6)
+    result = run_nonlinear(u0, phys, domain, tgrid, beta, hum=HumSettings(epsilon=1e-6))
     rep = remark_check(result, domain, tgrid)
     assert len(rep["tail_norms"]) == len(rep["tail_levels"])
     # the chemoattractant is driven down with the population density
@@ -222,7 +226,7 @@ def test_invalid_fp_tol(small_setup):
     domain, tgrid, beta, u0 = small_setup
     phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
     with pytest.raises(ValueError):
-        run_nonlinear(u0, phys, domain, tgrid, beta, fp_tol=0.0)
+        run_nonlinear(u0, phys, domain, tgrid, beta, fixed_point=FixedPointSettings(tol=0.0))
 
 
 class TestThresholdSweep:
@@ -233,7 +237,7 @@ class TestThresholdSweep:
         shape = (1.0 + np.cos(np.pi * domain.centers)) / 2.0
         table = threshold_sweep(
             [0.5, 1.0], [1e-3, 1e-2, 2.0], shape, phys, domain,
-            40, beta, epsilon=1e-6, fp_max_iters=15,
+            40, beta, hum=HumSettings(epsilon=1e-6), fixed_point=FixedPointSettings(max_iters=15),
         )
         for row in table["rows"]:
             flags = [c["success"] for c in row["cells"]]
