@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BetaFunction, DomainSpec, TimeGrid
+from .grid import BetaFunction, DomainSpec, SolverError, TimeGrid
 
 
 @dataclass(frozen=True)
@@ -90,14 +90,15 @@ class WeightTables:
 
 
 def select_params(b_sup: float, T: float, beta: BetaFunction,
-                  settings: CarlemanSettings = CarlemanSettings()) -> CarlemanParams:
+                  settings: CarlemanSettings = CarlemanSettings(), *,
+                  stacklevel: int = 2) -> CarlemanParams:
     """Choose lam and s from the drift bound, enforcing both constraints.
 
     lam starts from lambda_scale * (1 + b_sup^2) and is raised if needed so
     that omega(lam) < delta0 - 1; s starts from s_scale * (1 + b_sup^2) *
     (T + T^2) and is raised if needed to s >= gamma(lam) (T + T^2).  Emits a
-    warning when the raw mid-horizon weight would underflow (computation
-    proceeds on the normalized table regardless).
+    warning, attributed stacklevel frames up, when the raw mid-horizon weight
+    would underflow (computation proceeds on the normalized table regardless).
     """
     bsq = 1.0 + b_sup * b_sup
     lam = settings.lambda_scale * bsq
@@ -117,30 +118,36 @@ def select_params(b_sup: float, T: float, beta: BetaFunction,
     if params.delta0 * params.s * abs(alpha0_mid) > 700.0:
         warnings.warn(
             "raw mid-horizon weight underflows; normalized table remains usable",
-            RuntimeWarning, stacklevel=2,
+            RuntimeWarning, stacklevel=stacklevel,
         )
     return params
 
 
-def build_weights(params: CarlemanParams, beta: BetaFunction, domain: DomainSpec,
-                  time: TimeGrid) -> WeightTables:
-    """Evaluate alpha and the normalized weight at all midpoints.
+def build_weights(b_sup: float, beta: BetaFunction, domain: DomainSpec, time: TimeGrid,
+                  settings: CarlemanSettings = CarlemanSettings()) -> WeightTables:
+    """The weights of a drift bounded by b_sup: the parameters select_params
+    chooses on the horizon of time, then alpha and the normalized weight at
+    all midpoints.
 
     All exponentials are assembled in log space; underflow to exactly zero
     is accepted and is what switches the feedback off near t = 0 and t = T.
+    A table past the float range (delta0 s alpha overflows) raises SolverError.
     """
     if time.n_steps < 4:
         raise ValueError("need at least 4 time steps for the weight tables")
     T = time.horizon_T
+    params = select_params(b_sup, T, beta, settings, stacklevel=3)
     t = time.midpoints[:, None]                      # (M, 1)
     denom = t * (T - t)
     e_lb = np.exp(params.lam * beta.at_centers)[None, :]
-    gamma_lam = params.gamma_of_lambda
-    alpha = (e_lb - gamma_lam) / denom
-    exponent = params.delta0 * params.s * alpha
+    with np.errstate(over="ignore"):  # checked below, at the peak
+        alpha = (e_lb - params.gamma_of_lambda) / denom
+        exponent = params.delta0 * params.s * alpha
     peak = float(exponent.max())
-    w = np.exp(exponent - peak)
+    if not np.isfinite(peak):
+        raise SolverError(f"the Carleman weight table overflows: delta0 s alpha is {peak} "
+                          f"at lambda={params.lam:.6g}, s={params.s:.6g}")
     return WeightTables(
         params=params, t_mid=time.midpoints.copy(),
-        alpha=alpha, w=w, log_w_peak=peak,
+        alpha=alpha, w=np.exp(exponent - peak), log_w_peak=peak,
     )

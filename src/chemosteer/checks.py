@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .carleman import build_weights, select_params
+from .carleman import build_weights
 from .diagnostics import RecursionSpec, observability_ratio, recursion_simulate
 from .elliptic import DriftField, PhysicsParams, drift_from_v, solve_elliptic
 from .grid import build_beta, build_domain, build_time_grid
@@ -81,7 +81,7 @@ def refined_control(n_cells, epsilon=None) -> tuple:
     epsilon None is Boyer's eps = h^4, which keeps the last one bounded as h -> 0."""
     domain, tgrid = build_domain(n_cells, (0.3, 0.7), 0.5), build_time_grid(1.0, 2 * n_cells)
     beta = build_beta(domain)
-    weights = build_weights(select_params(0.0, 1.0, beta), beta, domain, tgrid)
+    weights = build_weights(0.0, beta, domain, tgrid)
     hum = HumSettings(epsilon=domain.h ** 4 if epsilon is None else epsilon)
     u0 = 1e-2 * (1.0 + np.cos(np.pi * domain.centers)) / 2.0
     sol = solve_penalized(u0, DriftField.zero(domain, tgrid), weights, domain, tgrid, hum)
@@ -160,13 +160,12 @@ def selftest_problem(corrupt_adjoint=False) -> SimpleNamespace:
         p.adjoint = lambda *args: solve_adjoint(*args) * (1.0 + 1e-6)
     p.drift = random_drift(rng, domain, tgrid)
     p.u0, p.phiT, p.f = (rng.standard_normal(s) for s in (32, 32, (25, 32)))
-    p.params = select_params(p.drift.sup_norm, 1.0, p.beta)
-    p.weights = build_weights(p.params, p.beta, domain, tgrid)
+    p.weights = build_weights(p.drift.sup_norm, p.beta, domain, tgrid)
     p.x, p.y = rng.standard_normal(32), rng.standard_normal(32)
     dom8, tg8 = build_domain(8, (0.25, 0.75), 0.5), build_time_grid(1.0, 8)
     beta8, drift8 = build_beta(dom8), random_drift(rng, dom8, tg8)
-    weights8 = build_weights(select_params(drift8.sup_norm, 1.0, beta8), beta8, dom8, tg8)
-    p.oracle = (rng.standard_normal(8), drift8, weights8, dom8, tg8, 1e-4)
+    p.oracle = (rng.standard_normal(8), drift8, build_weights(drift8.sup_norm, beta8, dom8, tg8),
+                dom8, tg8, 1e-4)
     return p
 
 
@@ -194,7 +193,7 @@ CHECKS = [
     ("gramian-qform-identity", 1e-10, _gramian("energy")),
     ("weight-negativity", 0.0, lambda p: (p.weights.alpha.max(), p.weights.alpha.max() < 0.0)),
     ("weight-chain", 0.5, lambda p: float(not weight_chain_holds(p.weights))),
-    ("param-constraints", 0.5, lambda p: float(not p.params.constraints_certified())),
+    ("param-constraints", 0.5, lambda p: float(not p.weights.params.constraints_certified())),
     ("recursion-hand-rows", 0.5, lambda p: float(not all(recursion_hand_rows()))),
     ("hum-zero-data", 0.0, lambda p: zero_data_control(p.drift, p.weights, p.domain, p.tgrid)),
     ("dense-oracle", 1e-8, lambda p: dense_kkt_deviation(*p.oracle)),

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .carleman import build_weights, select_params
+from .carleman import build_weights
 from .checks import constant_mode_ratios, dense_kkt_deviation, random_drift, run_checks
 from .config import (ConfigError, RunConfig, apply_override, build_geometry,
                      config_from_dict, initial_data, read_config)
@@ -99,16 +99,11 @@ def _hum_report(sol):
     return {name: getattr(sol, name) for name in _HUM_REPORT}
 
 
-def _params_report(params, log_w_peak):
-    return {"lambda": params.lam, "s": params.s, "delta0": params.delta0,
-            "gamma_of_lambda": params.gamma_of_lambda, "omega_of_lambda": params.omega_of_lambda,
-            "constraints_certified": params.constraints_certified(), "log_w_peak": log_w_peak}
-
-
-def _weights(cfg: RunConfig, drift, beta, domain, tgrid):
-    """Carleman parameters for drift at the configured scales, and their weights."""
-    params = select_params(drift.sup_norm, tgrid.horizon_T, beta, cfg.carleman)
-    return params, build_weights(params, beta, domain, tgrid)
+def _params_report(weights):
+    p = weights.params
+    return {"lambda": p.lam, "s": p.s, "delta0": p.delta0, "gamma_of_lambda": p.gamma_of_lambda,
+            "omega_of_lambda": p.omega_of_lambda, "constraints_certified": p.constraints_certified(),
+            "log_w_peak": weights.log_w_peak}
 
 
 def _linear_setup(cfg: RunConfig):
@@ -117,20 +112,20 @@ def _linear_setup(cfg: RunConfig):
     u0 = initial_data(cfg, domain)
     xi = state_guess(cfg.fixed_point, u0, tgrid)
     _, drift = drift_from_state(xi, physics, domain, tgrid)
-    params, weights = _weights(cfg, drift, beta, domain, tgrid)
-    return domain, tgrid, beta, physics, u0, drift, params, weights
+    weights = build_weights(drift.sup_norm, beta, domain, tgrid, cfg.carleman)
+    return domain, tgrid, physics, u0, drift, weights
 
 
 def cmd_linear(cfg: RunConfig, args, out):
-    domain, tgrid, beta, physics, u0, drift, params, weights = _linear_setup(cfg)
+    domain, tgrid, physics, u0, drift, weights = _linear_setup(cfg)
     sol = solve_penalized(u0, drift, weights, domain, tgrid, cfg.hum)
     v = solve_elliptic(sol.u, physics, domain)
     for name, values in (("u", sol.u), ("f", sol.f), ("v", v)):
         _write_field_csv(os.path.join(out, f"{name}.csv"), values, tgrid.levels, domain.centers)
     _write_weights_csv(os.path.join(out, "weights.csv"), weights, domain.centers)
     reports = {
-        "carleman": _params_report(params, weights.log_w_peak),
-        "m_matrix": m_matrix_report(drift, domain, tgrid),
+        "carleman": _params_report(weights),
+        "m_matrix": m_matrix_report(drift, domain),
         "hum": _hum_report(sol),
         "control_bound": control_bound_report(sol, u0, domain),
         "linf_estimate": linf_estimate_report(sol.u, u0, sol.f, drift, domain, tgrid),
@@ -160,7 +155,7 @@ def cmd_nonlinear(cfg: RunConfig, args, out):
     }
     if result.hum_last is not None:
         reports["hum"] = _hum_report(result.hum_last)
-        reports["carleman"] = _params_report(result.params_last, result.log_w_peak)
+        reports["carleman"] = _params_report(result.weights)
         reports["m_matrix"] = result.m_matrix
     return reports, EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
@@ -171,7 +166,7 @@ def cmd_observability(cfg: RunConfig, args, out):
     for T in args.t_list or [cfg.time.T]:
         tgrid = build_time_grid(T, cfg.time.n_steps)
         drift = DriftField.zero(domain, tgrid)
-        _, weights = _weights(cfg, drift, beta, domain, tgrid)
+        weights = build_weights(drift.sup_norm, beta, domain, tgrid, cfg.carleman)
         report = observability_probe(drift, weights, domain, tgrid,
                                      args.samples, cfg.seed)
         summary = {name: v for name, v in vars(report).items() if name != "ratios"}
@@ -181,7 +176,7 @@ def cmd_observability(cfg: RunConfig, args, out):
 
 
 def cmd_sweep_eps(cfg: RunConfig, args, out):
-    domain, tgrid, beta, physics, u0, drift, params, weights = _linear_setup(cfg)
+    domain, tgrid, _, u0, drift, weights = _linear_setup(cfg)
     rows = []
     all_converged = True
     for eps in args.eps_list:
@@ -197,7 +192,9 @@ def cmd_sweep_eps(cfg: RunConfig, args, out):
 
 def cmd_sweep_T(cfg: RunConfig, args, out):
     domain, _, beta, physics = build_geometry(cfg)
-    shape = (1.0 + np.cos(np.pi * domain.centers)) / 2.0
+    # the configured shape at unit amplitude; each cell scales it
+    shape = initial_data(replace(cfg, initial_data=replace(cfg.initial_data, amplitude=1.0)),
+                         domain)
     table = threshold_sweep(args.t_list, args.amplitudes, shape, physics, domain,
                             cfg.time.n_steps, beta, carleman=cfg.carleman, hum=cfg.hum,
                             fixed_point=cfg.fixed_point)
@@ -212,7 +209,7 @@ def cmd_oracle_check(cfg: RunConfig, args, out):
     domain, tgrid, beta, physics = build_geometry(cfg)
     u0 = initial_data(cfg, domain)
     drift = random_drift(np.random.default_rng(cfg.seed), domain, tgrid)
-    _, weights = _weights(cfg, drift, beta, domain, tgrid)
+    weights = build_weights(drift.sup_norm, beta, domain, tgrid, cfg.carleman)
     deviation = dense_kkt_deviation(u0, drift, weights, domain, tgrid, cfg.hum.epsilon)
     passed = deviation <= 1e-8
     print(f"oracle-check deviation={_fmt(deviation)} {'PASS' if passed else 'FAIL'}")

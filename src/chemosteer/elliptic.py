@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .grid import DomainSpec, TimeGrid
+from .grid import DomainSpec, SolverError, TimeGrid
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,12 @@ def drift_from_state(xi: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
     Returns (v, drift) where v has shape (M+1, N) and drift is a DriftField
     whose step-k row is computed from the average of the adjacent levels,
     i.e. the trajectory sampled at the step midpoint (exact by linearity of
-    the elliptic solve).
+    the elliptic solve).  A state whose source delta * xi or drift overflows
+    raises SolverError.
     """
-    v = solve_elliptic(xi, physics, domain)
-    return v, DriftField(faces=drift_from_v(0.5 * (v[:-1] + v[1:]), physics.chi, domain))
+    elliptic_factors(physics.gamma, domain.n_cells, domain.h)  # a bad gamma stays ValueError
+    try:
+        v = solve_elliptic(xi, physics, domain)
+        return v, DriftField(faces=drift_from_v(0.5 * (v[:-1] + v[1:]), physics.chi, domain))
+    except ValueError as exc:
+        raise SolverError(f"the state overflows its drift: {exc}") from None

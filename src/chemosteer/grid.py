@@ -15,6 +15,10 @@ class GeometryError(ValueError):
     """Invalid domain, control region, or profile construction."""
 
 
+class SolverError(RuntimeError):
+    """A solver breakdown: non-finite values met while solving."""
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Uniform cell-centered grid on (0, 1) with a marked control subinterval.
@@ -133,10 +137,14 @@ def beta_derivative(x, x0: float):
     return np.exp(eta * (x - x0)) * ((1.0 - 2.0 * x) + eta * x * (1.0 - x))
 
 
-def build_beta(domain: DomainSpec, dense_factor: int = 10) -> BetaFunction:
+# The profile certificate samples at least this many points per cell.
+DENSE_FACTOR = 10
+
+
+def build_beta(domain: DomainSpec) -> BetaFunction:
     """Sample the profile and certify its invariants numerically.
 
-    The certificate checks, on a dense grid of at least dense_factor * N
+    The certificate checks, on a dense grid of at least DENSE_FACTOR * N
     points: positivity in the interior, vanishing at the boundary, a
     nonvanishing derivative outside the control region, and a single sign
     change of the derivative located at x0.  A failed certificate signals a
@@ -144,7 +152,7 @@ def build_beta(domain: DomainSpec, dense_factor: int = 10) -> BetaFunction:
     """
     x0 = domain.x0
     eta = (2.0 * x0 - 1.0) / (x0 * (1.0 - x0))
-    n_dense = max(dense_factor * domain.n_cells, 1000) + 1
+    n_dense = max(DENSE_FACTOR * domain.n_cells, 1000) + 1
     xs = np.linspace(0.0, 1.0, n_dense)
     bs = beta_values(xs, x0)
     ds = beta_derivative(xs, x0)

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .carleman import CarlemanSettings, build_weights, select_params
-from .elliptic import PhysicsParams, drift_from_state, drift_from_v, solve_elliptic
+from .carleman import CarlemanSettings, WeightTables, build_weights
+from .elliptic import (PhysicsParams, drift_from_state, drift_from_v, elliptic_factors,
+                       solve_elliptic)
 from .grid import BetaFunction, DomainSpec, TimeGrid, build_time_grid
 from .hum import HumSettings, HumSolution, solve_penalized
 from .parabolic import (SolverError, level_l2, m_matrix_report, release_propagator,
@@ -37,8 +38,7 @@ class NonlinearResult:
     verification_terminal_l2: float
     verification_sweeps: dict = None   # inner sweeps of verify_nonlinear
     hum_last: HumSolution = field(repr=False, default=None)
-    params_last: object = field(repr=False, default=None)
-    log_w_peak: float = float("nan")   # raw weight-peak exponent, last iteration
+    weights: WeightTables = field(repr=False, default=None)  # of the last iteration
     m_matrix: dict = None              # m_matrix_report of the last drift
 
 
@@ -85,14 +85,12 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
     history = []
     converged = False
     in_k = True
-    sol = None
-    params = None
+    sol = weights = None
 
     for it in range(1, fixed_point.max_iters + 1):
         drift = drift_from_state(xi, physics, domain, time)[1]
-        if params is None or not carleman.freeze_after_first:
-            params = select_params(drift.sup_norm, time.horizon_T, beta, carleman)
-        weights = build_weights(params, beta, domain, time)
+        if weights is None or not carleman.freeze_after_first:
+            weights = build_weights(drift.sup_norm, beta, domain, time, carleman)
         sol = solve_penalized(u0, drift, weights, domain, time, hum)
         xi_new = sol.u
         increment = space_time_l2(xi_new - xi, domain.h, time.dt)
@@ -127,14 +125,16 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
         converged=converged, in_K=in_k,
         verification_terminal_l2=level_l2(verification[-1], domain.h),
         verification_sweeps=sweeps,
-        hum_last=sol, params_last=params,
-        log_w_peak=weights.log_w_peak, m_matrix=m_matrix_report(drift, domain, time),
+        hum_last=sol, weights=weights, m_matrix=m_matrix_report(drift, domain),
     )
 
 
+# Relative change of a step iterate at which a verification step stops sweeping.
+INNER_TOL = 1e-10
+
+
 def verify_nonlinear(u0: np.ndarray, f: np.ndarray, physics: PhysicsParams,
-                     domain: DomainSpec, time: TimeGrid,
-                     inner_tol: float = 1e-10, max_sweeps: int = 5, guide=None):
+                     domain: DomainSpec, time: TimeGrid, max_sweeps: int = 5, guide=None):
     """Forward solve of the nonlinear discrete dynamics with a given control.
 
     Each implicit step runs a frozen-coefficient inner loop: the drift is
@@ -143,13 +143,15 @@ def verify_nonlinear(u0: np.ndarray, f: np.ndarray, physics: PhysicsParams,
     LAPACK dgtsv solve.  The first iterate of step k is u[k], or, given a
     guide trajectory (a fixed point, which solves nearly the same step
     equations), u[k] + guide[k+1] - guide[k]; either way every step iterates
-    to inner_tol.  Returns the trajectory and a dict with the total
+    to INNER_TOL.  Returns the trajectory and a dict with the total
     number of sweeps and the number of steps stopped at max_sweeps before
-    meeting inner_tol ("capped_steps").  A breakdown raises SolverError.
+    meeting INNER_TOL ("capped_steps").  A breakdown, an elliptic source
+    that overflows included, raises SolverError.
     """
     u0 = np.asarray(u0, dtype=float)
     if not np.all(np.isfinite(u0)):
         raise SolverError("non-finite initial data")
+    elliptic_factors(physics.gamma, domain.n_cells, domain.h)  # a bad gamma stays ValueError
     mask = domain.omega_mask
     u = np.empty((time.n_steps + 1, domain.n_cells))
     u[0] = u0
@@ -161,7 +163,10 @@ def verify_nonlinear(u0: np.ndarray, f: np.ndarray, physics: PhysicsParams,
         u_next = u[k].copy() if guide is None else u[k] + (guide[k + 1] - guide[k])
         for _ in range(max_sweeps):
             sweeps += 1
-            v_mid = solve_elliptic(0.5 * (u[k] + u_next), physics, domain)
+            try:
+                v_mid = solve_elliptic(0.5 * (u[k] + u_next), physics, domain)
+            except ValueError as exc:
+                raise SolverError(f"{exc} at verification step {k + 1}") from None
             ab = step_matrix_banded(drift_from_v(v_mid, physics.chi, domain),
                                     domain, time.dt)
             *_, candidate, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
@@ -171,13 +176,13 @@ def verify_nonlinear(u0: np.ndarray, f: np.ndarray, physics: PhysicsParams,
             if not math.isfinite(delta):
                 raise SolverError(f"non-finite state after verification step {k + 1}")
             u_next = candidate
-            if delta <= inner_tol * max(1.0, level_l2(u_next, domain.h)):
+            if delta <= INNER_TOL * max(1.0, level_l2(u_next, domain.h)):
                 break
         else:
             capped += 1
         u[k + 1] = u_next
     return u, {"sweeps": sweeps, "capped_steps": capped,
-               "max_sweeps": max_sweeps, "inner_tol": inner_tol}
+               "max_sweeps": max_sweeps, "inner_tol": INNER_TOL}
 
 
 def remark_check(result: NonlinearResult, domain: DomainSpec, time: TimeGrid) -> dict:
@@ -199,16 +204,20 @@ def remark_check(result: NonlinearResult, domain: DomainSpec, time: TimeGrid) ->
     }
 
 
+# Terminal norm, relative to |u0|_2, below which a threshold-sweep cell succeeds.
+SUCCESS_REL_TERMINAL = 0.05
+
+
 def threshold_sweep(T_list, amplitude_grid, shape: np.ndarray, physics: PhysicsParams,
-                    domain: DomainSpec, n_steps: int, beta: BetaFunction,
-                    success_rel_terminal: float = 0.05, **run_kwargs) -> dict:
+                    domain: DomainSpec, n_steps: int, beta: BetaFunction, **run_kwargs) -> dict:
     """Scan, per horizon, for the largest admissible initial amplitude.
 
     The initial data are u0 = a * shape, marched in n_steps steps over each
     horizon T.  For each T the amplitudes are scanned in increasing order; a
     cell counts as successful when the fixed point converges, stays in the
     unit ball, and the nonlinear verification terminal norm is below
-    success_rel_terminal * |u0|_2.  The scan stops at the first failure, so
+    SUCCESS_REL_TERMINAL * |u0|_2; a SolverError fails the cell, with its
+    message under "error".  The scan stops at the first failure, so
     the success indicator is monotone by construction.  The fitted c1_hat is
     the through-origin least-squares slope of -ln a*(T) against 1 + T + 1/T.
     """
@@ -222,10 +231,14 @@ def threshold_sweep(T_list, amplitude_grid, shape: np.ndarray, physics: PhysicsP
         cells = []
         for a in amplitude_grid:
             u0 = a * shape
-            result = run_nonlinear(u0, physics, domain, time, beta, **run_kwargs)
+            try:
+                result = run_nonlinear(u0, physics, domain, time, beta, **run_kwargs)
+            except SolverError as exc:
+                cells.append({"amplitude": a, "success": False, "error": str(exc)})
+                break
             u0_l2 = level_l2(u0, domain.h)
             ok = (result.converged and result.in_K
-                  and result.verification_terminal_l2 <= success_rel_terminal * u0_l2)
+                  and result.verification_terminal_l2 <= SUCCESS_REL_TERMINAL * u0_l2)
             cells.append({
                 "amplitude": a,
                 "converged": result.converged,

@@ -19,11 +19,7 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .elliptic import DriftField
-from .grid import DomainSpec, TimeGrid
-
-
-class SolverError(RuntimeError):
-    """Non-finite values encountered during time stepping."""
+from .grid import DomainSpec, SolverError, TimeGrid
 
 
 def _norm(values: np.ndarray, weight: float) -> float:
@@ -167,7 +163,7 @@ def check_levels(x: np.ndarray, message: str, first: bool):
         raise SolverError(message.format(bad[0] if first else bad[-1]))
 
 
-def m_matrix_report(drift: DriftField, domain: DomainSpec, time: TimeGrid) -> dict:
+def m_matrix_report(drift: DriftField, domain: DomainSpec) -> dict:
     """Check whether every implicit step matrix is an M-matrix.
 
     Off-diagonal entries of I - dt*A are nonpositive iff h |B| <= 2 on every

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from chemosteer import (build_beta, build_domain, build_time_grid,
-                        select_params, build_weights)
+from chemosteer import build_beta, build_domain, build_time_grid, build_weights
 from chemosteer.elliptic import DriftField
 from chemosteer.parabolic import solve_forward
 
@@ -23,8 +22,7 @@ def beta32(domain32):
 
 
 def default_weights(domain, tgrid, beta, b_sup=0.0):
-    params = select_params(b_sup, tgrid.horizon_T, beta)
-    return build_weights(params, beta, domain, tgrid)
+    return build_weights(b_sup, beta, domain, tgrid)
 
 
 def heat_error(dom):

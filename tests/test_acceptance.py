@@ -217,14 +217,13 @@ def test_criterion_09_recursion_lemma():
 
 
 def test_criterion_10_weight_sanity(domain32, beta32):
-    from chemosteer.carleman import build_weights, select_params
+    from chemosteer.carleman import build_weights
     ok = True
     detail = []
     for T, b_sup in ((0.25, 0.0), (1.0, 0.0), (1.0, 1.5), (4.0, 0.7)):
         tg = build_time_grid(T, 24)
-        params = select_params(b_sup, T, beta32)
-        weights = build_weights(params, beta32, domain32, tg)
-        ok = ok and params.constraints_certified()
+        weights = build_weights(b_sup, beta32, domain32, tg)
+        ok = ok and weights.params.constraints_certified()
         ok = ok and bool(weights.alpha.max() < 0.0)
         ok = ok and weight_chain_holds(weights)
         detail.append(f"T={T}")

@@ -4,6 +4,7 @@ import pytest
 from chemosteer.carleman import CarlemanSettings, build_weights, select_params
 from chemosteer.checks import weight_chain_holds
 from chemosteer.grid import build_time_grid
+from chemosteer.parabolic import SolverError
 from conftest import default_weights
 
 
@@ -103,6 +104,24 @@ class TestWeightTables:
         assert abs(tgrid24.midpoints[k] - 0.5 * tgrid24.horizon_T) <= tgrid24.dt
 
     def test_too_few_steps_rejected(self, domain32, beta32):
-        params = select_params(0.0, 1.0, beta32)
         with pytest.raises(ValueError):
-            build_weights(params, beta32, domain32, build_time_grid(1.0, 3))
+            build_weights(0.0, beta32, domain32, build_time_grid(1.0, 3))
+
+    @pytest.mark.parametrize("T", [0.5, 2.0])
+    def test_params_chosen_on_the_horizon_of_time(self, T, domain32, beta32):
+        tg = build_time_grid(T, 24)
+        weights = build_weights(0.7, beta32, domain32, tg)
+        assert weights.params.horizon_T == tg.horizon_T
+        assert weights.params == select_params(0.7, T, beta32)
+
+    def test_underflow_warning_points_at_the_caller(self, domain32, tgrid24, beta32):
+        with pytest.warns(RuntimeWarning, match="underflows") as record:
+            build_weights(0.0, beta32, domain32, tgrid24, CarlemanSettings(s_scale=50.0))
+        assert record[0].filename == __file__
+
+    def test_overflowing_table_raises(self, domain32, tgrid24, beta32):
+        # lambda = 1000 makes s ~ 3e217, and delta0 s alpha overflows to -inf: the
+        # table would be NaN throughout
+        with pytest.warns(RuntimeWarning), pytest.raises(
+                SolverError, match="^the Carleman weight table overflows: delta0 s alpha is -inf"):
+            build_weights(0.0, beta32, domain32, tgrid24, CarlemanSettings(lambda_scale=1e3))

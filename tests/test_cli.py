@@ -79,6 +79,30 @@ OUT_OF_RANGE_SETTINGS = ["carleman.delta0=2", "carleman.s_scale=0", "hum.cg_tol=
 INVALID_INPUTS.update({setting: ["--set", setting] for setting in OUT_OF_RANGE_SETTINGS})
 
 
+# Extreme but valid inputs whose solve breaks down, and the cause each names; the
+# drift cases once ended in a traceback (exit 1), the observability case wrote
+# inf and NaN ratios (exit 0), and the chi=200 case blamed a forward step (exit 3).
+BREAKDOWNS = {
+    "drift-overflow": (["nonlinear", "--set", "physics.chi=1e300",
+                        "--set", "initial_data.amplitude=1e10"],
+                       "the state overflows its drift: drift contains non-finite values"),
+    "source-overflow": (["nonlinear", "--set", "physics.delta=1e300",
+                         "--set", "initial_data.amplitude=1e10"],
+                        "the state overflows its drift: elliptic source contains non-finite"),
+    "linear-drift-overflow": (["linear", "--set", "physics.chi=1e300",
+                               "--set", "initial_data.amplitude=1e10",
+                               "--set", "fixed_point.initial_guess=u0-constant"],
+                              "the state overflows its drift: drift contains non-finite values"),
+    "observability-weights-overflow": (["observability", "--samples", "3",
+                                        "--set", "carleman.lambda_scale=1e3"],
+                                       "the Carleman weight table overflows"),
+    "nonlinear-weights-overflow": (["nonlinear", "--set", "physics.chi=200",
+                                    "--set", "initial_data.amplitude=0.5"],
+                                   "the Carleman weight table overflows"),
+}
+SIZE16 = ["--set", "domain.n_cells=16", "--set", "time.n_steps=16"]
+
+
 def run_cli(args, tmp_path, monkeypatch):
     out = tmp_path / "out"
     monkeypatch.setenv("CHEMOSTEER_OUT", str(out))
@@ -386,6 +410,51 @@ class TestCommands:
         assert code == EXIT_NO_CONVERGENCE
         assert capsys.readouterr().err == (
             "error: singular implicit step matrix at verification step 1\n")
+
+    @pytest.mark.parametrize("argv, cause", BREAKDOWNS.values(), ids=BREAKDOWNS)
+    def test_overflow_exits_3_naming_the_cause(self, argv, cause, tmp_path, monkeypatch,
+                                               capsys):
+        with warnings.catch_warnings():  # numpy and select_params warn on the way
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, _ = run_cli(argv + SIZE16, tmp_path, monkeypatch)
+        err = capsys.readouterr().err
+        assert code == EXIT_NO_CONVERGENCE
+        assert err.startswith(f"error: {cause}") and err.count("\n") == 1
+
+    def test_sweep_T_breakdown_fails_one_cell(self, tmp_path, monkeypatch):
+        # amplitude 0.5 overflows the weights at chi = 200: once the whole sweep
+        # exited 3 and wrote no table
+        argv = ["sweep-T", "--t-list", "0.25", "1", "--amplitudes", "0.01", "0.5",
+                "--set", "physics.chi=200"] + SIZE16
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out = run_cli(argv, tmp_path, monkeypatch)
+        assert code == EXIT_OK
+        with open(out / "threshold_sweep.csv") as fh:
+            assert [row["a_star"] for row in csv.DictReader(fh)] == ["0.01", "0.01"]
+        for row in read_report(out)["reports"]["threshold_sweep"]["rows"]:
+            failed = row["cells"][-1]
+            assert not failed["success"] and "Carleman weight table" in failed["error"]
+
+    @pytest.mark.parametrize("settings", [[], ["--set", "initial_data.shape=bump",
+                                               "--set", "initial_data.amplitude=7"]])
+    def test_sweep_T_scales_the_configured_shape(self, settings, tmp_path, monkeypatch):
+        shapes = []
+        monkeypatch.setattr(cli, "threshold_sweep",
+                            lambda *args, **kwargs: shapes.append(args[2]) or
+                            {"rows": [], "c1_hat": 0.0, "fit_rms_residual": 0.0, "n_fitted": 0})
+        argv = ["sweep-T", "--t-list", "1", "--amplitudes", "1e-3"] + SMALL + settings
+        assert run_cli(argv, tmp_path, monkeypatch)[0] == EXIT_OK
+        x = build_domain(24, (0.3, 0.7), 0.5).centers
+        unit = np.exp(-100.0 * (x - 0.5) ** 2) if settings else (1.0 + np.cos(np.pi * x)) / 2.0
+        assert shapes[0].tobytes() == unit.tobytes()
+
+    def test_sweep_T_missing_data_file_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "threshold_sweep", never)
+        argv = ["sweep-T", "--t-list", "1", "--amplitudes", "1e-3", "--set",
+                "initial_data.shape=file", "--set", f"initial_data.file_path={tmp_path}/none"]
+        assert run_cli(argv + SMALL, tmp_path, monkeypatch)[0] == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: cannot read initial data file")
 
     @pytest.mark.parametrize("command", ["linear", "nonlinear"])
     def test_tiny_valid_amplitude_solves(self, command, tmp_path, monkeypatch, capsys):

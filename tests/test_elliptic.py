@@ -6,6 +6,7 @@ from chemosteer.checks import elliptic_constant_defect, elliptic_error, refineme
 from chemosteer.elliptic import (DriftField, PhysicsParams, drift_from_state,
                                  drift_from_v, solve_elliptic)
 from chemosteer.grid import build_domain
+from chemosteer.parabolic import SolverError
 
 
 def test_constant_solution_exact(domain32):
@@ -132,3 +133,20 @@ class TestDrift:
         xi = np.random.default_rng(2).standard_normal((tgrid24.n_steps + 1, 32))
         _, drift = drift_from_state(xi, phys, domain32, tgrid24)
         assert drift.sup_norm == 0.0
+
+    @pytest.mark.parametrize("constants, cause", [
+        ({"chi": 1e300}, "drift contains non-finite values"),
+        ({"delta": 1e300}, "elliptic source contains non-finite values")])
+    def test_drift_from_state_overflow_is_a_breakdown(self, constants, cause, domain32,
+                                                      tgrid24):
+        # a solver state past what the constants allow is a breakdown (exit 3), while
+        # the same values handed to DriftField or solve_elliptic are bad input
+        phys = PhysicsParams(**constants)
+        xi = np.tile(1e10 * np.cos(np.pi * domain32.centers), (tgrid24.n_steps + 1, 1))
+        with pytest.raises(SolverError, match=f"^the state overflows its drift: {cause}$"):
+            drift_from_state(xi, phys, domain32, tgrid24)
+
+    def test_drift_from_state_singular_operator_is_bad_input(self, domain32, tgrid24):
+        xi = np.ones((tgrid24.n_steps + 1, 32))
+        with pytest.raises(ValueError, match="not positive definite"):
+            drift_from_state(xi, PhysicsParams(gamma=1e-300), domain32, tgrid24)

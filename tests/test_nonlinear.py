@@ -91,7 +91,20 @@ def test_freeze_after_first(small_setup):
                            hum=HumSettings(epsilon=1e-6))
     assert result.converged
     # parameters were selected from the zero initial guess and kept
-    assert result.params_last.b_sup == 0.0
+    assert result.weights.params.b_sup == 0.0
+
+
+@pytest.mark.parametrize("freeze", [True, False])
+def test_frozen_run_builds_its_table_once(freeze, small_setup, monkeypatch):
+    domain, tgrid, beta, u0 = small_setup
+    build, tables = nonlinear.build_weights, []
+    monkeypatch.setattr(nonlinear, "build_weights",
+                        lambda *args: tables.append(build(*args)) or tables[-1])
+    result = run_nonlinear(u0, PhysicsParams(), domain, tgrid, beta,
+                           carleman=CarlemanSettings(freeze_after_first=freeze))
+    assert result.converged and result.iterations > 1
+    assert len(tables) == (1 if freeze else result.iterations)
+    assert result.weights is tables[-1]
 
 
 def test_verify_nonlinear_zero_control_mass(small_setup):
@@ -196,6 +209,12 @@ def test_verify_nonlinear_breakdowns_raise_solver_error(small_setup, monkeypatch
         verify_nonlinear(u0, f, phys, domain, tgrid)
     with pytest.raises(SolverError, match="non-finite initial data"):
         verify_nonlinear(np.full(domain.n_cells, np.nan), None, phys, domain, tgrid)
+    # delta u overflows the elliptic source of the first sweep
+    with pytest.raises(SolverError, match="^elliptic source contains non-finite values "
+                                          "at verification step 1$"):
+        verify_nonlinear(1e13 * u0, None, PhysicsParams(delta=1e300), domain, tgrid)
+    with pytest.raises(ValueError, match="not positive definite"):  # bad input, no breakdown
+        verify_nonlinear(u0, None, PhysicsParams(gamma=1e-300), domain, tgrid)
     # a zero step matrix: dgtsv reports the singular pivot
     monkeypatch.setattr(nonlinear, "step_matrix_banded",
                         lambda faces, domain, dt: np.zeros((3, domain.n_cells)))
@@ -209,7 +228,7 @@ def test_run_nonlinear_reports_verification_sweeps(small_setup):
     result = run_nonlinear(u0, phys, domain, tgrid, beta, hum=HumSettings(epsilon=1e-6))
     assert result.verification_sweeps["capped_steps"] == 0
     assert result.m_matrix["is_m_matrix"]
-    assert result.log_w_peak < 0.0
+    assert result.weights.log_w_peak < 0.0
 
 
 def test_remark_check_tail(small_setup):

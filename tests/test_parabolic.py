@@ -76,21 +76,21 @@ def test_implicit_step_l2_stability(domain32, tgrid24):
 def test_m_matrix_report(domain32, tgrid24):
     ok = m_matrix_report(random_drift(np.random.default_rng(0), domain32,
                                       tgrid24, amplitude=1.0),
-                         domain32, tgrid24)
+                         domain32)
     assert ok["is_m_matrix"]
     huge = random_drift(np.random.default_rng(0), domain32, tgrid24,
                         amplitude=100.0)
     # force at least one face past the 2/h threshold
     faces = huge.faces.copy()
     faces[:, 5] = 3.0 / domain32.h
-    bad = m_matrix_report(DriftField(faces=faces), domain32, tgrid24)
+    bad = m_matrix_report(DriftField(faces=faces), domain32)
     assert not bad["is_m_matrix"]
 
 
 def test_positivity_preserved_in_m_matrix_regime(domain32, tgrid24):
     rng = np.random.default_rng(11)
     drift = random_drift(rng, domain32, tgrid24, amplitude=1.0, per_step=True)
-    assert m_matrix_report(drift, domain32, tgrid24)["is_m_matrix"]
+    assert m_matrix_report(drift, domain32)["is_m_matrix"]
     u0 = rng.uniform(0.1, 1.0, 32)
     u = solve_forward(u0, drift, None, domain32, tgrid24)
     assert u.min() > 0.0
