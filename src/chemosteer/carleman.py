@@ -65,6 +65,13 @@ class CarlemanParams:
     def omega_of_lambda(self) -> float:
         return float(np.exp(-self.lam * self.beta_sup))
 
+    @property
+    def raw_weight_underflows(self) -> bool:
+        """Whether the raw weight e^{delta0 s alpha} underflows at mid-horizon
+        (alpha at t = T/2 is most negative where beta = 0)."""
+        alpha0_mid = (1.0 - self.gamma_of_lambda) * 4.0 / (self.horizon_T * self.horizon_T)
+        return self.delta0 * self.s * abs(alpha0_mid) > 700.0
+
     def constraints_certified(self) -> bool:
         return (
             1.0 < self.delta0 < 2.0
@@ -89,16 +96,19 @@ class WeightTables:
     log_w_peak: float    # delta0 * s * max(alpha): log of the raw peak weight
 
 
+UNDERFLOW_WARNING = "raw mid-horizon weight underflows; normalized table remains usable"
+
+
 def select_params(b_sup: float, T: float, beta: BetaFunction,
                   settings: CarlemanSettings = CarlemanSettings(), *,
-                  stacklevel: int = 2) -> CarlemanParams:
+                  warn: bool = True) -> CarlemanParams:
     """Choose lam and s from the drift bound, enforcing both constraints.
 
     lam starts from lambda_scale * (1 + b_sup^2) and is raised if needed so
     that omega(lam) < delta0 - 1; s starts from s_scale * (1 + b_sup^2) *
-    (T + T^2) and is raised if needed to s >= gamma(lam) (T + T^2).  Emits a
-    warning, attributed stacklevel frames up, when the raw mid-horizon weight
-    would underflow (computation proceeds on the normalized table regardless).
+    (T + T^2) and is raised if needed to s >= gamma(lam) (T + T^2).  Unless
+    warn is false, emits a warning when the raw mid-horizon weight would
+    underflow (computation proceeds on the normalized table regardless).
     """
     bsq = 1.0 + b_sup * b_sup
     lam = settings.lambda_scale * bsq
@@ -114,39 +124,40 @@ def select_params(b_sup: float, T: float, beta: BetaFunction,
     )
     if not params.constraints_certified():
         raise ValueError(f"weight parameters fail the admissibility constraints: {params}")
-    alpha0_mid = (1.0 - gamma_lam) * 4.0 / (T * T)  # min of alpha at t = T/2
-    if params.delta0 * params.s * abs(alpha0_mid) > 700.0:
-        warnings.warn(
-            "raw mid-horizon weight underflows; normalized table remains usable",
-            RuntimeWarning, stacklevel=stacklevel,
-        )
+    if warn and params.raw_weight_underflows:
+        warnings.warn(UNDERFLOW_WARNING, RuntimeWarning, stacklevel=2)
     return params
 
 
 def build_weights(b_sup: float, beta: BetaFunction, domain: DomainSpec, time: TimeGrid,
-                  settings: CarlemanSettings = CarlemanSettings()) -> WeightTables:
+                  settings: CarlemanSettings = CarlemanSettings(), *,
+                  warn: bool = True) -> WeightTables:
     """The weights of a drift bounded by b_sup: the parameters select_params
     chooses on the horizon of time, then alpha and the normalized weight at
     all midpoints.
 
     All exponentials are assembled in log space; underflow to exactly zero
     is accepted and is what switches the feedback off near t = 0 and t = T.
-    A table past the float range (delta0 s alpha overflows) raises SolverError.
+    A table past the float range (lam, s or delta0 s alpha overflows) raises
+    SolverError; only a table that does not emits the underflow warning of
+    select_params (unless warn is false).
     """
     if time.n_steps < 4:
         raise ValueError("need at least 4 time steps for the weight tables")
     T = time.horizon_T
-    params = select_params(b_sup, T, beta, settings, stacklevel=3)
     t = time.midpoints[:, None]                      # (M, 1)
     denom = t * (T - t)
-    e_lb = np.exp(params.lam * beta.at_centers)[None, :]
-    with np.errstate(over="ignore"):  # checked below, at the peak
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, at the peak
+        params = select_params(b_sup, T, beta, settings, warn=False)
+        e_lb = np.exp(params.lam * beta.at_centers)[None, :]
         alpha = (e_lb - params.gamma_of_lambda) / denom
         exponent = params.delta0 * params.s * alpha
     peak = float(exponent.max())
     if not np.isfinite(peak):
         raise SolverError(f"the Carleman weight table overflows: delta0 s alpha is {peak} "
                           f"at lambda={params.lam:.6g}, s={params.s:.6g}")
+    if warn and params.raw_weight_underflows:
+        warnings.warn(UNDERFLOW_WARNING, RuntimeWarning, stacklevel=2)
     return WeightTables(
         params=params, t_mid=time.midpoints.copy(),
         alpha=alpha, w=np.exp(exponent - peak), log_w_peak=peak,

@@ -8,6 +8,7 @@ unwritable output directory, 3 solver non-convergence or breakdown.
 """
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -119,7 +120,11 @@ def _linear_setup(cfg: RunConfig):
 def cmd_linear(cfg: RunConfig, args, out):
     domain, tgrid, physics, u0, drift, weights = _linear_setup(cfg)
     sol = solve_penalized(u0, drift, weights, domain, tgrid, cfg.hum)
-    v = solve_elliptic(sol.u, physics, domain)
+    try:
+        with np.errstate(over="ignore"):  # solve_elliptic checks its source
+            v = solve_elliptic(sol.u, physics, domain)
+    except ValueError as exc:
+        raise SolverError(f"the controlled state overflows its chemoattractant: {exc}") from None
     for name, values in (("u", sol.u), ("f", sol.f), ("v", v)):
         _write_field_csv(os.path.join(out, f"{name}.csv"), values, tgrid.levels, domain.centers)
     _write_weights_csv(os.path.join(out, "weights.csv"), weights, domain.centers)
@@ -321,6 +326,9 @@ def _config_from_args(args) -> RunConfig:
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
+    # the import graph lives to exit: no collection, the shutdown ones included,
+    # walks it again (--version and -h exit inside _parse_args)
+    gc.freeze()
     handler = COMMANDS[args.command][1]
     try:
         if args.command == "selftest":

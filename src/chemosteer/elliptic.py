@@ -111,6 +111,7 @@ def drift_from_v(v: np.ndarray, chi: float, domain: DomainSpec) -> np.ndarray:
     return faces
 
 
+@np.errstate(over="ignore")  # solve_elliptic checks the source, DriftField the drift
 def drift_from_state(xi: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
                      time: TimeGrid) -> tuple:
     """Elliptic solve of every level of a state trajectory, then per-step drift.

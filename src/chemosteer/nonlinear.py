@@ -10,12 +10,13 @@ solve with the found control.
 """
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .carleman import CarlemanSettings, WeightTables, build_weights
+from .carleman import UNDERFLOW_WARNING, CarlemanSettings, WeightTables, build_weights
 from .elliptic import (PhysicsParams, drift_from_state, drift_from_v, elliptic_factors,
                        solve_elliptic)
 from .grid import BetaFunction, DomainSpec, TimeGrid, build_time_grid
@@ -79,6 +80,8 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
     or at fixed_point.max_iters (returned with converged=False, never
     raised).  The in_K flag records whether every iterate stayed in the unit
     sup-norm ball; it is diagnostic only and does not stop the iteration.
+    The raw-weight underflow warning of build_weights, for any iterate's
+    table, is emitted once and only by a run that does not break down.
     """
     u0 = np.asarray(u0, dtype=float)
     xi = state_guess(fixed_point, u0, time)
@@ -86,11 +89,13 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
     converged = False
     in_k = True
     sol = weights = None
+    underflowed = False
 
     for it in range(1, fixed_point.max_iters + 1):
         drift = drift_from_state(xi, physics, domain, time)[1]
         if weights is None or not carleman.freeze_after_first:
-            weights = build_weights(drift.sup_norm, beta, domain, time, carleman)
+            weights = build_weights(drift.sup_norm, beta, domain, time, carleman, warn=False)
+            underflowed = underflowed or weights.params.raw_weight_underflows
         sol = solve_penalized(u0, drift, weights, domain, time, hum)
         xi_new = sol.u
         increment = space_time_l2(xi_new - xi, domain.h, time.dt)
@@ -119,6 +124,8 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
 
     release_propagator()  # the marching is done: free the factors of the last drift
     verification, sweeps = verify_nonlinear(u0, sol.f, physics, domain, time, guide=xi)
+    if underflowed:
+        warnings.warn(UNDERFLOW_WARNING, RuntimeWarning, stacklevel=2)
     return NonlinearResult(
         u=xi, v=solve_elliptic(xi, physics, domain), f=sol.f,
         iterations=len(history), history=history,
@@ -133,6 +140,7 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
 INNER_TOL = 1e-10
 
 
+@np.errstate(over="ignore")  # each sweep checks its elliptic source and its state
 def verify_nonlinear(u0: np.ndarray, f: np.ndarray, physics: PhysicsParams,
                      domain: DomainSpec, time: TimeGrid, max_sweeps: int = 5, guide=None):
     """Forward solve of the nonlinear discrete dynamics with a given control.

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -121,7 +123,24 @@ class TestWeightTables:
 
     def test_overflowing_table_raises(self, domain32, tgrid24, beta32):
         # lambda = 1000 makes s ~ 3e217, and delta0 s alpha overflows to -inf: the
-        # table would be NaN throughout
-        with pytest.warns(RuntimeWarning), pytest.raises(
+        # table would be NaN throughout.  The breakdown is the only message: neither
+        # numpy's overflow nor the raw-weight underflow warning comes before it
+        with warnings.catch_warnings(), pytest.raises(
                 SolverError, match="^the Carleman weight table overflows: delta0 s alpha is -inf"):
+            warnings.simplefilter("error")
             build_weights(0.0, beta32, domain32, tgrid24, CarlemanSettings(lambda_scale=1e3))
+
+    def test_overflowing_parameters_raise(self, domain32, tgrid24, beta32):
+        # lambda = 1e300 overflows gamma(lambda) and s to inf, and alpha is NaN
+        with warnings.catch_warnings(), pytest.raises(
+                SolverError, match="^the Carleman weight table overflows: delta0 s alpha is nan"):
+            warnings.simplefilter("error")
+            build_weights(0.0, beta32, domain32, tgrid24, CarlemanSettings(lambda_scale=1e300))
+
+    def test_underflow_warning_can_be_left_to_the_caller(self, domain32, tgrid24, beta32):
+        settings = CarlemanSettings(s_scale=50.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params = select_params(0.0, 1.0, beta32, settings, warn=False)
+            weights = build_weights(0.0, beta32, domain32, tgrid24, settings, warn=False)
+        assert params.raw_weight_underflows and weights.params == params

@@ -1,12 +1,17 @@
 import csv
 import inspect
 import json
+import os
+import re
+import subprocess
+import sys
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import chemosteer
 from chemosteer import cli, csvtext, grid, nonlinear
 from chemosteer.checks import run_checks
 from chemosteer.cli import (EXIT_CHECK_FAILED, EXIT_INVALID,
@@ -80,8 +85,10 @@ INVALID_INPUTS.update({setting: ["--set", setting] for setting in OUT_OF_RANGE_S
 
 
 # Extreme but valid inputs whose solve breaks down, and the cause each names; the
-# drift cases once ended in a traceback (exit 1), the observability case wrote
-# inf and NaN ratios (exit 0), and the chi=200 case blamed a forward step (exit 3).
+# drift cases and the linear source case once ended in a traceback (exit 1), the
+# observability case wrote inf and NaN ratios (exit 0), the chi=200 case
+# blamed a forward step (exit 3), and the chi=1e10 case printed four numpy
+# warnings before its error line.
 BREAKDOWNS = {
     "drift-overflow": (["nonlinear", "--set", "physics.chi=1e300",
                         "--set", "initial_data.amplitude=1e10"],
@@ -93,12 +100,20 @@ BREAKDOWNS = {
                                "--set", "initial_data.amplitude=1e10",
                                "--set", "fixed_point.initial_guess=u0-constant"],
                               "the state overflows its drift: drift contains non-finite values"),
+    "linear-source-overflow": (["linear", "--set", "physics.delta=1e300",
+                                "--set", "initial_data.amplitude=1e10"],
+                               "the controlled state overflows its chemoattractant: "
+                               "elliptic source contains non-finite values"),
     "observability-weights-overflow": (["observability", "--samples", "3",
                                         "--set", "carleman.lambda_scale=1e3"],
                                        "the Carleman weight table overflows"),
     "nonlinear-weights-overflow": (["nonlinear", "--set", "physics.chi=200",
                                     "--set", "initial_data.amplitude=0.5"],
                                    "the Carleman weight table overflows"),
+    "nonlinear-weight-parameters-overflow": (["nonlinear", "--set", "physics.chi=1e10",
+                                              "--set", "initial_data.amplitude=1"],
+                                             "the Carleman weight table overflows: "
+                                             "delta0 s alpha is nan"),
 }
 SIZE16 = ["--set", "domain.n_cells=16", "--set", "time.n_steps=16"]
 
@@ -414,8 +429,8 @@ class TestCommands:
     @pytest.mark.parametrize("argv, cause", BREAKDOWNS.values(), ids=BREAKDOWNS)
     def test_overflow_exits_3_naming_the_cause(self, argv, cause, tmp_path, monkeypatch,
                                                capsys):
-        with warnings.catch_warnings():  # numpy and select_params warn on the way
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings():  # the error line is the only message
+            warnings.simplefilter("error")
             code, _ = run_cli(argv + SIZE16, tmp_path, monkeypatch)
         err = capsys.readouterr().err
         assert code == EXIT_NO_CONVERGENCE
@@ -575,3 +590,50 @@ class TestOutputErrors:
         assert code == EXIT_INVALID
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
+# Runs the CLI in a fresh interpreter as `python -m chemosteer.cli ARGV` does and,
+# from an atexit hook (after main has returned), reports gc.get_freeze_count().
+FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: sys.stderr.write(f"frozen={gc.get_freeze_count()}\\n"))
+runpy.run_module("chemosteer.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def run_fresh(argv, out):
+    """(exit code, objects frozen at exit) of a fresh CLI process writing into out."""
+    src = os.path.dirname(os.path.dirname(chemosteer.__file__))
+    env = dict(os.environ, CHEMOSTEER_OUT=str(out),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", FREEZE_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    frozen = re.fullmatch(r"frozen=(\d+)", proc.stderr.splitlines()[-1])
+    assert frozen, proc.stderr
+    return proc.returncode, int(frozen.group(1))
+
+
+class TestImportHeapFreeze:
+    @pytest.mark.parametrize("argv", [["linear"] + SIZE16, ["selftest"]],
+                             ids=["linear", "selftest"])
+    def test_a_command_freezes_the_import_heap(self, argv, tmp_path):
+        code, frozen = run_fresh(argv, tmp_path / "out")
+        assert code == EXIT_OK and frozen > 0
+
+    @pytest.mark.parametrize("argv", [["--version"], ["-h"], ["linear", "-h"]])
+    def test_version_and_help_exit_unfrozen(self, argv, tmp_path):
+        assert run_fresh(argv, tmp_path / "out") == (EXIT_OK, 0)
+
+    def test_fresh_artifacts_equal_in_process_ones(self, tmp_path, monkeypatch):
+        fresh, here = tmp_path / "fresh", tmp_path / "here"
+        assert run_fresh(["linear"] + SIZE16, fresh)[0] == EXIT_OK
+        monkeypatch.setenv("CHEMOSTEER_OUT", str(here))
+        assert main(["linear"] + SIZE16) == EXIT_OK
+        names = sorted(p.name for p in fresh.iterdir())
+        assert names == sorted(p.name for p in here.iterdir())
+
+        def untimed(path):  # the bytes, but the wall time in report.json
+            return re.sub(rb'("wall_s": )[^\n]*', rb"\1", path.read_bytes())
+
+        for name in names:
+            assert untimed(fresh / name) == untimed(here / name), name
