@@ -159,6 +159,6 @@ def build_weights(b_sup: float, beta: BetaFunction, domain: DomainSpec, time: Ti
     if warn and params.raw_weight_underflows:
         warnings.warn(UNDERFLOW_WARNING, RuntimeWarning, stacklevel=2)
     return WeightTables(
-        params=params, t_mid=time.midpoints.copy(),
-        alpha=alpha, w=np.exp(exponent - peak), log_w_peak=peak,
+        params=params, t_mid=time.midpoints.copy(), alpha=alpha, log_w_peak=peak,
+        w=np.exp(np.subtract(exponent, peak, out=exponent), out=exponent),  # in place
     )

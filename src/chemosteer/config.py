@@ -154,6 +154,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("initial_data.file_path required for shape 'file'")
     if cfg.time.n_steps < 4:
         raise ConfigError("time.n_steps must be at least 4")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
 
 
 def build_geometry(cfg: RunConfig):

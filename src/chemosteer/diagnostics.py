@@ -17,11 +17,8 @@ import numpy as np
 from .carleman import WeightTables
 from .elliptic import DriftField
 from .grid import DomainSpec, TimeGrid
-from .hum import adjoint_energy, kappa_const
-from .parabolic import level_l2, solve_adjoint
-
-
-_BATCH_FLOATS = 1 << 18
+from .hum import kappa_const
+from .parabolic import adjoint_observation, level_l2
 
 
 @dataclass(frozen=True)
@@ -76,11 +73,7 @@ def observability_probe(drift: DriftField, weights: WeightTables,
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(rng_seed)
     samples = np.column_stack([_unit_sample(rng, domain) for _ in range(n_samples)])
-    # batches of at most _BATCH_FLOATS trajectory values bound the memory
-    size = max(1, _BATCH_FLOATS // ((time.n_steps + 1) * domain.n_cells))
-    ratios_arr = np.concatenate([
-        observability_ratio(samples[:, j:j + size], drift, weights, domain, time)
-        for j in range(0, n_samples, size)])
+    ratios_arr = observability_ratio(samples, drift, weights, domain, time)
     max_ratio = float(ratios_arr.max())
     kappa = kappa_const(drift.sup_norm, time.horizon_T)
     return ObservabilityReport(
@@ -101,10 +94,9 @@ def observability_ratio(phiT: np.ndarray, drift: DriftField,
                         weights: WeightTables, domain: DomainSpec,
                         time: TimeGrid):
     """Observability ratio of a terminal datum (N,), or one per column of a
-    batch (N, K), from a single adjoint march."""
-    phi = solve_adjoint(phiT, drift, domain, time)
-    denom = adjoint_energy(phi, weights, domain, time)
-    num = domain.h * np.sum(np.square(phi[0]), axis=0)
+    batch (N, K), from a single adjoint march that stores no trajectory."""
+    phi0, denom = adjoint_observation(phiT, weights.w, drift, domain, time)
+    num = domain.h * np.sum(np.square(phi0), axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(denom > 0.0, num / denom, np.inf)[()]
 

@@ -215,6 +215,26 @@ def solve_adjoint(phiT: np.ndarray, drift: DriftField, domain: DomainSpec,
     return phi
 
 
+def adjoint_observation(phiT: np.ndarray, w: np.ndarray, drift: DriftField,
+                        domain: DomainSpec, time: TimeGrid):
+    """phi[0] of solve_adjoint(phiT, ...) and the observed energy dt h sum_{k<M}
+    sum_omega w[k] phi[k]^2, one per column of a batch (N, K): the transpose march on
+    the same factors, but each dgttrs overwrites one Fortran-ordered level and the
+    energy is summed as it goes, so O(N K) memory.  Raises solve_adjoint's SolverError."""
+    phi = np.array(phiT, dtype=float, order="F")
+    if not np.all(np.isfinite(phi)):
+        raise SolverError("non-finite terminal data")
+    acc, sq = np.zeros_like(phi), np.empty_like(phi)
+    w = w.reshape(w.shape + (1,) * (phi.ndim - 1))
+    for step, w_k in zip(propagator(drift, domain, time.dt).steps[::-1], w[::-1]):
+        dgttrs(*step, phi, "T", 1)
+        acc += np.multiply(np.square(phi, out=sq), w_k, out=sq)
+    if not np.all(np.isfinite(phi)):  # a non-finite level spreads to every level below it
+        solve_adjoint(phiT, drift, domain, time)  # raises, naming that level
+    acc[~domain.omega_mask] = 0.0
+    return phi, time.dt * domain.h * acc.sum(axis=0)
+
+
 def linf_estimate_report(u: np.ndarray, u0: np.ndarray, f, drift: DriftField,
                          domain: DomainSpec, time: TimeGrid) -> dict:
     """Empirical version of the sup-norm growth estimate.

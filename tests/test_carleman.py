@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from chemosteer.carleman import CarlemanSettings, build_weights, select_params
 from chemosteer.checks import weight_chain_holds
-from chemosteer.grid import build_time_grid
+from chemosteer.grid import build_beta, build_domain, build_time_grid
 from chemosteer.parabolic import SolverError
 from conftest import default_weights
 
@@ -144,3 +145,19 @@ class TestWeightTables:
             params = select_params(0.0, 1.0, beta32, settings, warn=False)
             weights = build_weights(0.0, beta32, domain32, tgrid24, settings, warn=False)
         assert params.raw_weight_underflows and weights.params == params
+
+
+def test_weights_exponentiated_in_place():
+    domain, time = build_domain(200, (0.3, 0.7), 0.5), build_time_grid(1.0, 400)
+    beta = build_beta(domain)
+    tracemalloc.start()
+    try:
+        weights = build_weights(0.0, beta, domain, time)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # alpha and w, and no temporary table beside them
+    assert peak <= 2.5 * time.n_steps * domain.n_cells * 8
+    params = weights.params
+    expected = np.exp(params.delta0 * params.s * weights.alpha - weights.log_w_peak)
+    assert np.array_equal(weights.w, expected)

@@ -76,6 +76,11 @@ INVALID_INPUTS = {
     "horizon-above-range": ["--set", "time.T=1.01e6"],
     # the elliptic operator is not definite: its factorization fails
     "gamma-singular": ["--set", "physics.gamma=1e-300"],
+    # a negative seed reached numpy's generator and traced back; these name their command
+    "negative-seed-observability": ["observability", "--samples", "2", "--set", "seed=-1",
+                                    "--set", "domain.n_cells=16", "--set", "time.n_steps=16"],
+    "negative-seed-oracle-check": ["oracle-check", "--set", "seed=-1",
+                                   "--set", "domain.n_cells=8", "--set", "time.n_steps=8"],
 }
 # Values out of the range their settings record checks; the message names the key.
 OUT_OF_RANGE_SETTINGS = ["carleman.delta0=2", "carleman.s_scale=0", "hum.cg_tol=0",
@@ -174,6 +179,11 @@ class TestConfig:
         d["domain"]["x0"] = 0.9
         with pytest.raises(ConfigError):
             config_from_dict(d)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="^seed must be nonnegative, got -1$"):
+            config_from_dict({"seed": -1})
+        assert config_from_dict({"seed": 0}).seed == 0
 
     def test_load_config_bad_json(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -397,7 +407,9 @@ class TestCommands:
                                                  capsys):
         (tmp_path / "garbled.txt").write_text("1 2 x\n")
         (tmp_path / "list.json").write_text("[1, 2]")
-        args = ["linear"] + SMALL + [a.format(tmp=tmp_path) for a in args]
+        args = [a.format(tmp=tmp_path) for a in args]
+        if args[0].startswith("-"):
+            args = ["linear"] + SMALL + args
         code, _ = run_cli(args, tmp_path, monkeypatch)
         err = capsys.readouterr().err
         assert code == EXIT_INVALID

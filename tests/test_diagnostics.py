@@ -1,15 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from chemosteer.checks import constant_mode_ratios, random_drift, recursion_hand_rows
-from chemosteer.diagnostics import (ObservabilityReport, RecursionSpec,
-                                    observability_probe, recursion_simulate)
+from chemosteer.diagnostics import (ObservabilityReport, RecursionSpec, observability_probe,
+                                    observability_ratio, recursion_simulate)
 from chemosteer.elliptic import DriftField
+from chemosteer.grid import build_beta, build_domain, build_time_grid
 from chemosteer.hum import dense_gramian
-from chemosteer.parabolic import solve_adjoint
+from chemosteer.parabolic import propagator, solve_adjoint
 from conftest import default_weights
 
 
@@ -70,6 +72,22 @@ class TestObservability:
         assert rep.n_samples == 8 and len(rep.ratios) == 8
         assert rep.quantiles["q100"] == rep.max_ratio
         assert rep.c_hat_obs == pytest.approx(math.log(rep.max_ratio) / rep.kappa)
+
+    def test_ratio_stores_no_trajectory(self):
+        domain, time = build_domain(200, (0.3, 0.7), 0.5), build_time_grid(1.0, 400)
+        drift = DriftField.zero(domain, time)
+        weights = default_weights(domain, time, build_beta(domain))
+        phiT = np.random.default_rng(8).standard_normal((200, 20))
+        propagator(drift, domain, time.dt)  # the factors are built before measuring
+        tracemalloc.start()
+        try:
+            ratios = observability_ratio(phiT, drift, weights, domain, time)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ratios.shape == (20,) and np.all(np.isfinite(ratios))
+        # less than one (M+1, N) trajectory, let alone one per column
+        assert peak < (time.n_steps + 1) * domain.n_cells * 8
 
     def test_probe_rejects_zero_samples(self, domain32, tgrid24, beta32):
         drift = DriftField.zero(domain32, tgrid24)

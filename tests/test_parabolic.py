@@ -6,8 +6,8 @@ from chemosteer.checks import (duality_defect, forward_constant_defect, mass_dri
                                random_drift, refinement_ratio)
 from chemosteer.elliptic import DriftField
 from chemosteer.grid import build_domain, build_time_grid
-from chemosteer.hum import dense_gramian, gramian_apply
-from chemosteer.parabolic import (Propagator, SolverError, level_l2,
+from chemosteer.hum import adjoint_energy, dense_gramian, gramian_apply
+from chemosteer.parabolic import (Propagator, SolverError, adjoint_observation, level_l2,
                                   linf_estimate_report, m_matrix_report,
                                   propagator, solve_adjoint, solve_forward,
                                   space_time_l2, step_matrix_banded)
@@ -247,3 +247,53 @@ def test_in_place_march_equals_reference_bitwise(domain32, tgrid24, per_step, ba
     assert np.array_equal(prop.march(start, source, transpose),
                           reference_march(drift.faces, domain32, tgrid24.dt, start,
                                           source, transpose))
+
+
+class TestAdjointObservation:
+    """The storage-free adjoint march against the stored trajectory it replaces."""
+
+    @pytest.mark.parametrize("per_step", [False, True], ids=["zero", "per-step"])
+    @pytest.mark.parametrize("batch", [(), (4,)], ids=["single", "batch"])
+    def test_matches_stored_trajectory(self, domain32, tgrid24, beta32, per_step, batch):
+        rng = np.random.default_rng(26)
+        drift = (random_drift(rng, domain32, tgrid24, amplitude=1.5, per_step=True)
+                 if per_step else DriftField.zero(domain32, tgrid24))
+        weights = default_weights(domain32, tgrid24, beta32, b_sup=drift.sup_norm)
+        phiT = rng.standard_normal((32,) + batch)
+        phi0, energy = adjoint_observation(phiT, weights.w, drift, domain32, tgrid24)
+        phi = solve_adjoint(phiT, drift, domain32, tgrid24)
+        assert np.shape(energy) == batch
+        assert np.all(np.abs(energy / adjoint_energy(phi, weights, domain32, tgrid24) - 1.0)
+                      <= 1e-13)
+        num = domain32.h * np.sum(np.square(phi0), axis=0)
+        assert np.all(np.abs(num / (domain32.h * np.sum(np.square(phi[0]), axis=0)) - 1.0)
+                      <= 1e-13)
+
+    def test_batch_columns_equal_single_calls_bitwise(self, domain32, tgrid24, beta32):
+        rng = np.random.default_rng(27)
+        drift = random_drift(rng, domain32, tgrid24, amplitude=1.5, per_step=True)
+        weights = default_weights(domain32, tgrid24, beta32, b_sup=drift.sup_norm)
+        phiT = rng.standard_normal((32, 5))
+        phi0, energy = adjoint_observation(phiT, weights.w, drift, domain32, tgrid24)
+        for j in range(5):
+            single0, single = adjoint_observation(phiT[:, j], weights.w, drift, domain32,
+                                                  tgrid24)
+            assert np.array_equal(phi0[:, j], single0)
+            assert energy[j] == single
+
+    def test_nonfinite_data_and_level_raise(self, domain32, tgrid24, beta32):
+        weights = default_weights(domain32, tgrid24, beta32)
+        drift = DriftField.zero(domain32, tgrid24)
+        phiT = np.ones((32, 2))
+        phiT[3, 1] = np.nan
+        with pytest.raises(SolverError, match="^non-finite terminal data$"):
+            adjoint_observation(phiT, weights.w, drift, domain32, tgrid24)
+        # a strong drift overflows the first backward step of data at the float maximum
+        drift = random_drift(np.random.default_rng(0), domain32, tgrid24, amplitude=1e3,
+                             per_step=True)
+        phiT = np.full(32, 1.7e308)
+        phiT[::2] *= -1.0
+        with pytest.raises(SolverError, match="^non-finite adjoint state at level 23$"):
+            solve_adjoint(phiT, drift, domain32, tgrid24)
+        with pytest.raises(SolverError, match="^non-finite adjoint state at level 23$"):
+            adjoint_observation(phiT, weights.w, drift, domain32, tgrid24)
