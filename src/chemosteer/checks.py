@@ -16,7 +16,7 @@ from .diagnostics import RecursionSpec, observability_ratio, recursion_simulate
 from .elliptic import DriftField, PhysicsParams, drift_from_v, solve_elliptic
 from .grid import build_beta, build_domain, build_time_grid
 from .hum import HumSettings, adjoint_energy, dense_gramian, gramian_apply, solve_penalized
-from .parabolic import inner_l2, level_l2, solve_adjoint, solve_forward
+from .parabolic import Propagator, inner_l2, level_l2, solve_adjoint, solve_forward
 
 
 def random_drift(rng, domain, tgrid, amplitude=1.0, per_step=False):
@@ -30,9 +30,9 @@ def random_drift(rng, domain, tgrid, amplitude=1.0, per_step=False):
 def duality_defect(u0, f, phiT, drift, domain, tgrid, adjoint=solve_adjoint) -> float:
     """Relative defect of <u(T), phiT> = <u0, phi(0)> + dt h sum_k <1_omega f_k, phi_{k-1}>,
     u marched forward from u0 with control f (or None), phi backward from phiT."""
-    h = domain.h
-    phi = adjoint(phiT, drift, domain, tgrid)
-    lhs = inner_l2(solve_forward(u0, drift, f, domain, tgrid)[-1], phiT, h)
+    h, prop = domain.h, Propagator(drift.faces, domain, tgrid.dt)
+    phi = adjoint(phiT, prop)
+    lhs = inner_l2(solve_forward(u0, prop, f)[-1], phiT, h)
     rhs = inner_l2(u0, phi[0], h)
     if f is not None:
         masked = np.where(domain.omega_mask[None, :], f[1:], 0.0)
@@ -46,7 +46,8 @@ def gramian_defects(x, y, drift, weights, domain, tgrid) -> dict:
     h = domain.h
     gx, gy = gramian_apply(np.column_stack((x, y)), drift, weights, domain, tgrid).T
     q = inner_l2(gx, x, h)
-    energy = float(adjoint_energy(solve_adjoint(x, drift, domain, tgrid), weights, domain, tgrid))
+    phi = solve_adjoint(x, Propagator(drift.faces, domain, tgrid.dt))
+    energy = float(adjoint_energy(phi, weights, domain, tgrid))
     return {"symmetry": abs(inner_l2(gx, y, h) - inner_l2(x, gy, h))
             / max(level_l2(x, h) * level_l2(y, h), 1e-300),
             "psd": -q, "energy": abs(q - energy) / max(energy, 1e-300)}
@@ -98,7 +99,7 @@ def elliptic_error(dom) -> float:
 
 def mass_drift(u0, drift, domain, tgrid) -> float:
     """Largest change of the mass h sum(u) over a force-free march, relative to its start."""
-    mass = domain.h * solve_forward(u0, drift, None, domain, tgrid).sum(axis=1)
+    mass = domain.h * solve_forward(u0, Propagator(drift.faces, domain, tgrid.dt)).sum(axis=1)
     return float(np.abs(mass - mass[0]).max()) / max(abs(mass[0]), 1e-300)
 
 
@@ -138,7 +139,8 @@ def elliptic_constant_defect(domain) -> float:
 def forward_constant_defect(value, domain, tgrid) -> float:
     """Max change of a constant state over a force-free march without drift."""
     u0, drift = np.full(domain.n_cells, value), DriftField.zero(domain, tgrid)
-    return float(np.abs(solve_forward(u0, drift, None, domain, tgrid) - value).max())
+    return float(np.abs(solve_forward(u0, Propagator(drift.faces, domain, tgrid.dt))
+                        - value).max())
 
 
 def zero_data_control(drift, weights, domain, tgrid) -> float:

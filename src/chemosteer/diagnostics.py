@@ -18,7 +18,7 @@ from .carleman import WeightTables
 from .elliptic import DriftField
 from .grid import DomainSpec, TimeGrid
 from .hum import kappa_const
-from .parabolic import adjoint_observation, level_l2
+from .parabolic import Propagator, adjoint_observation, level_l2
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def observability_ratio(phiT: np.ndarray, drift: DriftField,
                         time: TimeGrid):
     """Observability ratio of a terminal datum (N,), or one per column of a
     batch (N, K), from a single adjoint march that stores no trajectory."""
-    phi0, denom = adjoint_observation(phiT, weights.w, drift, domain, time)
+    phi0, denom = adjoint_observation(phiT, weights.w, Propagator(drift.faces, domain, time.dt))
     num = domain.h * np.sum(np.square(phi0), axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(denom > 0.0, num / denom, np.inf)[()]

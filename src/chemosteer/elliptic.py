@@ -44,7 +44,7 @@ class DriftField:
     faces: np.ndarray
 
     def __post_init__(self):
-        # a read-only copy: marches reuse the factors of a drift they have seen
+        # a read-only copy, so the frozen record cannot change under its users
         f = np.array(self.faces, dtype=float)
         f.flags.writeable = False
         object.__setattr__(self, "faces", f)

@@ -25,8 +25,8 @@ import numpy as np
 from .carleman import WeightTables
 from .elliptic import DriftField
 from .grid import DomainSpec, TimeGrid
-from .parabolic import (SolverError, check_levels, growth_constant, inner_l2, level_l2,
-                        solve_adjoint, solve_forward)
+from .parabolic import (Propagator, SolverError, check_levels, growth_constant, inner_l2,
+                        level_l2, solve_adjoint, solve_forward)
 
 
 def kappa_const(b_sup: float, T: float) -> float:
@@ -90,12 +90,12 @@ def feedback_control(phi: np.ndarray, weights: WeightTables, domain: DomainSpec,
     return f
 
 
-def _gramian_trajectory(phiT: np.ndarray, drift: DriftField, weights: WeightTables,
-                        domain: DomainSpec, time: TimeGrid, f=None) -> np.ndarray:
+def _gramian_trajectory(phiT: np.ndarray, prop: Propagator, weights: WeightTables,
+                        f=None) -> np.ndarray:
     """The forward trajectory driven from zero data by the feedback control
     of the adjoint from phiT (written into f if given); its last level is G phiT."""
-    f = feedback_control(solve_adjoint(phiT, drift, domain, time), weights, domain, f)
-    return solve_forward(np.zeros(f.shape[1:]), drift, f, domain, time)
+    f = feedback_control(solve_adjoint(phiT, prop), weights, prop.domain, f)
+    return solve_forward(np.zeros(f.shape[1:]), prop, f)
 
 
 def gramian_apply(phiT: np.ndarray, drift: DriftField, weights: WeightTables,
@@ -104,7 +104,8 @@ def gramian_apply(phiT: np.ndarray, drift: DriftField, weights: WeightTables,
 
     phiT is (N,) or a batch (N, K) of data, one column each.
     """
-    return _gramian_trajectory(phiT, drift, weights, domain, time)[-1].copy()
+    return _gramian_trajectory(phiT, Propagator(drift.faces, domain, time.dt),
+                               weights)[-1].copy()
 
 
 def adjoint_energy(phi: np.ndarray, weights: WeightTables, domain: DomainSpec,
@@ -138,7 +139,8 @@ def solve_penalized(u0: np.ndarray, drift: DriftField, weights: WeightTables,
     """
     u0 = np.asarray(u0, dtype=float)
     h = domain.h
-    u = solve_forward(u0, drift, None, domain, time)  # free, then controlled
+    prop = Propagator(drift.faces, domain, time.dt)  # every march of the solve shares it
+    u = solve_forward(u0, prop)  # free, then controlled
     u_free_terminal = u[-1].copy()
     e = math.frexp(float(np.abs(u_free_terminal).max()))[1]  # u(T) is 2^e x unit size
     np.ldexp(u, -e, out=u)
@@ -151,7 +153,7 @@ def solve_penalized(u0: np.ndarray, drift: DriftField, weights: WeightTables,
         r, p = rhs.copy(), rhs.copy()
         rs = inner_l2(r, r, h)
         for iters in range(1, settings.cg_max_iters + 1):
-            u_p = _gramian_trajectory(p, drift, weights, domain, time, f_p)
+            u_p = _gramian_trajectory(p, prop, weights, f_p)
             ap = u_p[-1] + settings.epsilon * p
             curvature = inner_l2(p, ap, h)
             alpha = rs / curvature if curvature > 0.0 else math.nan
@@ -169,7 +171,7 @@ def solve_penalized(u0: np.ndarray, drift: DriftField, weights: WeightTables,
                 break
             p = r + (rs_new / rs) * p
             rs = rs_new
-    del f_p
+    del f_p, prop  # the marching is done: free its factors
 
     positive = weights.w > 0.0
     energy = time.dt * h * float(np.sum(np.square(f[1:][positive]) / weights.w[positive]))

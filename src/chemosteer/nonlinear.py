@@ -21,8 +21,8 @@ from .elliptic import (PhysicsParams, drift_from_state, drift_from_v, elliptic_f
                        solve_elliptic)
 from .grid import BetaFunction, DomainSpec, TimeGrid, build_time_grid
 from .hum import HumSettings, HumSolution, solve_penalized
-from .parabolic import (SolverError, level_l2, m_matrix_report, release_propagator,
-                        space_time_l2, step_matrix_banded)
+from .parabolic import (SolverError, level_l2, m_matrix_report, space_time_l2,
+                        step_matrix_banded)
 
 
 @dataclass
@@ -122,7 +122,6 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
                                converged=False, in_K=in_k,
                                verification_terminal_l2=float("nan"))
 
-    release_propagator()  # the marching is done: free the factors of the last drift
     verification, sweeps = verify_nonlinear(u0, sol.f, physics, domain, time, guide=xi)
     if underflowed:
         warnings.warn(UNDERFLOW_WARNING, RuntimeWarning, stacklevel=2)

@@ -88,7 +88,8 @@ def step_matrix_banded(face_drift: np.ndarray, domain: DomainSpec,
 
 
 class Propagator:
-    """LU factors (LAPACK dgttrf) of the implicit step matrices of one drift.
+    """LU factors (LAPACK dgttrf) of the implicit step matrices of one drift,
+    built by a solve for its marches and freed with it.
 
     Forward steps solve with the factors (dgttrs), adjoint steps with their
     transpose on the same factors (dgttrs, trans='T'), so the adjoint march
@@ -97,7 +98,7 @@ class Propagator:
     """
 
     def __init__(self, faces: np.ndarray, domain: DomainSpec, dt: float):
-        self.n_steps = len(faces)
+        self.domain, self.dt, self.n_steps = domain, dt, len(faces)
         if np.all(faces == faces[0]):
             faces = faces[:1]
         self.n_factored = len(faces)
@@ -111,46 +112,30 @@ class Propagator:
             self.steps.append(lu)
         self.steps *= self.n_steps // self.n_factored  # shared factors serve every step
 
-    def march(self, start: np.ndarray, source=None, transpose: bool = False) -> np.ndarray:
-        """All M+1 levels from start, (N,) or a batch (N, K) of columns.
+    def levels(self, x: np.ndarray, source=None, transpose: bool = False):
+        """Step the Fortran-ordered level x, (N,) or a batch (N, K), in place
+        through the march and yield (k, x) after each step.
 
-        Forward: x[0] = start, x[k+1] = S_k^{-1} (x[k] + source[k]).
-        Transpose: x[M] = start, x[k] = S_k^{-T} x[k+1].
-        Each level is written in place: the level it comes from is copied
-        (or, with a source, added) into it, and one dgttrs overwrites it.
+        Forward: x <- S_k^{-1} (x + source[k]) reaches level k+1, k = 0..M-1.
+        Transpose: x <- S_k^{-T} x reaches level k, k = M-1..0.
+        This is the only loop that calls dgttrs.
         """
+        steps, trans = self.steps, "T" if transpose else "N"
+        for k in (range(self.n_steps - 1, -1, -1) if transpose else range(self.n_steps)):
+            if source is not None:
+                x += source[k]
+            dgttrs(*steps[k], x, trans, 1)
+            yield (k if transpose else k + 1), x
+
+    def march(self, start: np.ndarray, source=None, transpose: bool = False) -> np.ndarray:
+        """All M+1 levels from start, (N,) or a batch (N, K) of columns:
+        x[0] = start forward, x[M] = start transposed, the rest as levels yields."""
         m = self.n_steps
-        # each level of a batch is Fortran-ordered, so LAPACK overwrites it in place
         x = np.empty((m + 1,) + start.shape[::-1]).transpose(0, *range(start.ndim, 0, -1))
         x[m if transpose else 0] = start
-        steps, trans = self.steps, "T" if transpose else "N"
-        for k in (range(m - 1, -1, -1) if transpose else range(m)):
-            src, dst = (k + 1, k) if transpose else (k, k + 1)
-            level = x[dst]
-            if source is None:
-                level[...] = x[src]
-            else:
-                np.add(x[src], source[k], out=level)
-            dgttrs(*steps[k], level, trans, 1)
+        for k, level in self.levels(np.array(start, order="F"), source, transpose):
+            x[k] = level
         return x
-
-
-_last = [None, None]  # (drift, h, dt) and the propagator of the last march
-
-
-def propagator(drift: DriftField, domain: DomainSpec, dt: float) -> Propagator:
-    """The propagator of drift, held for one drift at a time and reused while
-    consecutive marches share it (DriftField faces are read-only)."""
-    key = _last[0]
-    if key is None or key[0] is not drift or key[1:] != (domain.h, dt):
-        _last[:] = None, None  # release the previous factors first
-        _last[:] = (drift, domain.h, dt), Propagator(drift.faces, domain, dt)
-    return _last[1]
-
-
-def release_propagator():
-    """Free the factors held for the last march; the next march rebuilds them."""
-    _last[:] = None, None
 
 
 def check_levels(x: np.ndarray, message: str, first: bool):
@@ -178,8 +163,7 @@ def m_matrix_report(drift: DriftField, domain: DomainSpec) -> dict:
     }
 
 
-def solve_forward(u0: np.ndarray, drift: DriftField, f, domain: DomainSpec,
-                  time: TimeGrid) -> np.ndarray:
+def solve_forward(u0: np.ndarray, prop: Propagator, f=None) -> np.ndarray:
     """March (I - dt A_k) u^{k+1} = u^k + dt (1_omega f)^{k+1} over all steps.
 
     u0 is (N,) or a batch (N, K); f may be None (no control) or a (M+1, N)
@@ -189,15 +173,14 @@ def solve_forward(u0: np.ndarray, drift: DriftField, f, domain: DomainSpec,
     u0 = np.asarray(u0, dtype=float)
     if not np.all(np.isfinite(u0)):
         raise SolverError("non-finite initial data")
-    mask = domain.omega_mask.reshape((-1,) + (1,) * (u0.ndim - 1))
-    source = None if f is None else time.dt * np.where(mask, f[1:], 0.0)
-    u = propagator(drift, domain, time.dt).march(u0, source)
+    mask = prop.domain.omega_mask.reshape((-1,) + (1,) * (u0.ndim - 1))
+    source = None if f is None else prop.dt * np.where(mask, f[1:], 0.0)
+    u = prop.march(u0, source)
     check_levels(u, "non-finite state after forward step {}", first=True)
     return u
 
 
-def solve_adjoint(phiT: np.ndarray, drift: DriftField, domain: DomainSpec,
-                  time: TimeGrid) -> np.ndarray:
+def solve_adjoint(phiT: np.ndarray, prop: Propagator) -> np.ndarray:
     """Exact transpose of the forward map, marched backward from phi^M = phiT.
 
     phi[k] = (I - dt A_k)^{-T} phi[k+1], so that for any u0 and control f
@@ -210,29 +193,26 @@ def solve_adjoint(phiT: np.ndarray, drift: DriftField, domain: DomainSpec,
     phiT = np.asarray(phiT, dtype=float)
     if not np.all(np.isfinite(phiT)):
         raise SolverError("non-finite terminal data")
-    phi = propagator(drift, domain, time.dt).march(phiT, transpose=True)
+    phi = prop.march(phiT, transpose=True)
     check_levels(phi, "non-finite adjoint state at level {}", first=False)
     return phi
 
 
-def adjoint_observation(phiT: np.ndarray, w: np.ndarray, drift: DriftField,
-                        domain: DomainSpec, time: TimeGrid):
-    """phi[0] of solve_adjoint(phiT, ...) and the observed energy dt h sum_{k<M}
-    sum_omega w[k] phi[k]^2, one per column of a batch (N, K): the transpose march on
-    the same factors, but each dgttrs overwrites one Fortran-ordered level and the
-    energy is summed as it goes, so O(N K) memory.  Raises solve_adjoint's SolverError."""
+def adjoint_observation(phiT: np.ndarray, w: np.ndarray, prop: Propagator):
+    """phi[0] of solve_adjoint(phiT, prop) and the observed energy dt h sum_{k<M}
+    sum_omega w[k] phi[k]^2, one per column of a batch (N, K), summed as the levels
+    pass, so O(N K) memory.  Raises solve_adjoint's SolverError."""
     phi = np.array(phiT, dtype=float, order="F")
     if not np.all(np.isfinite(phi)):
         raise SolverError("non-finite terminal data")
     acc, sq = np.zeros_like(phi), np.empty_like(phi)
     w = w.reshape(w.shape + (1,) * (phi.ndim - 1))
-    for step, w_k in zip(propagator(drift, domain, time.dt).steps[::-1], w[::-1]):
-        dgttrs(*step, phi, "T", 1)
-        acc += np.multiply(np.square(phi, out=sq), w_k, out=sq)
+    for k, level in prop.levels(phi, transpose=True):
+        acc += np.multiply(np.square(level, out=sq), w[k], out=sq)
     if not np.all(np.isfinite(phi)):  # a non-finite level spreads to every level below it
-        solve_adjoint(phiT, drift, domain, time)  # raises, naming that level
-    acc[~domain.omega_mask] = 0.0
-    return phi, time.dt * domain.h * acc.sum(axis=0)
+        solve_adjoint(phiT, prop)  # raises, naming that level
+    acc[~prop.domain.omega_mask] = 0.0
+    return phi, prop.dt * prop.domain.h * acc.sum(axis=0)
 
 
 def linf_estimate_report(u: np.ndarray, u0: np.ndarray, f, drift: DriftField,

@@ -11,8 +11,8 @@ from chemosteer.diagnostics import (ObservabilityReport, RecursionSpec, observab
 from chemosteer.elliptic import DriftField
 from chemosteer.grid import build_beta, build_domain, build_time_grid
 from chemosteer.hum import dense_gramian
-from chemosteer.parabolic import propagator, solve_adjoint
-from conftest import default_weights
+from chemosteer.parabolic import solve_adjoint
+from conftest import default_weights, propagator_of
 
 
 def extremal_ratio(drift, weights, domain, time, ridge=1e-14):
@@ -23,7 +23,7 @@ def extremal_ratio(drift, weights, domain, time, ridge=1e-14):
     value is a lower bound on the true extremal ratio.
     """
     n = domain.n_cells
-    s_map = solve_adjoint(np.eye(n), drift, domain, time)[0]
+    s_map = solve_adjoint(np.eye(n), propagator_of(drift, domain, time))[0]
     g = dense_gramian(drift, weights, domain, time)
     g = 0.5 * (g + g.T)
     g_reg = g + ridge * (np.trace(g) / n) * np.eye(n)
@@ -78,7 +78,6 @@ class TestObservability:
         drift = DriftField.zero(domain, time)
         weights = default_weights(domain, time, build_beta(domain))
         phiT = np.random.default_rng(8).standard_normal((200, 20))
-        propagator(drift, domain, time.dt)  # the factors are built before measuring
         tracemalloc.start()
         try:
             ratios = observability_ratio(phiT, drift, weights, domain, time)

@@ -1,8 +1,11 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
+from chemosteer import hum
 from chemosteer.checks import (dense_kkt_deviation, gramian_defects, random_drift,
                                zero_data_control)
 from chemosteer.elliptic import DriftField
@@ -12,7 +15,7 @@ from chemosteer.hum import (HumSettings, control_bound_report, dense_gramian,
                             solve_penalized)
 from chemosteer.parabolic import (Propagator, SolverError, level_l2, solve_adjoint,
                                   solve_forward)
-from conftest import default_weights
+from conftest import default_weights, propagator_of
 
 
 def test_kappa_const():
@@ -155,6 +158,25 @@ class TestSynthesisByLinearity:
         assert sol.cg_iters >= 3
         assert len(marches) == 1 + 2 * sol.cg_iters
 
+    def test_one_propagator_per_solve_freed_with_it(self, domain32, tgrid24, beta32,
+                                                    monkeypatch):
+        rng = np.random.default_rng(44)
+        drift = random_drift(rng, domain32, tgrid24, amplitude=1.0, per_step=True)
+        weights = default_weights(domain32, tgrid24, beta32, b_sup=drift.sup_norm)
+        built = []
+
+        class Recorded(Propagator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(hum, "Propagator", Recorded)
+        sol = solve_penalized(cosine_data(domain32, 1e-2), drift, weights,
+                              domain32, tgrid24, HumSettings(epsilon=1e-6))
+        gc.collect()
+        assert sol.cg_iters >= 3 and len(built) == 1
+        assert built[0]() is None
+
     def test_state_and_control_match_their_marches(self, domain32, tgrid24, beta32):
         # the synthesized pair against the adjoint and forward marches of phiT
         rng = np.random.default_rng(42)
@@ -162,9 +184,9 @@ class TestSynthesisByLinearity:
         weights = default_weights(domain32, tgrid24, beta32, b_sup=drift.sup_norm)
         u0 = rng.uniform(0.0, 1e-2, 32)
         sol = solve_penalized(u0, drift, weights, domain32, tgrid24, HumSettings(epsilon=1e-6))
-        f = feedback_control(solve_adjoint(sol.phiT, drift, domain32, tgrid24),
-                             weights, domain32)
-        u = solve_forward(u0, drift, sol.f, domain32, tgrid24)
+        prop = propagator_of(drift, domain32, tgrid24)
+        f = feedback_control(solve_adjoint(sol.phiT, prop), weights, domain32)
+        u = solve_forward(u0, prop, sol.f)
         assert np.abs(sol.f - f).max() <= 1e-12 * np.abs(f).max()
         assert np.abs(sol.u - u).max() <= 1e-12 * np.abs(u).max()
         assert np.all(sol.f[:, ~domain32.omega_mask] == 0.0) and np.all(sol.f[0] == 0.0)

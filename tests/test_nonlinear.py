@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from chemosteer import nonlinear, parabolic
+from chemosteer import hum, nonlinear
 from chemosteer.carleman import CarlemanSettings
 from chemosteer.elliptic import PhysicsParams, drift_from_v, solve_elliptic
 from chemosteer.grid import build_beta, build_domain, build_time_grid
@@ -213,7 +213,7 @@ def test_no_factors_outlive_run_nonlinear(small_setup, monkeypatch):
             super().__init__(*args)
             built.append(weakref.ref(self))
 
-    monkeypatch.setattr(parabolic, "Propagator", Recorded)
+    monkeypatch.setattr(hum, "Propagator", Recorded)
     result = run_nonlinear(u0, PhysicsParams(chi=1.0, gamma=1.0, delta=1.0),
                            domain, tgrid, beta, hum=HumSettings(epsilon=1e-6))
     gc.collect()

@@ -8,10 +8,9 @@ from chemosteer.elliptic import DriftField
 from chemosteer.grid import build_domain, build_time_grid
 from chemosteer.hum import adjoint_energy, dense_gramian, gramian_apply
 from chemosteer.parabolic import (Propagator, SolverError, adjoint_observation, level_l2,
-                                  linf_estimate_report, m_matrix_report,
-                                  propagator, solve_adjoint, solve_forward,
-                                  space_time_l2, step_matrix_banded)
-from conftest import default_weights, heat_error
+                                  linf_estimate_report, m_matrix_report, solve_adjoint,
+                                  solve_forward, space_time_l2, step_matrix_banded)
+from conftest import default_weights, heat_error, propagator_of
 
 
 def test_constant_preserved(domain32, tgrid24):
@@ -32,7 +31,7 @@ def test_heat_fourier_oracle():
     tg = build_time_grid(0.1, 400)
     drift = DriftField.zero(dom, tg)
     u0 = 1.0 + np.cos(np.pi * dom.centers)
-    u = solve_forward(u0, drift, None, dom, tg)
+    u = solve_forward(u0, propagator_of(drift, dom, tg))
     exact = 1.0 + np.exp(-np.pi ** 2 * 0.1) * np.cos(np.pi * dom.centers)
     assert np.abs(u[-1] - exact).max() < 1e-2
 
@@ -67,7 +66,7 @@ def test_implicit_step_l2_stability(domain32, tgrid24):
     b = drift.sup_norm
     bound = 1.0 / (1.0 - tgrid24.dt * b * b / 2.0)
     u0 = rng.standard_normal(32)
-    u = solve_forward(u0, drift, None, domain32, tgrid24)
+    u = solve_forward(u0, propagator_of(drift, domain32, tgrid24))
     for k in range(tgrid24.n_steps):
         r = level_l2(u[k + 1], domain32.h) / level_l2(u[k], domain32.h)
         assert r <= bound * (1.0 + 1e-12)
@@ -92,14 +91,14 @@ def test_positivity_preserved_in_m_matrix_regime(domain32, tgrid24):
     drift = random_drift(rng, domain32, tgrid24, amplitude=1.0, per_step=True)
     assert m_matrix_report(drift, domain32)["is_m_matrix"]
     u0 = rng.uniform(0.1, 1.0, 32)
-    u = solve_forward(u0, drift, None, domain32, tgrid24)
+    u = solve_forward(u0, propagator_of(drift, domain32, tgrid24))
     assert u.min() > 0.0
 
 
 def test_nonfinite_state_raises(domain32, tgrid24):
     drift = DriftField.zero(domain32, tgrid24)
     with pytest.raises(SolverError):
-        solve_forward(np.full(32, np.inf), drift, None, domain32, tgrid24)
+        solve_forward(np.full(32, np.inf), propagator_of(drift, domain32, tgrid24))
 
 
 def test_space_time_field_helpers(domain32, tgrid24):
@@ -114,7 +113,7 @@ class TestLinfReport:
     def test_force_free_decay(self, domain32, tgrid24):
         drift = DriftField.zero(domain32, tgrid24)
         u0 = 1.0 + np.cos(np.pi * domain32.centers)
-        u = solve_forward(u0, drift, None, domain32, tgrid24)
+        u = solve_forward(u0, propagator_of(drift, domain32, tgrid24))
         rep = linf_estimate_report(u, u0, None, drift, domain32, tgrid24)
         # K0 is the sup of the cell-sampled data, just shy of 2
         assert rep["K0"] == pytest.approx(np.abs(u0).max())
@@ -125,7 +124,7 @@ class TestLinfReport:
 
     def test_zero_data_degenerate(self, domain32, tgrid24):
         drift = DriftField.zero(domain32, tgrid24)
-        u = solve_forward(np.zeros(32), drift, None, domain32, tgrid24)
+        u = solve_forward(np.zeros(32), propagator_of(drift, domain32, tgrid24))
         rep = linf_estimate_report(u, np.zeros(32), None, drift, domain32, tgrid24)
         assert rep["degenerate"] and rep["consistent"]
 
@@ -134,7 +133,7 @@ class TestLinfReport:
         drift = random_drift(rng, domain32, tgrid24, amplitude=1.0)
         f = rng.standard_normal((tgrid24.n_steps + 1, 32))
         u0 = rng.standard_normal(32)
-        u = solve_forward(u0, drift, f, domain32, tgrid24)
+        u = solve_forward(u0, propagator_of(drift, domain32, tgrid24), f)
         rep = linf_estimate_report(u, u0, f, drift, domain32, tgrid24)
         assert np.isfinite(rep["K0"]) and rep["K0"] > 0.0
         assert rep["rho0"] == (1.0 + drift.sup_norm ** 2) * 2.0
@@ -146,12 +145,13 @@ class TestPropagator:
         drift = random_drift(rng, domain32, tgrid24, amplitude=1.5, per_step=True)
         start = rng.standard_normal((32, 5))
         f = rng.standard_normal((tgrid24.n_steps + 1, 32, 5))
-        u = solve_forward(start, drift, f, domain32, tgrid24)
-        phi = solve_adjoint(start, drift, domain32, tgrid24)
+        prop = propagator_of(drift, domain32, tgrid24)
+        u = solve_forward(start, prop, f)
+        phi = solve_adjoint(start, prop)
         assert u.shape == phi.shape == (tgrid24.n_steps + 1, 32, 5)
         for j in range(5):
-            single_u = solve_forward(start[:, j], drift, f[..., j], domain32, tgrid24)
-            single_phi = solve_adjoint(start[:, j], drift, domain32, tgrid24)
+            single_u = solve_forward(start[:, j], prop, f[..., j])
+            single_phi = solve_adjoint(start[:, j], prop)
             assert np.array_equal(u[..., j], single_u)
             assert np.array_equal(phi[..., j], single_phi)
 
@@ -175,12 +175,9 @@ class TestPropagator:
         constant = random_drift(rng, domain32, tgrid24, amplitude=1.0)
         per_step = random_drift(rng, domain32, tgrid24, amplitude=1.0, per_step=True)
         zero = DriftField.zero(domain32, tgrid24)
-        assert propagator(zero, domain32, tgrid24.dt).n_factored == 1
-        assert propagator(constant, domain32, tgrid24.dt).n_factored == 1
-        assert propagator(per_step, domain32, tgrid24.dt).n_factored == tgrid24.n_steps
-        # consecutive marches on one drift share its factors
-        prop = propagator(constant, domain32, tgrid24.dt)
-        assert propagator(constant, domain32, tgrid24.dt) is prop
+        assert propagator_of(zero, domain32, tgrid24).n_factored == 1
+        assert propagator_of(constant, domain32, tgrid24).n_factored == 1
+        assert propagator_of(per_step, domain32, tgrid24).n_factored == tgrid24.n_steps
 
     def test_shared_factors_match_per_step_factors(self, domain32, tgrid24):
         rng = np.random.default_rng(24)
@@ -209,11 +206,11 @@ class TestPropagator:
         phiT = np.ones(32)
         phiT[3] = np.nan
         with pytest.raises(SolverError, match="terminal data"):
-            solve_adjoint(phiT, drift, domain32, tgrid24)
+            solve_adjoint(phiT, propagator_of(drift, domain32, tgrid24))
         f = np.zeros((tgrid24.n_steps + 1, 32))
         f[5, domain32.omega_mask] = np.inf
         with pytest.raises(SolverError, match="after forward step 5$"):
-            solve_forward(np.ones(32), drift, f, domain32, tgrid24)
+            solve_forward(np.ones(32), propagator_of(drift, domain32, tgrid24), f)
 
 
 def reference_march(faces, domain, dt, start, source=None, transpose=False):
@@ -260,8 +257,9 @@ class TestAdjointObservation:
                  if per_step else DriftField.zero(domain32, tgrid24))
         weights = default_weights(domain32, tgrid24, beta32, b_sup=drift.sup_norm)
         phiT = rng.standard_normal((32,) + batch)
-        phi0, energy = adjoint_observation(phiT, weights.w, drift, domain32, tgrid24)
-        phi = solve_adjoint(phiT, drift, domain32, tgrid24)
+        prop = propagator_of(drift, domain32, tgrid24)
+        phi0, energy = adjoint_observation(phiT, weights.w, prop)
+        phi = solve_adjoint(phiT, prop)
         assert np.shape(energy) == batch
         assert np.all(np.abs(energy / adjoint_energy(phi, weights, domain32, tgrid24) - 1.0)
                       <= 1e-13)
@@ -274,10 +272,10 @@ class TestAdjointObservation:
         drift = random_drift(rng, domain32, tgrid24, amplitude=1.5, per_step=True)
         weights = default_weights(domain32, tgrid24, beta32, b_sup=drift.sup_norm)
         phiT = rng.standard_normal((32, 5))
-        phi0, energy = adjoint_observation(phiT, weights.w, drift, domain32, tgrid24)
+        prop = propagator_of(drift, domain32, tgrid24)
+        phi0, energy = adjoint_observation(phiT, weights.w, prop)
         for j in range(5):
-            single0, single = adjoint_observation(phiT[:, j], weights.w, drift, domain32,
-                                                  tgrid24)
+            single0, single = adjoint_observation(phiT[:, j], weights.w, prop)
             assert np.array_equal(phi0[:, j], single0)
             assert energy[j] == single
 
@@ -287,13 +285,14 @@ class TestAdjointObservation:
         phiT = np.ones((32, 2))
         phiT[3, 1] = np.nan
         with pytest.raises(SolverError, match="^non-finite terminal data$"):
-            adjoint_observation(phiT, weights.w, drift, domain32, tgrid24)
+            adjoint_observation(phiT, weights.w, propagator_of(drift, domain32, tgrid24))
         # a strong drift overflows the first backward step of data at the float maximum
         drift = random_drift(np.random.default_rng(0), domain32, tgrid24, amplitude=1e3,
                              per_step=True)
         phiT = np.full(32, 1.7e308)
         phiT[::2] *= -1.0
+        prop = propagator_of(drift, domain32, tgrid24)
         with pytest.raises(SolverError, match="^non-finite adjoint state at level 23$"):
-            solve_adjoint(phiT, drift, domain32, tgrid24)
+            solve_adjoint(phiT, prop)
         with pytest.raises(SolverError, match="^non-finite adjoint state at level 23$"):
-            adjoint_observation(phiT, weights.w, drift, domain32, tgrid24)
+            adjoint_observation(phiT, weights.w, prop)
