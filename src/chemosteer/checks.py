@@ -138,9 +138,8 @@ def elliptic_constant_defect(domain) -> float:
 
 def forward_constant_defect(value, domain, tgrid) -> float:
     """Max change of a constant state over a force-free march without drift."""
-    u0, drift = np.full(domain.n_cells, value), DriftField.zero(domain, tgrid)
-    return float(np.abs(solve_forward(u0, Propagator(drift.faces, domain, tgrid.dt))
-                        - value).max())
+    prop = Propagator(DriftField.zero(domain, tgrid).faces, domain, tgrid.dt)
+    return float(np.abs(solve_forward(np.full(domain.n_cells, value), prop) - value).max())
 
 
 def zero_data_control(drift, weights, domain, tgrid) -> float:

@@ -135,7 +135,7 @@ def cmd_linear(cfg: RunConfig, args, out):
         "control_bound": control_bound_report(sol, u0, domain),
         "linf_estimate": linf_estimate_report(sol.u, u0, sol.f, drift, domain, tgrid),
     }
-    return reports, EXIT_OK if sol.cg_converged else EXIT_NO_CONVERGENCE
+    return reports, sol.failure or EXIT_OK
 
 
 def cmd_nonlinear(cfg: RunConfig, args, out):
@@ -162,7 +162,7 @@ def cmd_nonlinear(cfg: RunConfig, args, out):
         reports["hum"] = _hum_report(result.hum_last)
         reports["carleman"] = _params_report(result.weights)
         reports["m_matrix"] = result.m_matrix
-    return reports, EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    return reports, result.failure or EXIT_OK
 
 
 def cmd_observability(cfg: RunConfig, args, out):
@@ -182,17 +182,17 @@ def cmd_observability(cfg: RunConfig, args, out):
 
 def cmd_sweep_eps(cfg: RunConfig, args, out):
     domain, tgrid, _, u0, drift, weights = _linear_setup(cfg)
-    rows = []
-    all_converged = True
+    rows, failure = [], None
     for eps in args.eps_list:
         sol = solve_penalized(u0, drift, weights, domain, tgrid,
                               replace(cfg.hum, epsilon=eps))
-        all_converged = all_converged and sol.cg_converged
+        if failure is None and not sol.cg_converged:
+            failure = f"epsilon {eps:g}: {sol.failure}"
         rows.append(_hum_report(sol))
     _write_table(os.path.join(out, "eps_sweep.csv"),
                  ("epsilon", "terminal_norm", "weighted_energy", "control_sup", "cg_iters"),
                  rows)
-    return {"eps_sweep": rows}, EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
+    return {"eps_sweep": rows}, failure or EXIT_OK
 
 
 def cmd_sweep_T(cfg: RunConfig, args, out):
@@ -258,11 +258,13 @@ _HORIZON = _positive(float, *HORIZON_RANGE)
 
 # name -> (help line, handler, {flag: argparse keywords}).  A handler
 # (cfg, args, out) writes its artifacts into the output directory `out`, which
-# main makes before the solve, and returns (reports, exit code); main times it
-# and writes report.json.  selftest alone takes no config: its handler
-# (args) returns the exit code.  Only the chosen command's parser is built, and
-# the top-level one only when the first argument is not a command: building a
-# parser per command cost every run more than the rest of argument handling.
+# main makes before the solve, and returns (reports, exit code), the code
+# replaced by the failure of a solve that did not converge; main times it,
+# writes report.json, and ends a failure with its error line and exit 3.
+# selftest alone takes no config: its handler (args) returns the exit code.
+# Only the chosen command's parser is built, and the top-level one only when
+# the first argument is not a command: building a parser per command cost
+# every run more than the rest of argument handling.
 COMMANDS = {
     "linear": ("linear penalized null-control run", cmd_linear, _CONFIG_OPTIONS),
     "nonlinear": ("fixed-point nonlinear run", cmd_nonlinear, _CONFIG_OPTIONS),
@@ -338,6 +340,8 @@ def main(argv=None) -> int:
         out = _out_dir(cfg)
         reports, code = handler(cfg, args, out)
         _write_report(out, cfg, reports, {"wall_s": _time.perf_counter() - t0})
+        if isinstance(code, str):
+            raise SolverError(code)
         return code
     except (ConfigError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)

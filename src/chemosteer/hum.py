@@ -71,6 +71,12 @@ class HumSolution:
     scale: int = 0                # the solve ran on the data times 2^-scale
     scaled_energy: float = 0.0    # weighted_energy at that scale, 4^-scale of it
 
+    @property
+    def failure(self):
+        """None for a converged CG, else the cap it stopped at and its residual."""
+        return None if self.cg_converged else (f"CG stopped at hum.cg_max_iters={self.cg_iters}"
+                                               f" with relative residual {self.cg_residual:.3g}")
+
 
 def feedback_control(phi: np.ndarray, weights: WeightTables, domain: DomainSpec,
                      out=None) -> np.ndarray:

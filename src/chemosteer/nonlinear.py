@@ -34,13 +34,17 @@ class NonlinearResult:
     f: np.ndarray
     iterations: int
     history: list
-    converged: bool
+    failure: str                       # why the run did not converge, None when it did
     in_K: bool
     verification_terminal_l2: float
     verification_sweeps: dict = None   # inner sweeps of verify_nonlinear
     hum_last: HumSolution = field(repr=False, default=None)
     weights: WeightTables = field(repr=False, default=None)  # of the last iteration
     m_matrix: dict = None              # m_matrix_report of the last drift
+
+    @property
+    def converged(self) -> bool:
+        return self.failure is None
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,8 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
     """Iterate the linearized control map until the state guess converges.
 
     Stops when |xi_{k+1} - xi_k|_{L2(Q)} <= fixed_point.tol * max(1, |xi_k|)
-    or at fixed_point.max_iters (returned with converged=False, never
+    or at fixed_point.max_iters.  That cap, or any CG solve stopped at its
+    own, leaves the run unconverged, its failure naming the first cause (never
     raised).  The in_K flag records whether every iterate stayed in the unit
     sup-norm ball; it is diagnostic only and does not stop the iteration.
     The raw-weight underflow warning of build_weights, for any iterate's
@@ -85,9 +90,7 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
     """
     u0 = np.asarray(u0, dtype=float)
     xi = state_guess(fixed_point, u0, time)
-    history = []
-    converged = False
-    in_k = True
+    history, increment, failure, in_k = [], math.nan, None, True
     sol = weights = None
     underflowed = False
 
@@ -97,6 +100,8 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
             weights = build_weights(drift.sup_norm, beta, domain, time, carleman, warn=False)
             underflowed = underflowed or weights.params.raw_weight_underflows
         sol = solve_penalized(u0, drift, weights, domain, time, hum)
+        if failure is None and not sol.cg_converged:
+            failure = f"outer iteration {it}: {sol.failure}"
         xi_new = sol.u
         increment = space_time_l2(xi_new - xi, domain.h, time.dt)
         sup_u = float(np.abs(xi_new).max())
@@ -112,14 +117,15 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
         scale = max(1.0, space_time_l2(xi, domain.h, time.dt))
         xi = xi_new
         if increment <= fixed_point.tol * scale:
-            converged = True
             break
+    else:
+        failure = failure or (f"fixed point stopped at fixed_point.max_iters="
+                              f"{fixed_point.max_iters} with increment {increment:.3g}")
 
     if sol is None:
         # iteration cap of zero: report the (empty) initial guess honestly
         return NonlinearResult(u=xi, v=np.zeros_like(xi), f=np.zeros_like(xi),
-                               iterations=0, history=[],
-                               converged=False, in_K=in_k,
+                               iterations=0, history=[], failure=failure, in_K=in_k,
                                verification_terminal_l2=float("nan"))
 
     verification, sweeps = verify_nonlinear(u0, sol.f, physics, domain, time, guide=xi)
@@ -127,8 +133,7 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
         warnings.warn(UNDERFLOW_WARNING, RuntimeWarning, stacklevel=2)
     return NonlinearResult(
         u=xi, v=solve_elliptic(xi, physics, domain), f=sol.f,
-        iterations=len(history), history=history,
-        converged=converged, in_K=in_k,
+        iterations=len(history), history=history, failure=failure, in_K=in_k,
         verification_terminal_l2=level_l2(verification[-1], domain.h),
         verification_sweeps=sweeps,
         hum_last=sol, weights=weights, m_matrix=m_matrix_report(drift, domain),

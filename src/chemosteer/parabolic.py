@@ -113,13 +113,9 @@ class Propagator:
         self.steps *= self.n_steps // self.n_factored  # shared factors serve every step
 
     def levels(self, x: np.ndarray, source=None, transpose: bool = False):
-        """Step the Fortran-ordered level x, (N,) or a batch (N, K), in place
-        through the march and yield (k, x) after each step.
-
-        Forward: x <- S_k^{-1} (x + source[k]) reaches level k+1, k = 0..M-1.
-        Transpose: x <- S_k^{-T} x reaches level k, k = M-1..0.
-        This is the only loop that calls dgttrs.
-        """
+        """The one dgttrs loop: step the Fortran-ordered level x, (N,) or (N, K),
+        in place and yield (k, x) after each step.  Forward, x <- S_k^{-1} (x +
+        source[k]) is level k+1, k = 0..M-1; transposed, x <- S_k^{-T} x is level k."""
         steps, trans = self.steps, "T" if transpose else "N"
         for k in (range(self.n_steps - 1, -1, -1) if transpose else range(self.n_steps)):
             if source is not None:
@@ -128,8 +124,8 @@ class Propagator:
             yield (k if transpose else k + 1), x
 
     def march(self, start: np.ndarray, source=None, transpose: bool = False) -> np.ndarray:
-        """All M+1 levels from start, (N,) or a batch (N, K) of columns:
-        x[0] = start forward, x[M] = start transposed, the rest as levels yields."""
+        """All M+1 levels from start, (N,) or a batch (N, K) of columns, each stored
+        Fortran-ordered as levels yields it: x[0] = start forward, x[M] transposed."""
         m = self.n_steps
         x = np.empty((m + 1,) + start.shape[::-1]).transpose(0, *range(start.ndim, 0, -1))
         x[m if transpose else 0] = start

@@ -122,6 +122,20 @@ BREAKDOWNS = {
 }
 SIZE16 = ["--set", "domain.n_cells=16", "--set", "time.n_steps=16"]
 
+# Runs stopped by an iteration cap: argv, the capped setting, and the flag of
+# report.json that records it.
+NON_CONVERGENCE = {
+    "linear-cg": (["linear", "--set", "hum.cg_max_iters=1"], "hum.cg_max_iters=1",
+                  lambda r: r["hum"]["cg_converged"]),
+    "nonlinear-cg": (["nonlinear", "--set", "hum.cg_max_iters=1"], "hum.cg_max_iters=1",
+                     lambda r: r["fixed_point"]["converged"]),
+    "nonlinear-fixed-point": (["nonlinear", "--set", "fixed_point.max_iters=1"],
+                              "fixed_point.max_iters=1",
+                              lambda r: r["fixed_point"]["converged"]),
+    "sweep-eps-cg": (["sweep-eps", "--eps-list", "1e-2", "--set", "hum.cg_max_iters=1"],
+                     "hum.cg_max_iters=1", lambda r: r["eps_sweep"][0]["cg_converged"]),
+}
+
 
 def run_cli(args, tmp_path, monkeypatch):
     out = tmp_path / "out"
@@ -447,6 +461,19 @@ class TestCommands:
         err = capsys.readouterr().err
         assert code == EXIT_NO_CONVERGENCE
         assert err.startswith(f"error: {cause}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, setting, converged", NON_CONVERGENCE.values(),
+                             ids=NON_CONVERGENCE)
+    def test_non_convergence_exits_3_with_one_line(self, argv, setting, converged,
+                                                    tmp_path, monkeypatch, capsys):
+        # each once exited 3 with an empty stderr, or (a capped CG in the
+        # fixed point) exited 0 as converged
+        code, out = run_cli(argv + SIZE16, tmp_path, monkeypatch)
+        err = capsys.readouterr().err
+        assert code == EXIT_NO_CONVERGENCE
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f" stopped at {setting} with " in err
+        assert converged(read_report(out)["reports"]) is False
 
     def test_sweep_T_breakdown_fails_one_cell(self, tmp_path, monkeypatch):
         # amplitude 0.5 overflows the weights at chi = 200: once the whole sweep

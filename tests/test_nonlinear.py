@@ -204,6 +204,22 @@ def test_verification_guided_by_the_fixed_point(small_setup):
         level_l2(u_free[-1], domain.h), rel=1e-8)
 
 
+def test_a_capped_cg_leaves_the_fixed_point_unconverged(small_setup):
+    # the increment test alone once reported such a run as converged
+    domain, tgrid, beta, u0 = small_setup
+    phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
+    capped = HumSettings(epsilon=1e-6, cg_max_iters=1)
+    result = run_nonlinear(u0, phys, domain, tgrid, beta, hum=capped)
+    assert not result.converged and not result.hum_last.cg_converged
+    assert result.failure.startswith("outer iteration 1: CG stopped at hum.cg_max_iters=1 ")
+    amplitude = float(np.abs(u0).max())
+    table = threshold_sweep([1.0], [amplitude], u0 / amplitude, phys, domain,
+                            tgrid.n_steps, beta, hum=capped)
+    (cell,) = table["rows"][0]["cells"]
+    assert table["rows"][0]["a_star"] is None
+    assert not cell["converged"] and not cell["success"]
+
+
 def test_no_factors_outlive_run_nonlinear(small_setup, monkeypatch):
     domain, tgrid, beta, u0 = small_setup
     built = []
