@@ -19,5 +19,5 @@ from .hum import (HumSettings, HumSolution, control_bound_report, gramian_apply,
                   kappa_const, solve_penalized)
 from .nonlinear import (FixedPointSettings, NonlinearResult, remark_check, run_nonlinear,
                         threshold_sweep, verify_nonlinear)
-from .parabolic import (linf_estimate_report, rho0_const, solve_adjoint,
+from .parabolic import (Propagator, linf_estimate_report, rho0_const, solve_adjoint,
                         solve_forward)
