@@ -21,7 +21,7 @@ The raw peak exponent is kept in log_w_peak for reporting.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,7 +82,7 @@ class CarlemanParams:
 
 @dataclass(frozen=True)
 class WeightTables:
-    """alpha and normalized weight tables at the M time midpoints.
+    """Normalized weight table at the M time midpoints, and alpha when read.
 
     Row k-1 of each table corresponds to the midpoint t_{k-1/2} and hence to
     the control level k.  w is e^{delta0 s (alpha - alpha_peak)}, in [0, 1],
@@ -91,9 +91,15 @@ class WeightTables:
 
     params: CarlemanParams
     t_mid: np.ndarray    # (M,)
-    alpha: np.ndarray    # (M, N)
+    e_lam_beta: np.ndarray  # (N,) e^{lam beta}
     w: np.ndarray        # (M, N)
     log_w_peak: float    # delta0 * s * max(alpha): log of the raw peak weight
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """(M, N) table (e^{lam beta} - gamma(lam)) / (t (T - t)), evaluated on each read."""
+        t = self.t_mid[:, None]
+        return (self.e_lam_beta - self.params.gamma_of_lambda) / (t * (self.params.horizon_T - t))
 
 
 UNDERFLOW_WARNING = "raw mid-horizon weight underflows; normalized table remains usable"
@@ -144,13 +150,13 @@ def build_weights(b_sup: float, beta: BetaFunction, domain: DomainSpec, time: Ti
     """
     if time.n_steps < 4:
         raise ValueError("need at least 4 time steps for the weight tables")
-    T = time.horizon_T
-    t = time.midpoints[:, None]                      # (M, 1)
-    denom = t * (T - t)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, at the peak
-        params = select_params(b_sup, T, beta, settings, warn=False)
-        e_lb = np.exp(params.lam * beta.at_centers)[None, :]
-        alpha = (e_lb - params.gamma_of_lambda) / denom
+        params = select_params(b_sup, time.horizon_T, beta, settings, warn=False)
+        tables = WeightTables(params, time.midpoints.copy(), np.exp(params.lam * beta.at_centers),
+                              w=None, log_w_peak=0.0)  # its alpha forms the exponent
+        # named, not a temporary: numpy tests a large temporary for in-place reuse by a
+        # backtrace(), whose first call makes about 0.4 MB of unwind tables resident
+        alpha = tables.alpha
         exponent = params.delta0 * params.s * alpha
     peak = float(exponent.max())
     if not np.isfinite(peak):
@@ -158,7 +164,5 @@ def build_weights(b_sup: float, beta: BetaFunction, domain: DomainSpec, time: Ti
                           f"at lambda={params.lam:.6g}, s={params.s:.6g}")
     if warn and params.raw_weight_underflows:
         warnings.warn(UNDERFLOW_WARNING, RuntimeWarning, stacklevel=2)
-    return WeightTables(
-        params=params, t_mid=time.midpoints.copy(), alpha=alpha, log_w_peak=peak,
-        w=np.exp(np.subtract(exponent, peak, out=exponent), out=exponent),  # in place
-    )
+    return replace(  # w exponentiated in place
+        tables, log_w_peak=peak, w=np.exp(np.subtract(exponent, peak, out=exponent), out=exponent))

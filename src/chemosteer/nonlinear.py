@@ -99,6 +99,7 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
         if weights is None or not carleman.freeze_after_first:
             weights = build_weights(drift.sup_norm, beta, domain, time, carleman, warn=False)
             underflowed = underflowed or weights.params.raw_weight_underflows
+        sol = None  # the previous solution dies before the next solve starts
         sol = solve_penalized(u0, drift, weights, domain, time, hum)
         if failure is None and not sol.cg_converged:
             failure = f"outer iteration {it}: {sol.failure}"

@@ -123,12 +123,17 @@ class Propagator:
             dgttrs(*steps[k], x, trans, 1)
             yield (k if transpose else k + 1), x
 
-    def march(self, start: np.ndarray, source=None, transpose: bool = False) -> np.ndarray:
-        """All M+1 levels from start, (N,) or a batch (N, K) of columns, each stored
-        Fortran-ordered as levels yields it: x[0] = start forward, x[M] transposed."""
-        m = self.n_steps
-        x = np.empty((m + 1,) + start.shape[::-1]).transpose(0, *range(start.ndim, 0, -1))
-        x[m if transpose else 0] = start
+    def trajectory(self, shape: tuple, fill=np.empty) -> np.ndarray:
+        """An (M+1,) + shape array of fill's levels, each Fortran-ordered as march stores it."""
+        return fill((self.n_steps + 1,) + shape[::-1]).transpose(0, *range(len(shape), 0, -1))
+
+    def march(self, start: np.ndarray, source=None, transpose: bool = False,
+              out=None) -> np.ndarray:
+        """All M+1 levels from start, (N,) or a batch (N, K) of columns, stored in out
+        (default a new trajectory()): x[0] = start forward, x[M] transposed.  Step k
+        reads source[k] before level k+1 is stored, so source may be out[1:]."""
+        x = self.trajectory(start.shape) if out is None else out
+        x[self.n_steps if transpose else 0] = start
         for k, level in self.levels(np.array(start, order="F"), source, transpose):
             x[k] = level
         return x
@@ -164,14 +169,17 @@ def solve_forward(u0: np.ndarray, prop: Propagator, f=None) -> np.ndarray:
 
     u0 is (N,) or a batch (N, K); f may be None (no control) or a (M+1, N)
     array, (M+1, N, K) for a batch; its level-0 slice is never used.
-    Returns the full trajectory, shape (M+1,) + u0.shape.
+    Returns the full trajectory, shape (M+1,) + u0.shape; its levels 1..M first
+    hold the source dt (1_omega f)^k that step k-1 adds before overwriting it.
     """
     u0 = np.asarray(u0, dtype=float)
     if not np.all(np.isfinite(u0)):
         raise SolverError("non-finite initial data")
-    mask = prop.domain.omega_mask.reshape((-1,) + (1,) * (u0.ndim - 1))
-    source = None if f is None else prop.dt * np.where(mask, f[1:], 0.0)
-    u = prop.march(u0, source)
+    u = prop.trajectory(u0.shape, np.empty if f is None else np.zeros)
+    if f is not None:
+        mask = prop.domain.omega_mask.reshape((-1,) + (1,) * (u0.ndim - 1))
+        np.multiply(f[1:], prop.dt, out=u[1:], where=mask)
+    u = prop.march(u0, None if f is None else u[1:], out=u)
     check_levels(u, "non-finite state after forward step {}", first=True)
     return u
 

@@ -153,11 +153,22 @@ def test_weights_exponentiated_in_place():
     tracemalloc.start()
     try:
         weights = build_weights(0.0, beta, domain, time)
-        peak = tracemalloc.get_traced_memory()[1]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # alpha and w, and no temporary table beside them
+    # at most the exponent table and the alpha it is formed from, no temporary beside them
     assert peak <= 2.5 * time.n_steps * domain.n_cells * 8
+    # only w outlives the call: alpha is evaluated when read
+    assert kept <= 1.5 * (time.n_steps + 1) * domain.n_cells * 8
     params = weights.params
     expected = np.exp(params.delta0 * params.s * weights.alpha - weights.log_w_peak)
     assert np.array_equal(weights.w, expected)
+
+
+def test_alpha_read_keeps_its_bits(domain32, tgrid24, beta32):
+    weights = build_weights(0.7, beta32, domain32, tgrid24)
+    p, t = weights.params, weights.t_mid[:, None]
+    expected = ((np.exp(p.lam * beta32.at_centers) - np.exp(2.0 * p.lam * p.beta_sup))
+                / (t * (p.horizon_T - t)))
+    assert weights.alpha.shape == (tgrid24.n_steps, domain32.n_cells)
+    assert np.array_equal(weights.alpha.view(np.uint64), expected.view(np.uint64))

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -236,3 +237,18 @@ class TestSynthesisByLinearity:
         with pytest.raises(SolverError, match="CG breakdown at iteration 1"):
             solve_penalized(cosine_data(domain32, 1e-2), drift, blind, domain32, tgrid24,
                             HumSettings(epsilon=epsilon))
+
+
+def test_solve_peak_memory_with_a_per_step_drift():
+    # the forward march's source lives in the trajectory it becomes: no table beside it
+    domain, time = build_domain(200, (0.3, 0.7), 0.5), build_time_grid(1.0, 400)
+    drift = random_drift(np.random.default_rng(0), domain, time, amplitude=1.0, per_step=True)
+    weights = default_weights(domain, time, build_beta(domain), b_sup=drift.sup_norm)
+    tracemalloc.start()
+    try:
+        sol = solve_penalized(cosine_data(domain, 0.5), drift, weights, domain, time)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.cg_converged
+    assert peak <= 9.5 * (time.n_steps + 1) * domain.n_cells * 8  # 9.92 with the table

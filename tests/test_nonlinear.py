@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import warnings
 import weakref
 
@@ -235,6 +236,40 @@ def test_no_factors_outlive_run_nonlinear(small_setup, monkeypatch):
     gc.collect()
     assert result.converged and len(built) == result.iterations
     assert [ref() for ref in built] == [None] * len(built)
+
+
+def test_no_solution_outlives_the_start_of_the_next_solve(small_setup, monkeypatch):
+    domain, tgrid, beta, u0 = small_setup
+    returned, alive_at_start = [], []
+
+    def recorded(*args, **kwargs):
+        alive_at_start.append([ref() is not None for ref in returned])
+        sol = solve_penalized(*args, **kwargs)
+        returned.append(weakref.ref(sol))
+        return sol
+
+    monkeypatch.setattr(nonlinear, "solve_penalized", recorded)
+    result = run_nonlinear(u0, PhysicsParams(chi=1.0, gamma=1.0, delta=1.0),
+                           domain, tgrid, beta, hum=HumSettings(epsilon=1e-6))
+    assert result.converged and result.iterations == len(returned) >= 2
+    assert not any(any(alive) for alive in alive_at_start)
+    assert returned[-1]() is result.hum_last
+
+
+def test_fixed_point_peak_memory():
+    # one solution, no stored alpha and no separate forward source at the peak
+    domain, time = build_domain(200, (0.3, 0.7), 0.5), build_time_grid(1.0, 400)
+    u0 = 0.5 * (1.0 + np.cos(np.pi * domain.centers)) / 2.0
+    beta = build_beta(domain)
+    tracemalloc.start()
+    try:
+        result = run_nonlinear(u0, PhysicsParams(chi=10.0), domain, time, beta,
+                               fixed_point=FixedPointSettings(tol=3.5e-6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.converged and result.iterations == 7
+    assert peak <= 13.0 * (time.n_steps + 1) * domain.n_cells * 8  # 14.95 before
 
 
 def test_verify_nonlinear_breakdowns_raise_solver_error(small_setup, monkeypatch):

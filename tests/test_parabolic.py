@@ -246,6 +246,33 @@ def test_in_place_march_equals_reference_bitwise(domain32, tgrid24, per_step, ba
                                           source, transpose))
 
 
+def bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batch"])
+@pytest.mark.parametrize("data", ["random", "signed-zeros"])
+def test_forward_source_in_trajectory_equals_separate_source_bitwise(domain32, tgrid24,
+                                                                     batch, data):
+    """solve_forward stores dt 1_omega f in the levels it then overwrites; the march
+    must add the bits of the separate table dt * np.where(mask, f[1:], 0.0)."""
+    rng = np.random.default_rng(29)
+    drift = random_drift(rng, domain32, tgrid24, amplitude=1.5, per_step=True)
+    prop = Propagator(drift.faces, domain32, tgrid24.dt)
+    mask = domain32.omega_mask.reshape((-1,) + (1,) * len(batch))
+    # nonzero outside omega and at level 0, -0.0 on omega at levels 2, 4, ...
+    f = rng.standard_normal((tgrid24.n_steps + 1, 32) + batch)
+    f[2::2] = np.where(mask, -0.0, f[2::2])
+    start = rng.standard_normal((32,) + batch)
+    if data == "signed-zeros":  # -0.0 everywhere at the start and on omega at every level
+        start[:] = -0.0
+        f[1:] = np.where(mask, -0.0, f[1:])
+    source = tgrid24.dt * np.where(mask, f[1:], 0.0)
+    expected = reference_march(drift.faces, domain32, tgrid24.dt, start, source)
+    assert np.array_equal(bits(solve_forward(start, prop, f)), bits(expected))
+    assert np.array_equal(bits(prop.march(start, source)), bits(expected))
+
+
 class TestAdjointObservation:
     """The storage-free adjoint march against the stored trajectory it replaces."""
 
