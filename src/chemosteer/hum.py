@@ -152,7 +152,10 @@ def solve_penalized(u0: np.ndarray, drift: DriftField, weights: WeightTables,
     np.ldexp(u, -e, out=u)
     rhs = -u[-1]
     rhs_norm = level_l2(rhs, h)
-    f, f_p = np.zeros(u.shape), np.zeros(u.shape)
+    cells = np.flatnonzero(domain.omega_mask)
+    omega = slice(cells[0], cells[-1] + 1)  # build_domain makes omega one run of cells
+    f_p = np.zeros(u.shape)
+    f_omega = np.zeros(f_p[1:, omega].shape)  # the control on omega, summed as CG goes
 
     phiT, history, iters, converged = np.zeros(domain.n_cells), [], 0, rhs_norm == 0.0
     if not converged:
@@ -166,7 +169,7 @@ def solve_penalized(u0: np.ndarray, drift: DriftField, weights: WeightTables,
             if not math.isfinite(alpha):
                 raise SolverError(f"CG breakdown at iteration {iters}: curvature {curvature:.3g}")
             phiT = phiT + alpha * p
-            f += np.multiply(f_p, alpha, out=f_p)
+            f_omega += np.multiply(f_p[1:, omega], alpha, out=f_p[1:, omega])
             u += np.multiply(u_p, alpha, out=u_p)
             del u_p  # free this step's trajectory before the next march
             r = r - alpha * ap
@@ -178,6 +181,8 @@ def solve_penalized(u0: np.ndarray, drift: DriftField, weights: WeightTables,
             p = r + (rs_new / rs) * p
             rs = rs_new
     del f_p, prop  # the marching is done: free its factors
+    f = np.zeros(u.shape)  # before the energy, which sums over every cell in this order
+    f[1:, omega] = f_omega
 
     positive = weights.w > 0.0
     energy = time.dt * h * float(np.sum(np.square(f[1:][positive]) / weights.w[positive]))

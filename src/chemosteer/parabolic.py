@@ -69,21 +69,25 @@ def step_matrix_banded(face_drift: np.ndarray, domain: DomainSpec,
 
     For one face slice (N+1,) the result is the (3, N) LAPACK band storage
     (superdiagonal, diagonal, subdiagonal); for a stack (M, N+1) it has shape
-    (3, M, N) and ab[:, k] is the band storage of step k.
+    (3, M, N) and ab[:, k] is the band storage of step k.  Each coefficient is
+    formed in its band row, with no temporary beside the result.
     """
     face_drift = np.asarray(face_drift, dtype=float)
     n = domain.n_cells
     ih = 1.0 / domain.h
-    half_b = 0.5 * face_drift[..., 1:n]       # interior faces 1..n-1
-    upper = ih * (ih - half_b)                # coeff of u_{i+1} in row i
-    lower = ih * (ih + half_b)                # coeff of u_{i-1} in row i+1
-    ab = np.zeros((3,) + face_drift.shape[:-1] + (n,))
-    ab[0, ..., 1:] = upper
-    ab[2, ..., :-1] = lower
-    ab[1, ..., :-1] -= lower                  # ab[1] = diagonal of A, for now
-    ab[1, ..., 1:] -= upper
+    ab = np.empty((3,) + face_drift.shape[:-1] + (n,))
+    upper, diag, lower = ab[0, ..., 1:], ab[1], ab[2, ..., :-1]
+    ab[0, ..., 0] = ab[2, ..., -1] = 0.0      # outside the matrix
+    np.multiply(0.5, face_drift[..., 1:n], out=lower)  # b/2 on interior faces 1..n-1
+    np.subtract(ih, lower, out=upper)
+    upper *= ih                               # ih (ih - b/2), coeff of u_{i+1} in row i
+    lower += ih
+    lower *= ih                               # ih (ih + b/2), coeff of u_{i-1} in row i+1
+    diag[..., -1] = 0.0                       # diag = diagonal of A, for now
+    np.subtract(0.0, lower, out=diag[..., :-1])
+    diag[..., 1:] -= upper
     ab *= -dt
-    ab[1] += 1.0
+    diag += 1.0
     return ab
 
 
@@ -94,7 +98,9 @@ class Propagator:
     Forward steps solve with the factors (dgttrs), adjoint steps with their
     transpose on the same factors (dgttrs, trans='T'), so the adjoint march
     is the algebraic transpose of the forward one by construction.  A drift
-    that is the same at every step is factored once (n_factored == 1).
+    that is the same at every step is factored once (n_factored == 1).  The
+    steps whose factoring did not pivot share one zero du2 and one identity
+    ipiv, owned by this propagator.
     """
 
     def __init__(self, faces: np.ndarray, domain: DomainSpec, dt: float):
@@ -104,12 +110,17 @@ class Propagator:
         self.n_factored = len(faces)
         ab = step_matrix_banded(faces, domain, dt)
         self.steps = []  # the dgttrs arguments of each step, built once for every march
+        unpivoted = shared = None
         for k in range(self.n_factored):
             # the factors overwrite the band rows of step k in place
-            *lu, info = dgttrf(ab[2, k, :-1], ab[1, k], ab[0, k, 1:], 1, 1, 1)
+            dl, d, du, du2, ipiv, info = dgttrf(ab[2, k, :-1], ab[1, k], ab[0, k, 1:], 1, 1, 1)
             if info != 0:
                 raise SolverError(f"singular implicit step matrix at step {k + 1}")
-            self.steps.append(lu)
+            if unpivoted is None:
+                unpivoted = np.arange(1, len(ipiv) + 1, dtype=ipiv.dtype).tobytes()
+            if ipiv.tobytes() == unpivoted:  # no row swapped, so du2 stayed zero
+                du2, ipiv = shared = shared or (du2, ipiv)
+            self.steps.append((dl, d, du, du2, ipiv))
         self.steps *= self.n_steps // self.n_factored  # shared factors serve every step
 
     def levels(self, x: np.ndarray, source=None, transpose: bool = False):

@@ -190,7 +190,9 @@ class TestSynthesisByLinearity:
         u = solve_forward(u0, prop, sol.f)
         assert np.abs(sol.f - f).max() <= 1e-12 * np.abs(f).max()
         assert np.abs(sol.u - u).max() <= 1e-12 * np.abs(u).max()
-        assert np.all(sol.f[:, ~domain32.omega_mask] == 0.0) and np.all(sol.f[0] == 0.0)
+        # +0.0, not -0.0, off omega and at level 0
+        assert not np.ascontiguousarray(sol.f[:, ~domain32.omega_mask]).view(np.uint64).any()
+        assert not sol.f[0].view(np.uint64).any()
 
     def test_power_of_two_data_scale_every_result_bitwise(self, domain32, tgrid24,
                                                           beta32):
@@ -240,7 +242,8 @@ class TestSynthesisByLinearity:
 
 
 def test_solve_peak_memory_with_a_per_step_drift():
-    # the forward march's source lives in the trajectory it becomes: no table beside it
+    # the forward march's source lives in the trajectory it becomes, unpivoted steps
+    # share one du2 and ipiv, and CG sums the control on omega alone
     domain, time = build_domain(200, (0.3, 0.7), 0.5), build_time_grid(1.0, 400)
     drift = random_drift(np.random.default_rng(0), domain, time, amplitude=1.0, per_step=True)
     weights = default_weights(domain, time, build_beta(domain), b_sup=drift.sup_norm)
@@ -251,4 +254,4 @@ def test_solve_peak_memory_with_a_per_step_drift():
     finally:
         tracemalloc.stop()
     assert sol.cg_converged
-    assert peak <= 9.5 * (time.n_steps + 1) * domain.n_cells * 8  # 9.92 with the table
+    assert peak <= 7.3 * (time.n_steps + 1) * domain.n_cells * 8  # 8.93 with per-step pivots

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dgttrf, dgttrs
@@ -229,14 +231,31 @@ def reference_march(faces, domain, dt, start, source=None, transpose=False):
     return x
 
 
-@pytest.mark.parametrize("per_step", [False, True], ids=["shared", "per-step"])
+def pivoting_drift(rng, domain, tgrid):
+    """A per-step drift with h|B| up to 40 at every third step, whose factoring
+    pivots, and h|B| below 0.05 at the others, whose factoring does not."""
+    faces = random_drift(rng, domain, tgrid, amplitude=1.5, per_step=True).faces.copy()
+    faces[::3] *= 40.0 / (domain.h * 1.5)
+    return DriftField(faces=faces)
+
+
+def pivoted(step):
+    ipiv = step[4]
+    return not np.array_equal(ipiv, np.arange(1, len(ipiv) + 1))
+
+
+@pytest.mark.parametrize("drift_kind", ["shared", "per-step", "pivoting"])
 @pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batch"])
 @pytest.mark.parametrize("kind", ["forward-source", "forward", "adjoint"])
-def test_in_place_march_equals_reference_bitwise(domain32, tgrid24, per_step, batch, kind):
+def test_in_place_march_equals_reference_bitwise(domain32, tgrid24, drift_kind, batch, kind):
     rng = np.random.default_rng(25)
-    drift = random_drift(rng, domain32, tgrid24, amplitude=1.5, per_step=per_step)
+    drift = (pivoting_drift(rng, domain32, tgrid24) if drift_kind == "pivoting" else
+             random_drift(rng, domain32, tgrid24, amplitude=1.5,
+                          per_step=drift_kind == "per-step"))
     prop = Propagator(drift.faces, domain32, tgrid24.dt)
-    assert prop.n_factored == (tgrid24.n_steps if per_step else 1)
+    assert prop.n_factored == (1 if drift_kind == "shared" else tgrid24.n_steps)
+    if drift_kind == "pivoting":
+        assert [pivoted(step) for step in prop.steps] == [k % 3 == 0 for k in range(24)]
     start = rng.standard_normal((32,) + batch)
     source = (rng.standard_normal((tgrid24.n_steps, 32) + batch)
               if kind == "forward-source" else None)
@@ -246,8 +265,70 @@ def test_in_place_march_equals_reference_bitwise(domain32, tgrid24, per_step, ba
                                           source, transpose))
 
 
+def test_unpivoted_steps_share_their_pivots(domain32, tgrid24):
+    drift = pivoting_drift(np.random.default_rng(25), domain32, tgrid24)
+    prop, other = (Propagator(drift.faces, domain32, tgrid24.dt) for _ in range(2))
+    flat = [step for step in prop.steps if not pivoted(step)]
+    pivoting = [step for step in prop.steps if pivoted(step)]
+    assert len(flat) == 16 and len(pivoting) == 8
+    assert all(step[3] is flat[0][3] and step[4] is flat[0][4] for step in flat)
+    assert not flat[0][3].any()
+    owned = [a for step in pivoting for a in step[3:]]
+    assert len({id(a) for a in owned + list(flat[0][3:])}) == len(owned) + 2
+    # a propagator owns all its arrays: none is another's or a view of one
+    for step, twin in zip(prop.steps, other.steps):
+        assert not any(np.may_share_memory(a, b) for a in step for b in twin)
+
+
 def bits(x):
     return np.ascontiguousarray(x).view(np.uint64)
+
+
+def banded_with_temporaries(face_drift, domain, dt):
+    """step_matrix_banded as written with a temporary per coefficient: the
+    reference for its bits."""
+    face_drift = np.asarray(face_drift, dtype=float)
+    n = domain.n_cells
+    ih = 1.0 / domain.h
+    half_b = 0.5 * face_drift[..., 1:n]
+    upper = ih * (ih - half_b)
+    lower = ih * (ih + half_b)
+    ab = np.zeros((3,) + face_drift.shape[:-1] + (n,))
+    ab[0, ..., 1:] = upper
+    ab[2, ..., :-1] = lower
+    ab[1, ..., :-1] -= lower
+    ab[1, ..., 1:] -= upper
+    ab *= -dt
+    ab[1] += 1.0
+    return ab
+
+
+@pytest.mark.parametrize("rows", [(), (24,)], ids=["slice", "stack"])
+@pytest.mark.parametrize("data", ["random", "signed-zeros"])
+def test_step_matrix_banded_keeps_its_bits(tgrid24, rows, data):
+    domain = build_domain(30, (0.3, 0.7), 0.5)  # 1/h not a power of two: products round
+    rng = np.random.default_rng(31)
+    shape = rows + (31,)
+    faces = (rng.uniform(-100.0, 100.0, shape) if data == "random" else
+             np.where(rng.random(shape) < 0.5, -0.0, 0.0))
+    faces[..., 5] = 60.0  # h |B| = 2: a zero coefficient
+    expected = banded_with_temporaries(faces, domain, tgrid24.dt)
+    ab = step_matrix_banded(faces, domain, tgrid24.dt)
+    assert ab.shape == (3,) + rows + (30,)
+    assert np.array_equal(bits(ab), bits(expected))
+
+
+def test_step_matrix_banded_peak_memory():
+    # the band stack and numpy's iteration buffers: no coefficient temporaries
+    domain, time = build_domain(200, (0.3, 0.7), 0.5), build_time_grid(1.0, 400)
+    drift = random_drift(np.random.default_rng(0), domain, time, amplitude=1.0, per_step=True)
+    tracemalloc.start()
+    try:
+        step_matrix_banded(drift.faces, domain, time.dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * (time.n_steps + 1) * domain.n_cells * 8  # 6.18 with them
 
 
 @pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batch"])
