@@ -4,7 +4,7 @@ Subcommands: linear, nonlinear, observability, sweep-eps, sweep-T,
 oracle-check, selftest.  Every run writes report.json (config echo plus
 content hash plus reports) and CSV artifacts into the output directory.
 Exit codes: 0 success, 1 selftest/oracle failure, 2 invalid input or an
-unwritable output directory, 3 solver non-convergence or breakdown.
+unwritable output directory, 3 solver non-convergence, breakdown or exhausted memory.
 """
 
 import argparse
@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time as _time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +35,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_NO_CONVERGENCE = 3
+
+# a warning is one stderr line, as an error is
+warnings.formatwarning = lambda message, *_, **__: f"warning: {message}\n"
 
 
 def _fmt(v) -> str:
@@ -104,7 +108,7 @@ def _params_report(weights):
     p = weights.params
     return {"lambda": p.lam, "s": p.s, "delta0": p.delta0, "gamma_of_lambda": p.gamma_of_lambda,
             "omega_of_lambda": p.omega_of_lambda, "constraints_certified": p.constraints_certified(),
-            "log_w_peak": weights.log_w_peak}
+            "log_w_peak": weights.log_w_peak, "raw_weight_underflows": p.raw_weight_underflows}
 
 
 def _linear_setup(cfg: RunConfig):
@@ -346,6 +350,9 @@ def main(argv=None) -> int:
     except (ConfigError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID if isinstance(exc, ConfigError) else EXIT_NO_CONVERGENCE
+    except MemoryError as exc:  # numpy names the allocation that failed
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except OSError as exc:  # unreadable inputs raise ConfigError: this is an output
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INVALID

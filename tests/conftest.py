@@ -1,6 +1,13 @@
+import json
+import os
+import re
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import chemosteer
 from chemosteer import build_beta, build_domain, build_time_grid, build_weights
 from chemosteer.elliptic import DriftField
 from chemosteer.parabolic import Propagator, solve_forward
@@ -36,3 +43,39 @@ def heat_error(dom):
     mode = np.cos(np.pi * dom.centers)
     u = solve_forward(1.0 + mode, propagator_of(DriftField.zero(dom, tg), dom, tg))
     return np.abs(u[-1] - (1.0 + np.exp(-np.pi ** 2 * 0.1) * mode)).max()
+
+
+def read_report(out):
+    with open(out / "report.json") as fh:
+        return json.load(fh)
+
+
+# Runs the CLI in a fresh interpreter as `python -m chemosteer.cli ARGV` does and,
+# from an atexit hook (after main has returned), reports gc.get_freeze_count().
+FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: sys.stderr.write(f"frozen={gc.get_freeze_count()}\\n"))
+runpy.run_module("chemosteer.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def start_fresh(argv, out, flags=()):
+    """A fresh CLI process writing into out, started; flags go to the interpreter."""
+    src = os.path.dirname(os.path.dirname(chemosteer.__file__))
+    env = dict(os.environ, CHEMOSTEER_OUT=str(out),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, *flags, "-c", FREEZE_PROBE, *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def finish_fresh(proc):
+    """(exit code, objects frozen at exit, stderr) of a started fresh process."""
+    _, stderr = proc.communicate(timeout=300)
+    *err, last = stderr.splitlines(keepends=True)
+    frozen = re.fullmatch(r"frozen=(\d+)\n", last)
+    assert frozen, stderr
+    return proc.returncode, int(frozen.group(1)), "".join(err)
+
+
+def run_fresh(argv, out):
+    return finish_fresh(start_fresh(argv, out))
