@@ -45,6 +45,15 @@ def heat_error(dom):
     return np.abs(u[-1] - (1.0 + np.exp(-np.pi ** 2 * 0.1) * mode)).max()
 
 
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The directory {tmp} of the rows of test_contract.CONTRACT."""
+    tmp = tmp_path_factory.mktemp("contract")
+    (tmp / "garbled.txt").write_text("1 2 x\n")
+    (tmp / "list.json").write_text("[1, 2]")
+    return tmp
+
+
 def read_report(out):
     with open(out / "report.json") as fh:
         return json.load(fh)

@@ -17,6 +17,7 @@ from chemosteer.grid import build_domain
 from chemosteer.nonlinear import run_nonlinear
 
 from conftest import read_report, run_fresh
+from test_contract import NAMED, run_rows
 
 SMALL = ["--set", "domain.n_cells=24", "--set", "time.n_steps=24"]
 SIZE16 = ["--set", "domain.n_cells=16", "--set", "time.n_steps=16"]
@@ -381,3 +382,22 @@ class TestImportHeapFreeze:
 
         for name in names:
             assert untimed(fresh / name) == untimed(here / name), name
+
+
+def named(cases):
+    """A test that runs rows of test_contract.CONTRACT: a tuple of rows, or a
+    parametrized row for each {id: row}."""
+    if not isinstance(cases, dict):
+        def check(self, inputs, monkeypatch, capsys):
+            run_rows(cases, inputs, monkeypatch, capsys)
+        return check
+
+    @pytest.mark.parametrize("name", cases.values(), ids=cases)
+    def check_one(self, name, inputs, monkeypatch, capsys):
+        run_rows([name], inputs, monkeypatch, capsys)
+    return check_one
+
+
+for test, cases in NAMED.items():
+    cls, name = test.split("::")
+    setattr(globals()[cls], name, named(cases))

@@ -2,12 +2,13 @@
 
 A row is one run: argv, exit code (None: any of 0, 2 and 3), a regex its stderr
 matches from the start, and optionally a predicate on its report.json "reports"
-and the cli names it replaces.  In an argv {n8} and {n16} are grid sizes, {tmp}
+and the attributes of cli it patches.  In an argv {n8} and {n16} are grid sizes, {tmp}
 a directory holding garbled.txt and list.json, and a leading NAME=VALUE sets an
 environment variable.  Every run also keeps the contract: no traceback; exit 0
 writes report.json and prints nothing but documented one-line warnings; exits 2
 and 3 print one error line, after nothing but a usage error's usage; exit 2
-comes before any solve.  The rows of FRESH run again in a fresh interpreter, for
+comes before any solve.  The rows of NAMED run in tests/test_cli.py under the
+names of the tests that checked them before this table.  The rows of FRESH run again in a fresh interpreter, for
 what only a real process shows: how a warning prints, and `python -O`.
 """
 
@@ -209,6 +210,10 @@ CONTRACT = {
                                      lambda r: r["fixed_point"]["converged"] is False),
            "sweep-eps-cg": ("sweep-eps --eps-list 1e-2", "hum.cg_max_iters=1",
                             lambda r: r["eps_sweep"][0]["cg_converged"] is False)}.items()},
+    "nonlinear-fixed-point-tight": Row(
+        "nonlinear --set fixed_point.max_iters=1 --set fixed_point.tol=1e-14 {n16}",
+        EXIT_NO_CONVERGENCE, "error: .* stopped at fixed_point.max_iters=1 with ",
+        lambda r: r["fixed_point"]["converged"] is False),
     # the dense oracle itself fails at these penalties: its defined exit code
     **rows(EXIT_CHECK_FAILED, CLEAN, {
         f"oracle-check-hum.epsilon={eps}": f"oracle-check {{n8}} --set hum.epsilon={eps}"
@@ -238,12 +243,59 @@ CONTRACT = {
         "linear-weight-underflow": "linear {n8} --set carleman.s_scale=1e12",
         "nonlinear-weight-underflow": "nonlinear {n8} --set carleman.s_scale=1e12"}, underflowed),
 }
+# Rows that keep the name of the test of tests/test_cli.py that checked them before
+# this table: "Class::test" -> its rows, or {its parameter id: row}.
+NAMED = {
+    "TestParser::test_usage_errors_exit_2": {f"argv{i}": name for i, name in enumerate((
+        "no-command", "unknown-command", "option-before-command", "unknown-option",
+        "samples-not-a-number", "missing-option", "selftest-takes-no-config"))},
+    "TestParser::test_out_of_range_option_exits_2": {name: name for name in (
+        "sweep-T-amplitude-0", "sweep-T-horizon-0", "sweep-T-horizon-inf", "sweep-eps-nan",
+        "observability-horizon-0", "observability-horizon-negative", "sweep-T-horizon-huge",
+        "observability-horizon-nan", "observability-samples-0", "observability-horizon-tiny",
+        "observability-horizon-below-range", "sweep-T-horizon-above-range")},
+    "TestParser::test_horizon_range_edges_run": {
+        "linear-T-min": "linear-horizon-min", "linear-T-max": "linear-horizon-max",
+        "observability": "observability-horizon-edges", "sweep-T": "sweep-T-horizon-edges"},
+    "TestCommands::test_invalid_input_exits_2_with_one_line": {
+        **{name: name for name in (
+            "epsilon-nan", "amplitude-nan", "horizon-nan", "fractional-iteration-cap",
+            "seed-not-a-number", "missing-data-file", "garbled-data-file",
+            "missing-config-file", "garbled-config-file", "config-not-an-object",
+            "horizon-tiny", "horizon-huge", "horizon-below-range", "horizon-above-range",
+            "gamma-singular", "negative-seed-observability")},
+        "negative-seed-oracle-check": "oracle-check-seed=-1",
+        **{setting: f"linear-{setting}" for setting in (
+            "carleman.delta0=2", "carleman.s_scale=0", "hum.cg_tol=0", "hum.cg_max_iters=0",
+            "fixed_point.tol=0", "fixed_point.max_iters=-1",
+            "fixed_point.initial_guess=bogus", "physics.chi=-1", "physics.delta=0")}},
+    "TestCommands::test_overflow_exits_3_naming_the_cause": {name: name for name in (
+        "drift-overflow", "source-overflow", "linear-drift-overflow", "linear-source-overflow",
+        "observability-weights-overflow", "nonlinear-weights-overflow",
+        "nonlinear-weight-parameters-overflow")},
+    "TestCommands::test_non_convergence_exits_3_with_one_line": {name: name for name in (
+        "linear-cg", "nonlinear-cg", "nonlinear-fixed-point", "sweep-eps-cg")},
+    "TestCommands::test_tiny_valid_amplitude_solves": {
+        command: f"{command}-tiny-amplitude" for command in ("linear", "nonlinear")},
+    "TestOutputErrors::test_unwritable_output_exits_2_before_the_solve": {
+        command.split()[0]: f"unwritable-{command.split()[0]}" for command in CONFIG_COMMANDS},
+    "TestCommands::test_nonlinear_no_convergence_exit": ("nonlinear-fixed-point-tight",),
+    "TestCommands::test_oracle_check_rejects_large_grid": ("oracle-check-large-grid",),
+    "TestCommands::test_invalid_override_exit": ("linear-hum.epsilon=-1",
+                                                 "override-without-value"),
+    "TestCommands::test_solver_breakdown_exits_3_with_one_line": ("solver-breakdown",),
+    "TestCommands::test_sweep_T_breakdown_fails_one_cell": ("sweep-T-one-cell-breaks-down",),
+    "TestCommands::test_sweep_T_missing_data_file_exits_2": ("sweep-T-missing-data-file",),
+}
+NAMED_ROWS = {name for cases in NAMED.values()
+              for name in (cases.values() if isinstance(cases, dict) else cases)}
 FRESH = {"linear-weight-underflow": (), "nonlinear-weight-underflow": (),
          "nonlinear-weight-parameters-overflow": ("-O",)}
 # the rows of a fuzzed key run as one test: pytest spends more on a test than a row takes
 ITEMS = {}
 for name in CONTRACT:
-    ITEMS.setdefault(f"fuzz-{FUZZ[name][1]}" if name in FUZZ else name, []).append(name)
+    if name not in NAMED_ROWS:
+        ITEMS.setdefault(f"fuzz-{FUZZ[name][1]}" if name in FUZZ else name, []).append(name)
 
 
 def argv_of(row, tmp):
@@ -275,15 +327,6 @@ def spy(solver, calls):
     return call
 
 
-@pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
-    """The directory {tmp} of the rows."""
-    tmp = tmp_path_factory.mktemp("contract")
-    (tmp / "garbled.txt").write_text("1 2 x\n")
-    (tmp / "list.json").write_text("[1, 2]")
-    return tmp
-
-
 @pytest.fixture(scope="module", autouse=True)
 def fresh(inputs):
     """The FRESH rows' processes and output directories, started with the module's
@@ -295,8 +338,8 @@ def fresh(inputs):
         proc.communicate()
 
 
-@pytest.mark.parametrize("names", ITEMS.values(), ids=ITEMS)
-def test_exit_contract(names, inputs, monkeypatch, capsys):
+def run_rows(names, inputs, monkeypatch, capsys):
+    """Run the rows named in process through cli.main and check each."""
     solved, out = [], inputs / "out"
     for solver in SOLVERS:
         monkeypatch.setattr(cli, solver, spy(getattr(cli, solver), solved))
@@ -318,6 +361,11 @@ def test_exit_contract(names, inputs, monkeypatch, capsys):
         err = "".join(f"warning: {w.message}\n" for w in caught) + capsys.readouterr().err
         check_run(name, code, err, out)
         assert code != EXIT_INVALID or not solved, f"{name} exited 2 after {solved}"
+
+
+@pytest.mark.parametrize("names", ITEMS.values(), ids=ITEMS)
+def test_exit_contract(names, inputs, monkeypatch, capsys):
+    run_rows(names, inputs, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("name", FRESH)
