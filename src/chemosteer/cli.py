@@ -36,9 +36,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_NO_CONVERGENCE = 3
 
-# a warning is one stderr line, as an error is
-warnings.formatwarning = lambda message, *_, **__: f"warning: {message}\n"
-
 
 def _fmt(v) -> str:
     """%.17g of a number; an int as %d writes it, and None (no value) as nan."""
@@ -336,26 +333,28 @@ def main(argv=None) -> int:
     # walks it again (--version and -h exit inside _parse_args)
     gc.freeze()
     handler = COMMANDS[args.command][1]
-    try:
-        if args.command == "selftest":
-            return handler(args)
-        cfg = _config_from_args(args)
-        t0 = _time.perf_counter()
-        out = _out_dir(cfg)
-        reports, code = handler(cfg, args, out)
-        _write_report(out, cfg, reports, {"wall_s": _time.perf_counter() - t0})
-        if isinstance(code, str):
-            raise SolverError(code)
-        return code
-    except (ConfigError, SolverError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID if isinstance(exc, ConfigError) else EXIT_NO_CONVERGENCE
-    except MemoryError as exc:  # numpy names the allocation that failed
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except OSError as exc:  # unreadable inputs raise ConfigError: this is an output
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    with warnings.catch_warnings():  # a warning is one stderr line, as an error is
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            if args.command == "selftest":
+                return handler(args)
+            cfg = _config_from_args(args)
+            t0 = _time.perf_counter()
+            out = _out_dir(cfg)
+            reports, code = handler(cfg, args, out)
+            _write_report(out, cfg, reports, {"wall_s": _time.perf_counter() - t0})
+            if isinstance(code, str):
+                raise SolverError(code)
+            return code
+        except (ConfigError, SolverError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INVALID if isinstance(exc, ConfigError) else EXIT_NO_CONVERGENCE
+        except MemoryError as exc:  # numpy names the allocation that failed
+            print(f"error: out of memory: {exc}", file=sys.stderr)
+            return EXIT_NO_CONVERGENCE
+        except OSError as exc:  # unreadable inputs raise ConfigError: this is an output
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -68,23 +68,15 @@ runpy.run_module("chemosteer.cli", run_name="__main__", alter_sys=True)
 """
 
 
-def start_fresh(argv, out, flags=()):
-    """A fresh CLI process writing into out, started; flags go to the interpreter."""
+def run_fresh(argv, out, flags=()):
+    """(exit code, objects frozen at exit, stderr) of a fresh CLI process writing into
+    out; flags go to the interpreter."""
     src = os.path.dirname(os.path.dirname(chemosteer.__file__))
     env = dict(os.environ, CHEMOSTEER_OUT=str(out),
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.Popen([sys.executable, *flags, "-c", FREEZE_PROBE, *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-
-
-def finish_fresh(proc):
-    """(exit code, objects frozen at exit, stderr) of a started fresh process."""
-    _, stderr = proc.communicate(timeout=300)
-    *err, last = stderr.splitlines(keepends=True)
+    proc = subprocess.run([sys.executable, *flags, "-c", FREEZE_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    *err, last = proc.stderr.splitlines(keepends=True)
     frozen = re.fullmatch(r"frozen=(\d+)\n", last)
-    assert frozen, stderr
+    assert frozen, proc.stderr
     return proc.returncode, int(frozen.group(1)), "".join(err)
-
-
-def run_fresh(argv, out):
-    return finish_fresh(start_fresh(argv, out))

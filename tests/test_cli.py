@@ -17,7 +17,7 @@ from chemosteer.grid import build_domain
 from chemosteer.nonlinear import run_nonlinear
 
 from conftest import read_report, run_fresh
-from test_contract import NAMED, run_rows
+from test_contract import named
 
 SMALL = ["--set", "domain.n_cells=24", "--set", "time.n_steps=24"]
 SIZE16 = ["--set", "domain.n_cells=16", "--set", "time.n_steps=16"]
@@ -126,6 +126,11 @@ class TestSelftest:
 
 
 class TestParser:
+    # these ids run rows of test_contract.CONTRACT
+    test_usage_errors_exit_2 = named("test_usage_errors_exit_2")
+    test_out_of_range_option_exits_2 = named("test_out_of_range_option_exits_2")
+    test_horizon_range_edges_run = named("test_horizon_range_edges_run")
+
     def test_command_options(self):
         args = cli._parse_args(["sweep-T", "--set", "seed=3", "--t-list", "0.5", "1",
                                 "--amplitudes", "2"])
@@ -149,6 +154,20 @@ class TestParser:
 
 
 class TestCommands:
+    # these ids run rows of test_contract.CONTRACT
+    test_invalid_input_exits_2_with_one_line = named("test_invalid_input_exits_2_with_one_line")
+    test_overflow_exits_3_naming_the_cause = named("test_overflow_exits_3_naming_the_cause")
+    test_non_convergence_exits_3_with_one_line = named(
+        "test_non_convergence_exits_3_with_one_line")
+    test_tiny_valid_amplitude_solves = named("test_tiny_valid_amplitude_solves")
+    test_nonlinear_no_convergence_exit = named("test_nonlinear_no_convergence_exit")
+    test_oracle_check_rejects_large_grid = named("test_oracle_check_rejects_large_grid")
+    test_invalid_override_exit = named("test_invalid_override_exit")
+    test_solver_breakdown_exits_3_with_one_line = named(
+        "test_solver_breakdown_exits_3_with_one_line")
+    test_sweep_T_breakdown_fails_one_cell = named("test_sweep_T_breakdown_fails_one_cell")
+    test_sweep_T_missing_data_file_exits_2 = named("test_sweep_T_missing_data_file_exits_2")
+
     def test_linear_artifacts(self, tmp_path, monkeypatch):
         code, out = run_cli(["linear"] + SMALL, tmp_path, monkeypatch)
         assert code == EXIT_OK
@@ -350,6 +369,10 @@ class TestWriters:
 
 
 class TestOutputErrors:
+    # this id runs rows of test_contract.CONTRACT
+    test_unwritable_output_exits_2_before_the_solve = named(
+        "test_unwritable_output_exits_2_before_the_solve")
+
     def test_failed_artifact_write_exits_2(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "out" / "u.csv").mkdir(parents=True)
         code, _ = run_cli(["linear"] + SMALL, tmp_path, monkeypatch)
@@ -383,21 +406,3 @@ class TestImportHeapFreeze:
         for name in names:
             assert untimed(fresh / name) == untimed(here / name), name
 
-
-def named(cases):
-    """A test that runs rows of test_contract.CONTRACT: a tuple of rows, or a
-    parametrized row for each {id: row}."""
-    if not isinstance(cases, dict):
-        def check(self, inputs, monkeypatch, capsys):
-            run_rows(cases, inputs, monkeypatch, capsys)
-        return check
-
-    @pytest.mark.parametrize("name", cases.values(), ids=cases)
-    def check_one(self, name, inputs, monkeypatch, capsys):
-        run_rows([name], inputs, monkeypatch, capsys)
-    return check_one
-
-
-for test, cases in NAMED.items():
-    cls, name = test.split("::")
-    setattr(globals()[cls], name, named(cases))

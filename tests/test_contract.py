@@ -1,17 +1,20 @@
 """The exit-code contract of the CLI, written once: CONTRACT.
 
 A row is one run: argv, exit code (None: any of 0, 2 and 3), a regex its stderr
-matches from the start, and optionally a predicate on its report.json "reports"
-and the attributes of cli it patches.  In an argv {n8} and {n16} are grid sizes, {tmp}
-a directory holding garbled.txt and list.json, and a leading NAME=VALUE sets an
-environment variable.  Every run also keeps the contract: no traceback; exit 0
-writes report.json and prints nothing but documented one-line warnings; exits 2
-and 3 print one error line, after nothing but a usage error's usage; exit 2
-comes before any solve.  The rows of NAMED run in tests/test_cli.py under the
-names of the tests that checked them before this table.  The rows of FRESH run again in a fresh interpreter, for
-what only a real process shows: how a warning prints, and `python -O`.
+matches from the start, and optionally a check of its output directory and the
+attributes of cli it patches.  In an argv {n8}, {n16} and {n24} are grid sizes,
+{tmp} a directory holding garbled.txt and list.json, and a leading NAME=VALUE sets
+an environment variable (NAME= unsets it).  A row runs in {tmp} and, unless it
+unsets CHEMOSTEER_OUT, writes into {tmp}/out.  Every run also keeps the contract:
+no traceback; exit 0 writes one report.json and prints nothing but documented
+one-line warnings; exits 2 and 3 print one error line, after nothing but a usage
+error's usage; exit 2 comes before any solve.  The rows of NAMED run under the ids
+of the tests of tests/test_cli.py that checked them before this table, and the
+rows of FRESH run again in a fresh interpreter, for what only a real process
+shows: how a warning prints, and `python -O`.
 """
 
+import csv
 import json
 import re
 import warnings
@@ -25,13 +28,13 @@ from chemosteer.carleman import UNDERFLOW_WARNING
 from chemosteer.cli import (EXIT_CHECK_FAILED, EXIT_INVALID,
                             EXIT_NO_CONVERGENCE, EXIT_OK, main)
 from chemosteer.config import RunConfig
+from chemosteer.grid import HORIZON_RANGE
 from chemosteer.parabolic import SolverError
 
-from conftest import finish_fresh, read_report, start_fresh
+from conftest import read_report, run_fresh
 
-Row = namedtuple("Row", "argv code err report patch", defaults=(None, None))
-SIZES = {"n8": "--set domain.n_cells=8 --set time.n_steps=8",
-         "n16": "--set domain.n_cells=16 --set time.n_steps=16"}
+Row = namedtuple("Row", "argv code err check patch", defaults=(None, None))
+SIZES = {f"n{n}": f"--set domain.n_cells={n} --set time.n_steps={n}" for n in (8, 16, 24)}
 WARNINGS = {f"warning: {UNDERFLOW_WARNING}"}  # every documented warning line
 USAGE, ERROR, CLEAN = "usage: chemosteer ", "error: ", r"\Z"  # CLEAN: an empty stderr
 # spied on in every run: an exit 2 calls none of them
@@ -64,16 +67,17 @@ FUZZ = {f"{command.split()[0]}-{key}={value}": (command, key, value)
 
 def fuzzed(command, key, value):
     """Exit 2 naming the key for a value of the wrong type, as config._checked
-    decides, else any defined exit."""
+    decides, else any defined exit.  An output.dir is where the run writes."""
     f, v = FUZZED[key], json.loads(value)
     wrong = f.default is not None if v is None else not (
         type(v) is f.type or f.type is float and type(v) is int)
-    return Row(f"{command} {{n8}} --set {key}={value}", EXIT_INVALID if wrong else None,
+    env = "CHEMOSTEER_OUT= " if key == "output.dir" else ""
+    return Row(f"{env}{command} {{n8}} --set {key}={value}", EXIT_INVALID if wrong else None,
                f"error: {re.escape(key)} must be of type " if wrong else "")
 
 
-def rows(code, err, argvs, report=None):
-    return {name: Row(argv, code, err, report) for name, argv in argvs.items()}
+def rows(code, err, argvs, check=None):
+    return {name: Row(argv, code, err, check) for name, argv in argvs.items()}
 
 
 def raising(exc):
@@ -82,22 +86,30 @@ def raising(exc):
     return solver
 
 
-def controlled(reports):
-    return reports["hum"]["cg_converged"] and reports["hum"]["control_sup"] > 0.0
+def reports(out):
+    return read_report(out)["reports"]
 
 
-def one_cell_broke_down(reports):
-    """a* of each horizon is its first amplitude: the second broke the weights down."""
-    table = reports["threshold_sweep"]["rows"]
-    return len(table) == 2 and all(
-        row["a_star"] == 0.01 and not row["cells"][1]["success"]
-        and "Carleman weight table" in row["cells"][1]["error"] for row in table)
+def controlled(out):
+    hum = reports(out)["hum"]
+    return hum["cg_converged"] and hum["control_sup"] > 0.0
 
 
-def underflowed(reports):
-    return reports["carleman"]["raw_weight_underflows"] is True
+def one_cell_broke_down(out):
+    """a* of each horizon, in threshold_sweep.csv, is its first amplitude: the second
+    broke the weights down, and report.json names the cause."""
+    with open(out / "threshold_sweep.csv") as fh:
+        a_star = [row["a_star"] for row in csv.DictReader(fh)]
+    return a_star == ["0.01", "0.01"] and all(
+        not row["cells"][-1]["success"] and "Carleman weight table" in row["cells"][-1]["error"]
+        for row in reports(out)["threshold_sweep"]["rows"])
 
 
+def underflowed(out):
+    return reports(out)["carleman"]["raw_weight_underflows"] is True
+
+
+LO, HI = HORIZON_RANGE
 # A row with the id of a fuzzed one replaces it.
 CONTRACT = {
     **{name: fuzzed(*case) for name, case in FUZZ.items()},
@@ -142,15 +154,12 @@ CONTRACT = {
         "gamma-singular": "linear --set physics.gamma=1e-300 {n16}",
         # a negative seed reached numpy's generator
         "negative-seed-observability": "observability --samples 2 {n16} --set seed=-1",
-        "oracle-check-seed=-1": "oracle-check {n8} --set seed=-1"}),
+        "negative-seed-oracle-check": "oracle-check {n8} --set seed=-1"}),
     **rows(EXIT_INVALID, "error: cannot read initial data file", {
-        "missing-data-file": "linear {n8} --set initial_data.shape=file "
-                             "--set initial_data.file_path={tmp}/missing.txt",
-        "garbled-data-file": "linear {n8} --set initial_data.shape=file "
-                             "--set initial_data.file_path={tmp}/garbled.txt",
-        "sweep-T-missing-data-file": "sweep-T --t-list 1 --amplitudes 1e-3 {n8} --set "
-                                     "initial_data.shape=file --set initial_data.file_path="
-                                     "{tmp}/missing.txt"}),
+        f"{command.split()[0]}-{name}-data-file": f"{command} {{n8}} --set initial_data.shape="
+        f"file --set initial_data.file_path={{tmp}}/{name}.txt" for command, name in (
+            ("linear", "missing"), ("linear", "garbled"),
+            ("sweep-T --t-list 1 --amplitudes 1e-3", "missing"))}),
     # a setting out of its range: the error names the key
     **{f"{command.split()[0]}-{setting}": Row(f"{command} {{n8}} --set {setting}", EXIT_INVALID,
                                               f"error: {re.escape(setting.split('=')[0])} ")
@@ -167,30 +176,30 @@ CONTRACT = {
     # the observability case wrote inf and NaN ratios, the chi=200 case blamed a forward
     # step, and the chi=1e10 case printed four numpy warnings before its error line
     **{name: Row(f"{argv} {{n16}}", EXIT_NO_CONVERGENCE, f"error: {cause}") for name, (argv, cause)
-       in {"drift-overflow": ("nonlinear --set physics.chi=1e300 --set initial_data.amplitude=1e10",
-                              "the state overflows its drift: drift contains non-finite"),
-           "source-overflow": ("nonlinear --set physics.delta=1e300 "
-                               "--set initial_data.amplitude=1e10",
-                               "the state overflows its drift: elliptic source contains non-"),
-           "linear-drift-overflow": ("linear --set physics.chi=1e300 --set "
-                                     "initial_data.amplitude=1e10 --set "
-                                     "fixed_point.initial_guess=u0-constant",
-                                     "the state overflows its drift: drift contains non-finite"),
-           "linear-source-overflow": ("linear --set physics.delta=1e300 "
-                                      "--set initial_data.amplitude=1e10",
-                                      "the controlled state overflows its chemoattractant: "
-                                      "elliptic source contains non-finite"),
-           "observability-weights-overflow": ("observability --samples 3 "
-                                              "--set carleman.lambda_scale=1e3",
-                                              "the Carleman weight table overflows"),
-           "nonlinear-weights-overflow": ("nonlinear --set physics.chi=200 "
-                                          "--set initial_data.amplitude=0.5",
-                                          "the Carleman weight table overflows"),
-           "nonlinear-weight-parameters-overflow": ("nonlinear --set physics.chi=1e10 "
-                                                    "--set initial_data.amplitude=1",
-                                                    "the Carleman weight table overflows: "
-                                                    "delta0 s alpha is nan")}.items()},
-    "solver-breakdown": Row("linear {n8}", EXIT_NO_CONVERGENCE,
+       in {"drift-overflow": (
+               "nonlinear --set physics.chi=1e300 --set initial_data.amplitude=1e10",
+               "the state overflows its drift: drift contains non-finite values"),
+           "source-overflow": (
+               "nonlinear --set physics.delta=1e300 --set initial_data.amplitude=1e10",
+               "the state overflows its drift: elliptic source contains non-finite values"),
+           "linear-drift-overflow": (
+               "linear --set physics.chi=1e300 --set initial_data.amplitude=1e10 "
+               "--set fixed_point.initial_guess=u0-constant",
+               "the state overflows its drift: drift contains non-finite values"),
+           "linear-source-overflow": (
+               "linear --set physics.delta=1e300 --set initial_data.amplitude=1e10",
+               "the controlled state overflows its chemoattractant: "
+               "elliptic source contains non-finite values"),
+           "observability-weights-overflow": (
+               "observability --samples 3 --set carleman.lambda_scale=1e3",
+               "the Carleman weight table overflows"),
+           "nonlinear-weights-overflow": (
+               "nonlinear --set physics.chi=200 --set initial_data.amplitude=0.5",
+               "the Carleman weight table overflows"),
+           "nonlinear-weight-parameters-overflow": (
+               "nonlinear --set physics.chi=1e10 --set initial_data.amplitude=1",
+               "the Carleman weight table overflows: delta0 s alpha is nan")}.items()},
+    "solver-breakdown": Row("linear {n24}", EXIT_NO_CONVERGENCE,
                             re.escape("error: non-finite state after forward step 3\n") + CLEAN,
                             patch={"solve_penalized": raising(SolverError(
                                 "non-finite state after forward step 3"))}),
@@ -199,103 +208,102 @@ CONTRACT = {
                              "Unable to allocate 745. GiB for an array with shape (10**11,)"))}),
     # a run stopped by an iteration cap names it, and its report records it; each once
     # exited 3 with an empty stderr, or (a capped CG in the fixed point) exited 0
-    **{name: Row(f"{argv} --set {cap} {{n16}}", EXIT_NO_CONVERGENCE,
-                 f"error: .* stopped at {re.escape(cap)} with ", flag)
-       for name, (argv, cap, flag) in {
-           "linear-cg": ("linear", "hum.cg_max_iters=1",
-                         lambda r: r["hum"]["cg_converged"] is False),
-           "nonlinear-cg": ("nonlinear", "hum.cg_max_iters=1",
-                            lambda r: r["fixed_point"]["converged"] is False),
-           "nonlinear-fixed-point": ("nonlinear", "fixed_point.max_iters=1",
-                                     lambda r: r["fixed_point"]["converged"] is False),
-           "sweep-eps-cg": ("sweep-eps --eps-list 1e-2", "hum.cg_max_iters=1",
-                            lambda r: r["eps_sweep"][0]["cg_converged"] is False)}.items()},
-    "nonlinear-fixed-point-tight": Row(
-        "nonlinear --set fixed_point.max_iters=1 --set fixed_point.tol=1e-14 {n16}",
-        EXIT_NO_CONVERGENCE, "error: .* stopped at fixed_point.max_iters=1 with ",
-        lambda r: r["fixed_point"]["converged"] is False),
+    **{name: Row(f"{argv} --set {cap} {{{n}}}", EXIT_NO_CONVERGENCE,
+                 f"error: .* stopped at {re.escape(cap.split()[0])} with ", unconverged)
+       for name, (argv, cap, n, unconverged) in {
+           "linear-cg": ("linear", "hum.cg_max_iters=1", "n16",
+                         lambda out: reports(out)["hum"]["cg_converged"] is False),
+           "nonlinear-cg": ("nonlinear", "hum.cg_max_iters=1", "n16",
+                            lambda out: reports(out)["fixed_point"]["converged"] is False),
+           "nonlinear-fixed-point": ("nonlinear", "fixed_point.max_iters=1", "n16",
+                                     lambda out: reports(out)["fixed_point"]["converged"] is False),
+           "nonlinear-fixed-point-tight": ("nonlinear", "fixed_point.max_iters=1 --set "
+                                           "fixed_point.tol=1e-14", "n24",
+                                           lambda out: reports(out)["fixed_point"]["converged"]
+                                           is False),
+           "sweep-eps-cg": ("sweep-eps --eps-list 1e-2", "hum.cg_max_iters=1", "n16",
+                            lambda out: reports(out)["eps_sweep"][0]["cg_converged"] is False),
+           }.items()},
     # the dense oracle itself fails at these penalties: its defined exit code
     **rows(EXIT_CHECK_FAILED, CLEAN, {
         f"oracle-check-hum.epsilon={eps}": f"oracle-check {{n8}} --set hum.epsilon={eps}"
         for eps in ("5e-324", "1e-300")}),
     # extreme but valid inputs.  A tiny amplitude once underflowed the CG curvature
-    # (a ZeroDivisionError); a sweep once failed whole when one cell broke down; at
-    # chi=1000 the steps are no M-matrices, so their LU pivots
+    # (a ZeroDivisionError); a sweep once failed whole, with no table, when one cell
+    # broke down; at chi=1000 the steps are no M-matrices, so their LU pivots
     **rows(EXIT_OK, CLEAN, {
-        "linear-tiny-amplitude": "linear --set initial_data.amplitude=1e-155 {n16}",
-        "nonlinear-tiny-amplitude": "nonlinear --set initial_data.amplitude=1e-155 {n16}"},
-        controlled),
+        f"{command}-tiny-amplitude-{n}": f"{command} --set initial_data.amplitude=1e-155 {{{n}}}"
+        for command in ("linear", "nonlinear") for n in ("n16", "n24")}, controlled),
     "sweep-T-one-cell-breaks-down": Row(
         "sweep-T --t-list 0.25 1 --amplitudes 0.01 0.5 --set physics.chi=200 {n16}", EXIT_OK,
         CLEAN, one_cell_broke_down),
     # the edges of grid.HORIZON_RANGE run; the raw weight underflows there
     **rows(EXIT_OK, "", {
-        "linear-horizon-min": "linear --set time.T=1e-6 {n8}",
-        "linear-horizon-max": "linear --set time.T=1e6 {n8}",
-        "observability-horizon-edges": "observability --samples 2 --t-list 1e-6 1e6 {n8}",
-        "sweep-T-horizon-edges": "sweep-T --t-list 1e-6 1e6 --amplitudes 1e-3 {n8}"}),
+        "linear-horizon-min": f"linear --set time.T={LO!r} {{n8}}",
+        "linear-horizon-max": f"linear --set time.T={HI!r} {{n8}}",
+        "observability-horizon-edges": f"observability --samples 2 --t-list {LO!r} {HI!r} {{n8}}",
+        "sweep-T-horizon-edges": f"sweep-T --t-list {LO!r} {HI!r} --amplitudes 1e-3 {{n8}}"}),
     "linear-pivoting-steps": Row(
         "linear --set physics.chi=1000 --set carleman.lambda_scale=1e-9 "
         "--set carleman.s_scale=1e-9 --set fixed_point.initial_guess=u0-constant "
         "--set initial_data.shape=bump --set initial_data.amplitude=1 {n16}", EXIT_OK, CLEAN,
-        lambda r: r["m_matrix"]["is_m_matrix"] is False),
+        lambda out: reports(out)["m_matrix"]["is_m_matrix"] is False),
     **rows(EXIT_OK, re.escape(f"warning: {UNDERFLOW_WARNING}\n") + CLEAN, {
         "linear-weight-underflow": "linear {n8} --set carleman.s_scale=1e12",
         "nonlinear-weight-underflow": "nonlinear {n8} --set carleman.s_scale=1e12"}, underflowed),
 }
-# Rows that keep the name of the test of tests/test_cli.py that checked them before
-# this table: "Class::test" -> its rows, or {its parameter id: row}.
+# The rows a test of tests/test_cli.py checked before this table, run under its id:
+# {its parameter id: row}, or the rows of a test that was not parametrized.
 NAMED = {
-    "TestParser::test_usage_errors_exit_2": {f"argv{i}": name for i, name in enumerate((
+    "test_usage_errors_exit_2": {f"argv{i}": name for i, name in enumerate((
         "no-command", "unknown-command", "option-before-command", "unknown-option",
         "samples-not-a-number", "missing-option", "selftest-takes-no-config"))},
-    "TestParser::test_out_of_range_option_exits_2": {name: name for name in (
+    "test_out_of_range_option_exits_2": {name: name for name in (
         "sweep-T-amplitude-0", "sweep-T-horizon-0", "sweep-T-horizon-inf", "sweep-eps-nan",
         "observability-horizon-0", "observability-horizon-negative", "sweep-T-horizon-huge",
         "observability-horizon-nan", "observability-samples-0", "observability-horizon-tiny",
         "observability-horizon-below-range", "sweep-T-horizon-above-range")},
-    "TestParser::test_horizon_range_edges_run": {
+    "test_horizon_range_edges_run": {
         "linear-T-min": "linear-horizon-min", "linear-T-max": "linear-horizon-max",
         "observability": "observability-horizon-edges", "sweep-T": "sweep-T-horizon-edges"},
-    "TestCommands::test_invalid_input_exits_2_with_one_line": {
+    "test_invalid_input_exits_2_with_one_line": {
         **{name: name for name in (
             "epsilon-nan", "amplitude-nan", "horizon-nan", "fractional-iteration-cap",
-            "seed-not-a-number", "missing-data-file", "garbled-data-file",
-            "missing-config-file", "garbled-config-file", "config-not-an-object",
-            "horizon-tiny", "horizon-huge", "horizon-below-range", "horizon-above-range",
-            "gamma-singular", "negative-seed-observability")},
-        "negative-seed-oracle-check": "oracle-check-seed=-1",
+            "seed-not-a-number", "missing-config-file", "garbled-config-file",
+            "config-not-an-object", "horizon-tiny", "horizon-huge", "horizon-below-range",
+            "horizon-above-range", "gamma-singular", "negative-seed-observability",
+            "negative-seed-oracle-check")},
+        "missing-data-file": "linear-missing-data-file",
+        "garbled-data-file": "linear-garbled-data-file",
         **{setting: f"linear-{setting}" for setting in (
             "carleman.delta0=2", "carleman.s_scale=0", "hum.cg_tol=0", "hum.cg_max_iters=0",
             "fixed_point.tol=0", "fixed_point.max_iters=-1",
             "fixed_point.initial_guess=bogus", "physics.chi=-1", "physics.delta=0")}},
-    "TestCommands::test_overflow_exits_3_naming_the_cause": {name: name for name in (
+    "test_overflow_exits_3_naming_the_cause": {name: name for name in (
         "drift-overflow", "source-overflow", "linear-drift-overflow", "linear-source-overflow",
         "observability-weights-overflow", "nonlinear-weights-overflow",
         "nonlinear-weight-parameters-overflow")},
-    "TestCommands::test_non_convergence_exits_3_with_one_line": {name: name for name in (
+    "test_non_convergence_exits_3_with_one_line": {name: name for name in (
         "linear-cg", "nonlinear-cg", "nonlinear-fixed-point", "sweep-eps-cg")},
-    "TestCommands::test_tiny_valid_amplitude_solves": {
-        command: f"{command}-tiny-amplitude" for command in ("linear", "nonlinear")},
-    "TestOutputErrors::test_unwritable_output_exits_2_before_the_solve": {
+    "test_tiny_valid_amplitude_solves": {
+        command: f"{command}-tiny-amplitude-n24" for command in ("linear", "nonlinear")},
+    "test_unwritable_output_exits_2_before_the_solve": {
         command.split()[0]: f"unwritable-{command.split()[0]}" for command in CONFIG_COMMANDS},
-    "TestCommands::test_nonlinear_no_convergence_exit": ("nonlinear-fixed-point-tight",),
-    "TestCommands::test_oracle_check_rejects_large_grid": ("oracle-check-large-grid",),
-    "TestCommands::test_invalid_override_exit": ("linear-hum.epsilon=-1",
-                                                 "override-without-value"),
-    "TestCommands::test_solver_breakdown_exits_3_with_one_line": ("solver-breakdown",),
-    "TestCommands::test_sweep_T_breakdown_fails_one_cell": ("sweep-T-one-cell-breaks-down",),
-    "TestCommands::test_sweep_T_missing_data_file_exits_2": ("sweep-T-missing-data-file",),
+    "test_nonlinear_no_convergence_exit": ("nonlinear-fixed-point-tight",),
+    "test_oracle_check_rejects_large_grid": ("oracle-check-large-grid",),
+    "test_invalid_override_exit": ("linear-hum.epsilon=-1", "override-without-value"),
+    "test_solver_breakdown_exits_3_with_one_line": ("solver-breakdown",),
+    "test_sweep_T_breakdown_fails_one_cell": ("sweep-T-one-cell-breaks-down",),
+    "test_sweep_T_missing_data_file_exits_2": ("sweep-T-missing-data-file",),
 }
-NAMED_ROWS = {name for cases in NAMED.values()
-              for name in (cases.values() if isinstance(cases, dict) else cases)}
 FRESH = {"linear-weight-underflow": (), "nonlinear-weight-underflow": (),
          "nonlinear-weight-parameters-overflow": ("-O",)}
 # the rows of a fuzzed key run as one test: pytest spends more on a test than a row takes
+NAMED_ROWS = {row for rows_of in NAMED.values()
+              for row in (rows_of.values() if isinstance(rows_of, dict) else rows_of)}
 ITEMS = {}
-for name in CONTRACT:
-    if name not in NAMED_ROWS:
-        ITEMS.setdefault(f"fuzz-{FUZZ[name][1]}" if name in FUZZ else name, []).append(name)
+for name in (name for name in CONTRACT if name not in NAMED_ROWS):
+    ITEMS.setdefault(f"fuzz-{FUZZ[name][1]}" if name in FUZZ else name, []).append(name)
 
 
 def argv_of(row, tmp):
@@ -305,19 +313,21 @@ def argv_of(row, tmp):
     return env, words[len(env):]
 
 
-def check_run(name, code, err, out):
-    """The row's own expectations, then the contract every run keeps."""
+def check_run(name, code, err, root):
+    """The row's own expectations, then the contract every run keeps; the run wrote
+    into a directory of root."""
     row, why = CONTRACT[name], f"{name} exited {code}: {err!r}"
+    written = [report.parent for report in root.glob("*/report.json")]
     assert code == row.code or row.code is None and code in (
         EXIT_OK, EXIT_INVALID, EXIT_NO_CONVERGENCE), why
     assert re.match(row.err, err) and "Traceback" not in err, why
     lines = err.splitlines()
     if code == EXIT_OK:
-        assert set(lines) <= WARNINGS and (out / "report.json").exists(), why
+        assert set(lines) <= WARNINGS and len(written) == 1, why
     elif code != EXIT_CHECK_FAILED:
         assert [line for line in lines if ERROR in line] == lines[-1:], why
         assert err.startswith(USAGE if len(lines) > 1 else ERROR), why
-    assert row.report is None or row.report(read_report(out)["reports"]), why
+    assert row.check is None or len(written) == 1 and row.check(written[0]), why
 
 
 def spy(solver, calls):
@@ -327,29 +337,20 @@ def spy(solver, calls):
     return call
 
 
-@pytest.fixture(scope="module", autouse=True)
-def fresh(inputs):
-    """The FRESH rows' processes and output directories, started with the module's
-    first test: they spend most of their time starting up, beside the other tests."""
-    procs = {name: (start_fresh(argv_of(CONTRACT[name], inputs)[1], inputs / name, flags),
-                    inputs / name) for name, flags in FRESH.items()}
-    yield procs
-    for proc, _ in procs.values():
-        proc.communicate()
-
-
 def run_rows(names, inputs, monkeypatch, capsys):
     """Run the rows named in process through cli.main and check each."""
-    solved, out = [], inputs / "out"
+    solved = []
     for solver in SOLVERS:
         monkeypatch.setattr(cli, solver, spy(getattr(cli, solver), solved))
+    monkeypatch.chdir(inputs)
     for name in names:
         env, argv = argv_of(CONTRACT[name], inputs)
-        (out / "report.json").unlink(missing_ok=True)  # each row reads its own
+        for report in inputs.glob("*/report.json"):  # each row reads its own
+            report.unlink()
         solved.clear()
-        with monkeypatch.context() as patch, warnings.catch_warnings(record=True) as caught:
-            for var, value in {"CHEMOSTEER_OUT": str(out), **env}.items():
-                patch.setenv(var, value)
+        with monkeypatch.context() as patch, warnings.catch_warnings():
+            for var, value in {"CHEMOSTEER_OUT": str(inputs / "out"), **env}.items():
+                patch.setenv(var, value) if value else patch.delenv(var, raising=False)
             for attr, value in (CONTRACT[name].patch or {}).items():
                 patch.setattr(cli, attr, value)
             warnings.simplefilter("always")
@@ -357,10 +358,22 @@ def run_rows(names, inputs, monkeypatch, capsys):
                 code = main(argv)
             except SystemExit as exc:  # argparse's usage errors
                 code = exc.code
-        # each warning as the CLI prints it, ahead of what main wrote
-        err = "".join(f"warning: {w.message}\n" for w in caught) + capsys.readouterr().err
-        check_run(name, code, err, out)
+        check_run(name, code, capsys.readouterr().err, inputs)
         assert code != EXIT_INVALID or not solved, f"{name} exited 2 after {solved}"
+
+
+def named(test):
+    """The test of tests/test_cli.py named test, running its rows of NAMED."""
+    cases = NAMED[test]
+    if not isinstance(cases, dict):
+        def check(self, inputs, monkeypatch, capsys):
+            run_rows(cases, inputs, monkeypatch, capsys)
+        return check
+
+    @pytest.mark.parametrize("name", cases.values(), ids=cases)
+    def check_one(self, name, inputs, monkeypatch, capsys):
+        run_rows([name], inputs, monkeypatch, capsys)
+    return check_one
 
 
 @pytest.mark.parametrize("names", ITEMS.values(), ids=ITEMS)
@@ -369,10 +382,10 @@ def test_exit_contract(names, inputs, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("name", FRESH)
-def test_exit_contract_in_a_fresh_process(name, fresh):
-    proc, out = fresh[name]
-    code, _, err = finish_fresh(proc)
-    check_run(name, code, err, out)
+def test_exit_contract_in_a_fresh_process(name, tmp_path):
+    argv = argv_of(CONTRACT[name], tmp_path)[1]
+    code, _, err = run_fresh(argv, tmp_path / "out", FRESH[name])
+    check_run(name, code, err, tmp_path)
 
 
 def test_fuzz_covers_every_config_leaf_on_every_config_command():
