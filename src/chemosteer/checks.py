@@ -16,7 +16,8 @@ from .diagnostics import RecursionSpec, observability_ratio, recursion_simulate
 from .elliptic import DriftField, PhysicsParams, drift_from_v, solve_elliptic
 from .grid import build_beta, build_domain, build_time_grid
 from .hum import HumSettings, adjoint_energy, dense_gramian, gramian_apply, solve_penalized
-from .parabolic import Propagator, inner_l2, level_l2, solve_adjoint, solve_forward
+from .nonlinear import FixedPointSettings, run_nonlinear
+from .parabolic import Propagator, SolverError, inner_l2, level_l2, solve_adjoint, solve_forward
 
 
 def random_drift(rng, domain, tgrid, amplitude=1.0, per_step=False):
@@ -88,6 +89,22 @@ def refined_control(n_cells, epsilon=None) -> tuple:
     sol = solve_penalized(u0, DriftField.zero(domain, tgrid), weights, domain, tgrid, hum)
     return (sol.weighted_energy, sol.terminal_norm,
             sol.terminal_norm / (np.sqrt(hum.epsilon) * level_l2(u0, domain.h)))
+
+
+def refined_nonlinear(n_cells, chi=10.0) -> tuple:
+    """(weighted energy, terminal norm, outer iterations, relative gap of the verified
+    terminal norm) of the fixed point for u0 = 0.5 (1 + cos pi x) / 2 with drift
+    chi dv/dx, T = 1, eps = 1e-6, fixed_point.tol = 1e-10, N = n_cells, M = 2N."""
+    domain, tgrid = build_domain(n_cells, (0.3, 0.7), 0.5), build_time_grid(1.0, 2 * n_cells)
+    u0 = 0.5 * (1.0 + np.cos(np.pi * domain.centers)) / 2.0
+    result = run_nonlinear(u0, PhysicsParams(chi=chi), domain, tgrid, build_beta(domain),
+                           hum=HumSettings(epsilon=1e-6),
+                           fixed_point=FixedPointSettings(tol=1e-10))
+    if not result.converged:
+        raise SolverError(f"refined_nonlinear at N={n_cells}: {result.failure}")
+    sol = result.hum_last
+    return (sol.weighted_energy, sol.terminal_norm, result.iterations,
+            abs(result.verification_terminal_l2 - sol.terminal_norm) / sol.terminal_norm)
 
 
 def elliptic_error(dom) -> float:

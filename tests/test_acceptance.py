@@ -14,8 +14,8 @@ import numpy as np
 
 from chemosteer.checks import (dense_kkt_deviation, difference_ratios, duality_defect,
                                elliptic_error, gramian_defects, mass_drift, random_drift,
-                               recursion_hand_rows, refined_control, refinement_ratio,
-                               weight_chain_holds)
+                               recursion_hand_rows, refined_control, refined_nonlinear,
+                               refinement_ratio, weight_chain_holds)
 from chemosteer.diagnostics import RecursionSpec, recursion_simulate
 from chemosteer.elliptic import DriftField, PhysicsParams
 from chemosteer.grid import build_beta, build_domain, build_time_grid
@@ -271,3 +271,22 @@ def test_criterion_12_control_refinement():
            f"energy ratios {np.round(e_ratios, 2).tolist()}, terminal ratios "
            f"{np.round(t_ratios, 2).tolist()}, terminal / (sqrt(h^4) |u0|) "
            f"{np.round(boyer, 3).tolist()}, {wall:.2f}s")
+
+
+def test_criterion_13_nonlinear_refinement():
+    # the chi = 10 fixed point of cosine data on N = 20..160, M = 2N.  Measured:
+    # energy ratios 3.60, 3.90 (second order); terminal ratios 2.69, 2.36, falling
+    # to first order (2.17 at N = 320, left out for time); 12 outer iterations at
+    # every N; verification gap <= 1.3e-9.  Bounds: energy 4 +- 0.5, terminal
+    # falling with the last in 2 +- 0.4, the same outer count, gap <= 1e-8.
+    t0 = _time.perf_counter()
+    energy, terminal, outer, gap = zip(*(refined_nonlinear(n) for n in (20, 40, 80, 160)))
+    e_ratios, t_ratios = difference_ratios(energy), difference_ratios(terminal)
+    wall = _time.perf_counter() - t0
+    ok = (np.all(np.abs(e_ratios - 4.0) <= 0.5) and np.all(np.diff(t_ratios) < 0.0)
+          and abs(t_ratios[-1] - 2.0) <= 0.4 and len(set(outer)) == 1 and max(gap) <= 1e-8
+          and wall < 2.0)
+    report("nonlinear-refinement", bool(ok),
+           f"energy ratios {np.round(e_ratios, 3).tolist()}, terminal ratios "
+           f"{np.round(t_ratios, 3).tolist()}, outer iterations {list(outer)}, "
+           f"verification gap {max(gap):.2e}, {wall:.2f}s")
