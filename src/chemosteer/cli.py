@@ -147,7 +147,8 @@ def cmd_nonlinear(cfg: RunConfig, args, out):
     for name, values in (("u", result.u), ("f", result.f), ("v", result.v)):
         _write_field_csv(os.path.join(out, f"{name}.csv"), values, tgrid.levels, domain.centers)
     _write_table(os.path.join(out, "history.csv"),
-                 ("iteration", "increment", "sup_u", "terminal_l2", "B_sup"), result.history)
+                 ("iteration", "increment", "sup_u", "terminal_l2", "B_sup", "cg_iters",
+                  "cg_tol"), result.history)
     reports = {
         "fixed_point": {
             "iterations": result.iterations,

@@ -11,7 +11,7 @@ solve with the found control.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -65,6 +65,12 @@ class FixedPointSettings:
             raise ValueError(f"initial_guess must be zero or u0-constant: {self.initial_guess!r}")
 
 
+# CG tolerance of the first outer iteration, and of a later one per unit of the
+# relative increment before it: a guess that still moves needs no tight solve.
+LOOSE_CG_TOL = 1e-2
+CG_TOL_PER_INCREMENT = 1e-2
+
+
 def state_guess(settings: FixedPointSettings, u0: np.ndarray, time: TimeGrid) -> np.ndarray:
     """The (M+1, N) state trajectory an outer iteration starts from."""
     u0 = np.asarray(u0, dtype=float)
@@ -81,16 +87,23 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
     """Iterate the linearized control map until the state guess converges.
 
     Stops when |xi_{k+1} - xi_k|_{L2(Q)} <= fixed_point.tol * max(1, |xi_k|)
-    or at fixed_point.max_iters.  That cap, or any CG solve stopped at its
-    own, leaves the run unconverged, its failure naming the first cause (never
-    raised).  The in_K flag records whether every iterate stayed in the unit
-    sup-norm ball; it is diagnostic only and does not stop the iteration.
+    for an xi_{k+1} solved at hum.cg_tol, or at fixed_point.max_iters.  That
+    cap, or any CG solve stopped at its own, leaves the run unconverged, its
+    failure naming the first cause (never raised).  Each iteration runs CG only
+    as tightly as its increment needs: the first to LOOSE_CG_TOL, the next to
+    CG_TOL_PER_INCREMENT times the relative increment before them (never below
+    hum.cg_tol), and to hum.cg_tol once the contraction of the last two
+    increments predicts that this one meets fixed_point.tol (inexact Newton's
+    forcing terms, Eisenstat & Walker 1996, on a Picard iteration).  The in_K
+    flag records whether every iterate stayed in the unit sup-norm ball; it is
+    diagnostic only and does not stop the iteration.
     The raw-weight underflow warning of build_weights, for any iterate's
     table, is emitted once and only by a run that does not break down.
     """
     u0 = np.asarray(u0, dtype=float)
     xi = state_guess(fixed_point, u0, time)
     history, increment, failure, in_k = [], math.nan, None, True
+    rel = prev = math.inf  # the relative increments of the last two iterations
     sol = weights = None
     underflowed = False
 
@@ -99,8 +112,12 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
         if weights is None or not carleman.freeze_after_first:
             weights = build_weights(drift.sup_norm, beta, domain, time, carleman, warn=False)
             underflowed = underflowed or weights.params.raw_weight_underflows
+        if it > 2 and rel * min(rel, prev) <= fixed_point.tol * prev:
+            cg_tol = hum.cg_tol
+        else:
+            cg_tol = max(hum.cg_tol, min(LOOSE_CG_TOL, CG_TOL_PER_INCREMENT * rel))
         sol = None  # the previous solution dies before the next solve starts
-        sol = solve_penalized(u0, drift, weights, domain, time, hum)
+        sol = solve_penalized(u0, drift, weights, domain, time, replace(hum, cg_tol=cg_tol))
         if failure is None and not sol.cg_converged:
             failure = f"outer iteration {it}: {sol.failure}"
         xi_new = sol.u
@@ -114,10 +131,13 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
             "sup_u": sup_u,
             "terminal_l2": sol.terminal_norm,
             "B_sup": drift.sup_norm,
+            "cg_iters": sol.cg_iters,
+            "cg_tol": cg_tol,
         })
         scale = max(1.0, space_time_l2(xi, domain.h, time.dt))
+        prev, rel = rel, increment / scale
         xi = xi_new
-        if increment <= fixed_point.tol * scale:
+        if increment <= fixed_point.tol * scale and cg_tol == hum.cg_tol:
             break
     else:
         failure = failure or (f"fixed point stopped at fixed_point.max_iters="

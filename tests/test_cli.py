@@ -217,6 +217,10 @@ class TestCommands:
         with open(out / "history.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == fp["iterations"]
+        assert list(rows[0]) == ["iteration", "increment", "sup_u", "terminal_l2", "B_sup",
+                                 "cg_iters", "cg_tol"]
+        assert [int(r["cg_iters"]) for r in rows] == [h["cg_iters"] for h in fp["history"]]
+        assert float(rows[-1]["cg_tol"]) == report["config"]["hum"]["cg_tol"]
 
     def test_observability(self, tmp_path, monkeypatch):
         args = ["observability", "--samples", "5"] + SMALL

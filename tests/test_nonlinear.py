@@ -54,15 +54,43 @@ def test_decoupled_matches_linear_exactly(small_setup):
     assert np.array_equal(result.f, sol.f)
 
 
-def test_history_rows_complete(small_setup):
+def test_history_rows_complete(small_setup, monkeypatch):
     domain, tgrid, beta, u0 = small_setup
     phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
-    result = run_nonlinear(u0, phys, domain, tgrid, beta, hum=HumSettings(epsilon=1e-6))
+    solved = []
+    monkeypatch.setattr(nonlinear, "solve_penalized", lambda *args: solved.append(
+        solve_penalized(*args)) or solved[-1])
+    hum_settings = HumSettings(epsilon=1e-6)
+    result = run_nonlinear(u0, phys, domain, tgrid, beta, hum=hum_settings)
     for row in result.history:
         assert set(row) == {"iteration", "increment", "sup_u",
-                            "terminal_l2", "B_sup"}
+                            "terminal_l2", "B_sup", "cg_iters", "cg_tol"}
     assert [r["iteration"] for r in result.history] == \
         list(range(1, result.iterations + 1))
+    assert sum(r["cg_iters"] for r in result.history) == sum(s.cg_iters for s in solved)
+    assert result.history[0]["cg_tol"] == nonlinear.LOOSE_CG_TOL
+    assert result.history[-1]["cg_tol"] == hum_settings.cg_tol  # the result is a tight solve
+
+
+@pytest.mark.parametrize("chi", [0.0, 1.0])
+def test_zero_data_converge_to_a_zero_control(chi, small_setup):
+    # every increment is exactly 0: the contraction test of the CG schedule divides by none
+    domain, tgrid, beta, u0 = small_setup
+    result = run_nonlinear(np.zeros_like(u0), PhysicsParams(chi=chi), domain, tgrid, beta,
+                           hum=HumSettings(epsilon=1e-6))
+    assert result.converged
+    assert [r["increment"] for r in result.history] == [0.0] * result.iterations
+    assert not result.f.any() and not result.u.any()
+
+
+def test_a_zero_increment_before_a_tight_solve():
+    # two loose solves stop at the same CG iterate, so iteration 2 moves by exactly 0;
+    # iteration 4 then weighs the contraction against that zero increment
+    domain, tgrid = build_domain(8, (0.3, 0.7), 0.5), build_time_grid(1.0, 8)
+    u0 = (1.0 + np.cos(np.pi * domain.centers)) / 2.0
+    result = run_nonlinear(u0, PhysicsParams(chi=0.0), domain, tgrid, build_beta(domain))
+    assert result.converged and result.iterations == 4
+    assert result.history[1]["increment"] == 0.0 and result.history[1]["cg_tol"] > 1e-10
 
 
 def test_zero_iteration_cap(small_setup):
@@ -212,7 +240,9 @@ def test_a_capped_cg_leaves_the_fixed_point_unconverged(small_setup):
     capped = HumSettings(epsilon=1e-6, cg_max_iters=1)
     result = run_nonlinear(u0, phys, domain, tgrid, beta, hum=capped)
     assert not result.converged and not result.hum_last.cg_converged
-    assert result.failure.startswith("outer iteration 1: CG stopped at hum.cg_max_iters=1 ")
+    # the first outer iteration runs CG to LOOSE_CG_TOL, which one CG iteration reaches
+    assert result.history[0]["cg_iters"] == 1 and result.history[0]["cg_tol"] == 1e-2
+    assert result.failure.startswith("outer iteration 2: CG stopped at hum.cg_max_iters=1 ")
     amplitude = float(np.abs(u0).max())
     table = threshold_sweep([1.0], [amplitude], u0 / amplitude, phys, domain,
                             tgrid.n_steps, beta, hum=capped)
