@@ -141,8 +141,19 @@ def apply_override(cfg_dict: dict, dotted: str, raw_value: str) -> None:
     node[parts[-1]] = value
 
 
+# Values in one (time.n_steps + 1, domain.n_cells) trajectory, 1 GiB of float64: a
+# larger grid is rejected before any of its arrays is allocated.
+MAX_GRID_VALUES = 2 ** 27
+
+
 def validate_config(cfg: RunConfig) -> None:
     """The checks that span sections or need the grid; a settings record checks its own."""
+    values = cfg.domain.n_cells * (cfg.time.n_steps + 1)
+    if values > MAX_GRID_VALUES:
+        raise ConfigError(f"domain.n_cells * (time.n_steps + 1) must be at most "
+                          f"{MAX_GRID_VALUES}, got {values}")
+    if not cfg.output.dir:
+        raise ConfigError("output.dir must not be empty")
     try:
         domain, _, _, physics = build_geometry(cfg)
         elliptic_factors(physics.gamma, domain.n_cells, domain.h)

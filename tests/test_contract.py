@@ -155,6 +155,14 @@ CONTRACT = {
         # a negative seed reached numpy's generator
         "negative-seed-observability": "observability --samples 2 {n16} --set seed=-1",
         "negative-seed-oracle-check": "oracle-check {n8} --set seed=-1"}),
+    # a grid past config.MAX_GRID_VALUES once reached numpy, which asked for 745 GiB
+    **rows(EXIT_INVALID, re.escape("error: domain.n_cells * (time.n_steps + 1) must be at most "), {
+        "grid-too-large": "linear --set domain.n_cells=100000000000 --set time.n_steps=8",
+        "grid-too-many-steps": "linear --set domain.n_cells=8 --set time.n_steps=100000000000"}),
+    # an empty output.dir once failed in os.makedirs, naming no key
+    **rows(EXIT_INVALID, "error: output\\.dir must not be empty", {
+        f"{command.split()[0]}-output.dir=\"\"": f"CHEMOSTEER_OUT= {command} {{n8}} "
+        "--set output.dir=\"\"" for command in CONFIG_COMMANDS}),
     **rows(EXIT_INVALID, "error: cannot read initial data file", {
         f"{command.split()[0]}-{name}-data-file": f"{command} {{n8}} --set initial_data.shape="
         f"file --set initial_data.file_path={{tmp}}/{name}.txt" for command, name in (
