@@ -66,7 +66,8 @@ class FixedPointSettings:
 
 
 # CG tolerance of the first outer iteration, and of a later one per unit of the
-# relative increment before it: a guess that still moves needs no tight solve.
+# relative increment before it: a guess that still moves needs no tight solve
+# (the forcing terms of inexact Newton methods, Eisenstat & Walker 1996).
 LOOSE_CG_TOL = 1e-2
 CG_TOL_PER_INCREMENT = 1e-2
 
@@ -89,16 +90,14 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
     Stops when |xi_{k+1} - xi_k|_{L2(Q)} <= fixed_point.tol * max(1, |xi_k|)
     for an xi_{k+1} solved at hum.cg_tol, or at fixed_point.max_iters.  That
     cap, or any CG solve stopped at its own, leaves the run unconverged, its
-    failure naming the first cause (never raised).  Each iteration runs CG only
-    as tightly as its increment needs: the first to LOOSE_CG_TOL, the next to
-    CG_TOL_PER_INCREMENT times the relative increment before them (never below
-    hum.cg_tol), and to hum.cg_tol once the contraction of the last two
-    increments predicts that this one meets fixed_point.tol (inexact Newton's
-    forcing terms, Eisenstat & Walker 1996, on a Picard iteration).  The in_K
-    flag records whether every iterate stayed in the unit sup-norm ball; it is
-    diagnostic only and does not stop the iteration.
-    The raw-weight underflow warning of build_weights, for any iterate's
-    table, is emitted once and only by a run that does not break down.
+    failure naming the first cause (never raised).  An iteration runs CG to
+    min(LOOSE_CG_TOL, CG_TOL_PER_INCREMENT * the relative increment before it),
+    never below hum.cg_tol, and at hum.cg_tol once the contraction of the last
+    two increments predicts that it meets fixed_point.tol.  The in_K flag
+    records whether every iterate stayed in the unit sup-norm ball; it is
+    diagnostic only and does not stop the iteration.  The raw-weight underflow
+    warning of build_weights, for any iterate's table, is emitted once and only
+    by a run that does not break down.
     """
     u0 = np.asarray(u0, dtype=float)
     xi = state_guess(fixed_point, u0, time)
@@ -108,6 +107,7 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
     underflowed = False
 
     for it in range(1, fixed_point.max_iters + 1):
+        sol = None  # the previous solution, but for xi, dies before the next drift is built
         drift = drift_from_state(xi, physics, domain, time)[1]
         if weights is None or not carleman.freeze_after_first:
             weights = build_weights(drift.sup_norm, beta, domain, time, carleman, warn=False)
@@ -116,7 +116,6 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
             cg_tol = hum.cg_tol
         else:
             cg_tol = max(hum.cg_tol, min(LOOSE_CG_TOL, CG_TOL_PER_INCREMENT * rel))
-        sol = None  # the previous solution dies before the next solve starts
         sol = solve_penalized(u0, drift, weights, domain, time, replace(hum, cg_tol=cg_tol))
         if failure is None and not sol.cg_converged:
             failure = f"outer iteration {it}: {sol.failure}"

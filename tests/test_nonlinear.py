@@ -300,6 +300,7 @@ def test_fixed_point_peak_memory():
     finally:
         tracemalloc.stop()
     assert result.converged and result.iterations == 7
+    assert sum(row["cg_iters"] for row in result.history) <= 17  # 28 with every CG tight
     assert peak <= 10.4 * (time.n_steps + 1) * domain.n_cells * 8  # 11.95 before
 
 
