@@ -6,37 +6,55 @@ with H = fl(10^(16-e)) and t its exact error (Dekker) plus |x| (10^(16-e) - H);
 p + t is within about 1e-15 of the scaled value.  CPython itself formats the
 rest one by one: roundings within 1e-6 of a tie (it rounds half-even), scaled
 values on a power of ten, |x| outside that range and non-finite values.
-Each value fills WIDTH byte columns, NUL where a character is absent, and a
-CSV row is such fields side by side with the NULs taken out.
+Each value fills a slot of SLOT bytes, its separator last, as whole words read
+from tables: a head (sign, "0." to "0.000", the lead digit, a point), four
+groups of 4 digits cut after the last digit shown, and an exponent.  NUL fills
+the rest, and a CSV row is its t and x and such slots with the NULs taken out.
 """
 
 import numpy as np
 
-WIDTH = 44
-BLOCK = 2048   # values per block: a few hundred kB of working memory
-_DIGITS = slice(6, 39, 2)   # the 17 digit columns; the point slots lie between
-_K = range(-260, 300)       # the exponents k = 16 - e the scaling can need
+SLOT = 32      # bytes of a value: at most 24 of text, then its separator
+BLOCK = 8192   # values per block: about 2 MB of working memory
+_E = range(-290, 290)   # the exponents e the tables cover; |x| < 1e270 needs +-271
+_KINDS = 6              # head layouts: d., d, 0.d, 0.0d, 0.00d, 0.000d
 _tables = {}
 
 
 def _table(name):
-    """Powers of ten as double-doubles; digits and trailing zeros of 4-digit groups."""
+    """The powers 10^(16-e) as double-doubles, the 4-digit groups as words cut
+    after c digits, their trailing zeros, and the head and exponent words."""
     if not _tables:
-        high = [float(f"1e{k}") for k in _K]
+        high = [float(f"1e{16 - e}") for e in _E]
         low = []
-        for k, h in zip(_K, high):  # L_k = 10^k - n/d, rounded once from integers
+        for e, h in zip(_E, high):  # L = 10^k - n/d, rounded once from integers
             n, d = h.as_integer_ratio()
-            num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+            num, den = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
             low.append((num * d - n * den) / (den * d))
-        group = np.arange(10000.0)
-        digits = np.empty((4, group.size), np.uint8)
-        for j in range(4):
-            digits[3 - j] = np.floor(group / 10 ** j) - 10 * np.floor(group / 10 ** (j + 1)) + 48
-        zeros = np.zeros(group.size)
+        group = np.arange(10000)
+        text = np.array([b"%04d" % g for g in group]).view(np.uint32)
+        digits = np.array([text & (1 << 8 * c) - 1 for c in range(5)], np.uint32)
+        zeros = np.zeros(group.size, np.intp)
         for j in range(1, 5):
-            zeros += np.where(np.floor(group / 10 ** j) * 10 ** j == group, 1.0, 0.0)
-        _tables.update(high=np.array(high), low=np.array(low), digits=digits, zeros=zeros)
+            zeros += group % 10 ** j == 0
+        # the head layout of exponent e: 0 for %e and e = 0, 1 for e >= 1, 1 - e for e < 0
+        e = np.array(_E)
+        kind = np.where((e >= 1) & (e < 17), 1, np.where((e < 0) & (e >= -4), 1 - e, 0))
+        heads = [b"-"[:sign] + [b"", b"", b"0.", b"0.0", b"0.00", b"0.000"][k] + b"%d" % d
+                 + b"."[:more and k == 0] for more in (1, 0) for sign in (0, 1)
+                 for k in range(_KINDS) for d in range(10)]
+        sci = (e < -4) | (e >= 17)
+        exponent = [b"e%+03d" % e if s else b"" for e, s in zip(_E, sci)]
+        shown = np.arange(18)[:, None] - 4 * np.arange(4) - 1   # digits shown of each group
+        cut = 10000 * np.clip(shown, 0, 4)
+        _tables.update(high=np.array(high), low=np.array(low), digits=digits, zeros=zeros, cut=cut,
+                       kind=10 * kind, head=_words(heads), exponent=_words(exponent))
     return _tables[name]
+
+
+def _words(texts):
+    """The texts, of at most 8 bytes, as NUL-padded uint64 words."""
+    return np.array(texts, dtype="S8").view(np.uint64)
 
 
 def _split(a):
@@ -46,9 +64,8 @@ def _split(a):
     return hi, a - hi
 
 
-def _scaled(a, e):
-    """p, t with p + t = a 10^(16-e) to about 1e-15."""
-    i = (16 - _K.start - e).astype(np.intp)
+def _scaled(a, i):
+    """p, t with p + t = a 10^(16-e) to about 1e-15; i indexes e in _E."""
     h, low = _table("high")[i], _table("low")[i]
     p = a * h
     (ah, al), (hh, hl) = _split(a), _split(h)
@@ -58,85 +75,90 @@ def _scaled(a, e):
 
 def _outside(p, t):
     """-1 where p + t < 1e16, +1 where p + t >= 1e17, else 0."""
-    return np.where((p - 1e17) + t >= 0, 1.0, np.where((p - 1e16) + t < 0, -1.0, 0.0))
+    return ((p - 1e17) + t >= 0).view(np.int8) - ((p - 1e16) + t < 0).view(np.int8)
 
 
-def _divide(x, unit):
-    """floor(x / unit) and the remainder, exact for the integer-valued x here:
-    a quotient below 1e4, or x a 17-digit p, a multiple of its ulp, so that a
-    quotient just below an integer is too far below it to round up to it."""
-    q = np.floor(x / unit)
-    return q, x - q * unit
+def _kept(groups):
+    """How many of the 17 digits are left once the trailing zeros are cut,
+    given the four 4-digit groups after the lead digit, (4, n)."""
+    zeros = _table("zeros")
+    trailing = 12 + zeros[groups[0]]
+    for j in range(1, 4):
+        trailing = np.where(groups[j] != 0, 12 - 4 * j + zeros[groups[j]], trailing)
+    return 17 - trailing
 
 
-def g17(values, out):
-    """Write the %.17g field of each value into the rows of out, (n, WIDTH)
-    uint8; returns how many values CPython formatted.  Every integer here is
-    an exact float64: numpy's integer loops would be more code to page in
-    after the solve, and so more peak memory."""
+def g17(values, slots, sep=b","):
+    """Write the %.17g text of each value, then sep in the last byte, into the
+    rows of slots, (n, SLOT // 8) uint64; returns how many values CPython
+    formatted.  Zeros are written as they are, only the other values formatted."""
     x = np.ravel(np.asarray(values, dtype=float))
+    end = np.uint64(sep[0] << 56)
+    nonzero = x != 0
+    if not nonzero.all():
+        zero, negative = _words([b"0", b"-0"])
+        slots[:] = np.array([zero, 0, 0, end], np.uint64)
+        slots[np.signbit(x) & ~nonzero, 0] = negative
+        at = np.flatnonzero(nonzero)
+        part = np.empty((at.size, SLOT // 8), np.uint64)
+        slow = g17(x[at], part, sep)
+        slots[at] = part
+        return slow
     a = np.abs(x)
-    zero = a == 0
     fast = (a > 1e-270) & (a < 1e270)
-    a = np.where(fast, a, 1.0)
-    e = np.floor(np.log10(a))
-    p, t = _scaled(a, e)
+    if not fast.all():
+        a = np.where(fast, a, 1.0)
+    i = np.floor(np.log10(a)).astype(np.intp) - _E.start
+    p, t = _scaled(a, i)
     off = _outside(p, t)
     fix = np.flatnonzero(off)
     if fix.size:  # log10 missed the exponent by one: scale again
-        e[fix] += off[fix]
-        p[fix], t[fix] = _scaled(a[fix], e[fix])
+        i[fix] += off[fix]
+        p[fix], t[fix] = _scaled(a[fix], i[fix])
         fast[fix[_outside(p[fix], t[fix]) != 0]] = False
-    whole = np.floor(t)
-    frac = t - whole
-    fast &= np.abs(frac - 0.5) > 1e-6   # CPython rounds ties to even
-    # the 17 digits q = p + whole + [frac > 1/2] as hi 1e8 + lo, lo < 1e8
-    hi, lo = _divide(p, 1e8)
-    step, lo = _divide(lo + np.where(frac > 0.5, whole + 1, whole), 1e8)
-    hi += step
-    carry = hi == 1e9                   # rounded up to 10^17
-    hi[carry], e[carry] = 1e8, e[carry] + 1
-    hi[zero], lo[zero], e[zero] = 0.0, 0.0, 0.0
-    fast |= zero
+    near = np.rint(t)
+    fast &= 0.5 - np.abs(t - near) > 1e-6   # CPython rounds ties to even
+    q = p.astype(np.int64) + near.astype(np.int64)   # the 17 digits, exact in int64
+    carry = np.flatnonzero(q == 10 ** 17)            # rounded up to 10^17
+    q[carry], i[carry] = 10 ** 16, i[carry] + 1
+    groups = np.empty((5, x.size), np.int64)   # the lead digit, then 4-digit groups
+    for j, unit in enumerate((10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4)):
+        np.floor_divide(q, unit, out=groups[j])
+        q -= groups[j] * unit
+    groups[4] = q
 
-    lead, mid = _divide(hi, 1e8)
-    groups = [*_divide(mid, 1e4), *_divide(lo, 1e4)]
-    index = [g.astype(np.intp) for g in groups]
-    zeros = _table("zeros")
-    trailing = 12 + zeros[index[0]]
+    kind = _table("kind")[i]
+    head = kind + groups[0]
+    head += 60 * np.signbit(x)
+    slots[:, 0] = _table("head")[head]
+    slots[:, 3] = _table("exponent")[i] | end
+    digits = _table("digits")
+    half = slots.view(np.uint32)
     for j in range(1, 4):
-        trailing = np.where(groups[j] != 0, 12 - 4 * j + zeros[index[j]], trailing)
-    kept = 17 - trailing                # significant digits once zeros are stripped
-    table = _table("digits")            # (4, 10000): the 4 digits of each group
-    digits = np.empty((17, x.size), np.uint8)   # digit j of every value in row j
-    digits[0] = lead + 48
-    for j, g in enumerate(index):
-        np.take(table, g, axis=1, out=digits[1 + 4 * j:5 + 4 * j])
-    fixed = (e >= -4) & (e < 17)
-    shown = np.maximum(kept, np.where(fixed, e + 1, 0.0))   # integer digits are never cut
-    np.copyto(digits, 0, where=np.arange(17.0)[:, None] >= shown)
-
-    out[:] = 0
-    out[:, 0] = np.where(np.signbit(x), 45, 0)
-    below = fixed & (e < 0)            # 0.000ddd
-    out[:, 1:6] = np.where(below & (e < [[0], [0], [-1], [-2], [-3]]),
-                           [[48], [46], [48], [48], [48]], 0).T
-    out[:, _DIGITS] = digits.T
-    point = np.where(fixed, e, 0.0)
-    at = np.flatnonzero((kept > point + 1) & (point >= 0))
-    out[at, (7 + 2 * point[at]).astype(np.intp)] = 46
-    sci = ~fixed
-    mag = np.abs(e)
-    exponent = np.take(table, mag.astype(np.intp), axis=1)
-    exponent[0] = np.where(e < 0, 45, 43)
-    exponent[1] = np.where(mag >= 100, exponent[1], 0)
-    out[:, 39] = np.where(sci, 101, 0)
-    out[:, 40:44] = np.where(sci, exponent, 0).T
+        half[:, 1 + j] = digits[4, groups[j]]
+    last = half[:, 5] = digits[4, groups[4]]
+    tail = np.flatnonzero(last < 0x31000000)   # the last digit is 0: cut the zeros
+    if tail.size:
+        kept = _kept(groups[1:, tail])
+        shown = np.maximum(kept, np.where(kind[tail] == 10, i[tail] + (_E.start + 1), 0))
+        slots[tail, 0] = _table("head")[head[tail] + 120 * (kept == 1)]
+        cut = _table("cut")[shown] + groups[1:, tail].T   # each group's word, cut
+        half[tail, 2:6] = digits.ravel()[cut]
+    at = np.flatnonzero(kind == 10)   # e >= 1: the point goes after digit e + 1
+    if at.size:
+        e = i[at] + _E.start
+        point = _kept(groups[1:, at]) > e + 1
+        at, e = at[point], e[point]
+        column = np.arange(17)
+        text = slots.view(np.uint8)[at, 8:25]
+        text = np.take_along_axis(text, column - (column > e[:, None]), 1)
+        text[column == e[:, None]] = 46
+        slots.view(np.uint8)[at, 8:25] = text
 
     slow = np.flatnonzero(~fast)
     if slow.size:
-        text = np.array(["%.17g" % v for v in x[slow].tolist()], dtype=f"S{WIDTH}")
-        out[slow] = text.view(np.uint8).reshape(-1, WIDTH)
+        text = np.array(["%.17g" % v for v in x[slow].tolist()], dtype=f"S{SLOT - 1}")
+        slots.view(np.uint8)[slow, :-1] = text.view(np.uint8).reshape(-1, SLOT - 1)
     return slow.size
 
 
@@ -150,22 +172,25 @@ def write_rows(fh, levels, centers, *fields):
 
     fh is a binary file; each field is (len(levels), len(centers)).  The
     rows of a block of levels, about BLOCK values, are laid out in one
-    reused uint8 array and written without its NULs.
+    reused array, each value in an 8-byte aligned slot, and written without
+    its NULs.
     """
     t = _padded(["%.17g," % v for v in np.asarray(levels).tolist()])
     x = _padded(["%.17g," % v for v in np.asarray(centers).tolist()])
     (_, wt), (n, wx) = t.shape, x.shape
     block = min(max(1, BLOCK // n), len(t))
-    width = wt + wx + len(fields) * (WIDTH + 1)
+    lead = -(-(wt + wx) // 8) * 8
+    width = lead + SLOT * len(fields)
     text = bytearray(block * n * width)   # numpy fills it; it translates with no copy
     rows = np.frombuffer(text, np.uint8).reshape(block, n, width)
     rows[:, :, wt:wt + wx] = x
-    rows[:, :, wt + wx + WIDTH::WIDTH + 1] = 44
-    rows[:, :, -1] = 10
+    words = rows.view(np.uint64)
     for start in range(0, len(t), block):
         row = rows[:min(block, len(t) - start)]
         row[:, :, :wt] = t[start:start + block, None]
+        slots = words[:len(row)].reshape(-1, width // 8)
         for j, f in enumerate(fields):
-            col = wt + wx + j * (WIDTH + 1)
-            g17(f[start:start + len(row)], row.reshape(-1, width)[:, col:col + WIDTH])
+            col = (lead + j * SLOT) // 8
+            g17(f[start:start + len(row)], slots[:, col:col + SLOT // 8],
+                b"\n" if j == len(fields) - 1 else b",")
         fh.write((text if len(row) == block else text[:row.size]).translate(None, b"\0"))

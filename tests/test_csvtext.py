@@ -34,11 +34,10 @@ def test_g17_equals_cpython_on_adversarial_doubles():
     assert x.size >= 1_000_000
     start = time.perf_counter()
     fallback = 0
-    field = np.empty((x.size, csvtext.WIDTH + 1), np.uint8)
+    slots = np.empty((x.size, csvtext.SLOT // 8), np.uint64)
     for rows in np.array_split(np.arange(x.size), 8):
-        fallback += csvtext.g17(x[rows], field[rows[0]:rows[-1] + 1, :-1])
-    field[:, -1] = 10
-    got = field.tobytes().translate(None, b"\0")
+        fallback += csvtext.g17(x[rows], slots[rows[0]:rows[-1] + 1], b"\n")
+    got = slots.tobytes().translate(None, b"\0")
     want = [b"%.17g\n" % v for v in x.tolist()]
     elapsed = time.perf_counter() - start
     if got != b"".join(want):
@@ -53,6 +52,6 @@ def test_g17_formats_zeros_and_typical_values_itself():
     rng = np.random.default_rng(7)
     x = np.concatenate([[0.0, -0.0, 1.0, -2.5, 1e-5, 0.1, 1.0 / 3.0, 123.0, 1e16, 2.0 ** 60],
                         rng.standard_normal(20_000) * 10.0 ** rng.integers(-250, 12, 20_000)])
-    field = np.empty((x.size, csvtext.WIDTH), np.uint8)
-    assert csvtext.g17(x, field) == 0
-    assert [bytes(r[r != 0]) for r in field] == [b"%.17g" % v for v in x.tolist()]
+    slots = np.empty((x.size, csvtext.SLOT // 8), np.uint64)
+    assert csvtext.g17(x, slots, b",") == 0
+    assert [bytes(r[r != 0]) for r in slots.view(np.uint8)] == [b"%.17g," % v for v in x.tolist()]
