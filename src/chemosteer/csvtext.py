@@ -17,13 +17,13 @@ import numpy as np
 SLOT = 32      # bytes of a value: at most 24 of text, then its separator
 BLOCK = 8192   # values per block: about 2 MB of working memory
 _E = range(-290, 290)   # the exponents e the tables cover; |x| < 1e270 needs +-271
-_KINDS = 6              # head layouts: d., d, 0.d, 0.0d, 0.00d, 0.000d
 _tables = {}
 
 
 def _table(name):
-    """The powers 10^(16-e) as double-doubles, the 4-digit groups as words cut
-    after c digits, their trailing zeros, and the head and exponent words."""
+    """Tables over the exponents e: the powers 10^(16-e) as double-doubles, the
+    head layout and the exponent; over the 4-digit groups: their words cut after
+    c digits and their trailing zeros; and the head words."""
     if not _tables:
         high = [float(f"1e{16 - e}") for e in _E]
         low = []
@@ -31,30 +31,36 @@ def _table(name):
             n, d = h.as_integer_ratio()
             num, den = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
             low.append((num * d - n * den) / (den * d))
-        group = np.arange(10000)
-        text = np.array([b"%04d" % g for g in group]).view(np.uint32)
-        digits = np.array([text & (1 << 8 * c) - 1 for c in range(5)], np.uint32)
-        zeros = np.zeros(group.size, np.intp)
-        for j in range(1, 5):
-            zeros += group % 10 ** j == 0
-        # the head layout of exponent e: 0 for %e and e = 0, 1 for e >= 1, 1 - e for e < 0
+        ten = np.arange(48, 58, dtype=np.uint8)   # the 4 digits of each group
+        text = np.stack(np.meshgrid(ten, ten, ten, ten, indexing="ij"), -1).reshape(-1, 4)
+        digits = np.zeros((5, *text.shape), np.uint8)
+        for c in range(1, 5):
+            digits[c, :, :c] = text[:, :c]
+        zeros = np.logical_and.accumulate(text[:, ::-1] == 48, 1).sum(1)
+        shown = np.arange(17)[:, None] - 4 * np.arange(4)   # digits shown of each group
+        # head layouts: d. (e = 0 and %e), d (e >= 1), 0.d, 0.0d, 0.00d, 0.000d
         e = np.array(_E)
         kind = np.where((e >= 1) & (e < 17), 1, np.where((e < 0) & (e >= -4), 1 - e, 0))
         heads = [b"-"[:sign] + [b"", b"", b"0.", b"0.0", b"0.00", b"0.000"][k] + b"%d" % d
                  + b"."[:more and k == 0] for more in (1, 0) for sign in (0, 1)
-                 for k in range(_KINDS) for d in range(10)]
-        sci = (e < -4) | (e >= 17)
-        exponent = [b"e%+03d" % e if s else b"" for e, s in zip(_E, sci)]
-        shown = np.arange(18)[:, None] - 4 * np.arange(4) - 1   # digits shown of each group
-        cut = 10000 * np.clip(shown, 0, 4)
-        _tables.update(high=np.array(high), low=np.array(low), digits=digits, zeros=zeros, cut=cut,
-                       kind=10 * kind, head=_words(heads), exponent=_words(exponent))
+                 for k in range(6) for d in range(10)]
+        _tables.update(high=np.array(high), low=np.array(low), kind=10 * kind,
+                       digits=digits.view(np.uint32)[..., 0], zeros=zeros,
+                       cut=10000 * np.clip(shown, 0, 4), head=_words(heads),
+                       exponent=[b"e%+03d" % e if e < -4 or e >= 17 else b"" for e in _E])
     return _tables[name]
 
 
 def _words(texts):
     """The texts, of at most 8 bytes, as NUL-padded uint64 words."""
     return np.array(texts, dtype="S8").view(np.uint64)
+
+
+def _exponents(sep):
+    """The exponent word of each e, sep in its last byte."""
+    if sep not in _tables:
+        _tables[sep] = _words([text.ljust(7, b"\0") + sep for text in _table("exponent")])
+    return _tables[sep]
 
 
 def _split(a):
@@ -74,30 +80,32 @@ def _scaled(a, i):
 
 
 def _outside(p, t):
-    """-1 where p + t < 1e16, +1 where p + t >= 1e17, else 0."""
-    return ((p - 1e17) + t >= 0).view(np.int8) - ((p - 1e16) + t < 0).view(np.int8)
+    """Where p + t < 1e16 or p + t >= 1e17."""
+    return ((p - 1e17) + t >= 0) | ((p - 1e16) + t < 0)
 
 
 def _kept(groups):
-    """How many of the 17 digits are left once the trailing zeros are cut,
-    given the four 4-digit groups after the lead digit, (4, n)."""
-    zeros = _table("zeros")
-    trailing = 12 + zeros[groups[0]]
+    """How many of the 16 digits of the four 4-digit groups, (4, n), are left
+    once the trailing zeros are cut."""
+    zeros = _table("zeros")[groups]   # 4 for a group of zeros
+    trailing = zeros[0]
     for j in range(1, 4):
-        trailing = np.where(groups[j] != 0, 12 - 4 * j + zeros[groups[j]], trailing)
-    return 17 - trailing
+        trailing = zeros[j] + (groups[j] == 0) * trailing
+    return 16 - trailing
 
 
 def g17(values, slots, sep=b","):
     """Write the %.17g text of each value, then sep in the last byte, into the
     rows of slots, (n, SLOT // 8) uint64; returns how many values CPython
-    formatted.  Zeros are written as they are, only the other values formatted."""
+    formatted.  Zeros are written as they are, only the other values formatted.
+    The words are little-endian."""
     x = np.ravel(np.asarray(values, dtype=float))
-    end = np.uint64(sep[0] << 56)
     nonzero = x != 0
     if not nonzero.all():
         zero, negative = _words([b"0", b"-0"])
-        slots[:] = np.array([zero, 0, 0, end], np.uint64)
+        slots[:, 0] = zero
+        slots[:, 1:3] = 0
+        slots[:, 3] = _exponents(sep)[-_E.start]   # e = 0: the separator alone
         slots[np.signbit(x) & ~nonzero, 0] = negative
         at = np.flatnonzero(nonzero)
         part = np.empty((at.size, SLOT // 8), np.uint64)
@@ -110,12 +118,11 @@ def g17(values, slots, sep=b","):
         a = np.where(fast, a, 1.0)
     i = np.floor(np.log10(a)).astype(np.intp) - _E.start
     p, t = _scaled(a, i)
-    off = _outside(p, t)
-    fix = np.flatnonzero(off)
+    fix = np.flatnonzero(_outside(p, t))
     if fix.size:  # log10 missed the exponent by one: scale again
-        i[fix] += off[fix]
+        i[fix] += np.where((p[fix] - 1e17) + t[fix] >= 0, 1, -1)
         p[fix], t[fix] = _scaled(a[fix], i[fix])
-        fast[fix[_outside(p[fix], t[fix]) != 0]] = False
+        fast[fix[_outside(p[fix], t[fix])]] = False
     near = np.rint(t)
     fast &= 0.5 - np.abs(t - near) > 1e-6   # CPython rounds ties to even
     q = p.astype(np.int64) + near.astype(np.int64)   # the 17 digits, exact in int64
@@ -131,29 +138,30 @@ def g17(values, slots, sep=b","):
     head = kind + groups[0]
     head += 60 * np.signbit(x)
     slots[:, 0] = _table("head")[head]
-    slots[:, 3] = _table("exponent")[i] | end
+    slots[:, 3] = _exponents(sep)[i]
     digits = _table("digits")
     half = slots.view(np.uint32)
-    for j in range(1, 4):
-        half[:, 1 + j] = digits[4, groups[j]]
-    last = half[:, 5] = digits[4, groups[4]]
-    tail = np.flatnonzero(last < 0x31000000)   # the last digit is 0: cut the zeros
-    if tail.size:
-        kept = _kept(groups[1:, tail])
-        shown = np.maximum(kept, np.where(kind[tail] == 10, i[tail] + (_E.start + 1), 0))
-        slots[tail, 0] = _table("head")[head[tail] + 120 * (kept == 1)]
-        cut = _table("cut")[shown] + groups[1:, tail].T   # each group's word, cut
-        half[tail, 2:6] = digits.ravel()[cut]
-    at = np.flatnonzero(kind == 10)   # e >= 1: the point goes after digit e + 1
+    for j in range(4):
+        half[:, 2 + j] = digits[4][groups[1 + j]]
+    # the last digit is 0, or e >= 1 puts the point after digit e + 1
+    at = np.flatnonzero((_table("zeros")[groups[4]] > 0) | (kind == 10))
     if at.size:
-        e = i[at] + _E.start
-        point = _kept(groups[1:, at]) > e + 1
-        at, e = at[point], e[point]
-        column = np.arange(17)
-        text = slots.view(np.uint8)[at, 8:25]
-        text = np.take_along_axis(text, column - (column > e[:, None]), 1)
-        text[column == e[:, None]] = 46
-        slots.view(np.uint8)[at, 8:25] = text
+        g = groups[1:, at]
+        kept = _kept(g)   # digits after the lead
+        e = np.where(kind[at] == 10, i[at] + _E.start, 0)   # integer digits after the lead
+        half[at, 2:6] = digits.ravel()[_table("cut")[np.maximum(kept, e)] + g.T]
+        bare = at[kept == 0]   # no digit after the lead: no point after it
+        slots[bare, 0] = _table("head")[head[bare] + 120]
+        point = (e > 0) & (kept > e)
+        at, e = at[point], e[point, None]
+        if at.size:
+            text = slots.view(np.uint8)[at, 8:25]   # the digits and a spare byte
+            column = np.arange(17)
+            moved = np.zeros_like(text)
+            moved[:, 1:] = text[:, :-1]
+            np.copyto(moved, text, where=column < e)
+            moved[column == e] = 46
+            slots.view(np.uint8)[at, 8:25] = moved
 
     slow = np.flatnonzero(~fast)
     if slow.size:
