@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from .carleman import build_weights
 from .checks import constant_mode_ratios, dense_kkt_deviation, random_drift, run_checks
-from .config import (ConfigError, RunConfig, apply_override, build_geometry,
-                     config_from_dict, initial_data, read_config)
+from .config import (MAX_GRID_VALUES, ConfigError, RunConfig, apply_override,
+                     build_geometry, config_from_dict, initial_data, read_config)
 from .diagnostics import observability_probe
 from .elliptic import DriftField, drift_from_state, solve_elliptic
 from .grid import HORIZON_RANGE, build_time_grid
@@ -168,6 +168,10 @@ def cmd_nonlinear(cfg: RunConfig, args, out):
 
 
 def cmd_observability(cfg: RunConfig, args, out):
+    # the probe holds about five (domain.n_cells, --samples) arrays at once
+    if cfg.domain.n_cells * args.samples > MAX_GRID_VALUES // 8:
+        raise ConfigError(f"--samples times domain.n_cells must be at most {MAX_GRID_VALUES // 8}"
+                          f", got {cfg.domain.n_cells * args.samples}")
     per_t = []
     domain, _, beta, _ = build_geometry(cfg)
     for T in args.t_list or [cfg.time.T]:

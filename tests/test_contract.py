@@ -159,6 +159,12 @@ CONTRACT = {
     **rows(EXIT_INVALID, re.escape("error: domain.n_cells * (time.n_steps + 1) must be at most "), {
         "grid-too-large": "linear --set domain.n_cells=100000000000 --set time.n_steps=8",
         "grid-too-many-steps": "linear --set domain.n_cells=8 --set time.n_steps=100000000000"}),
+    # --samples once drew 3e6 samples for 21.6 s before it ran out of memory; the
+    # patched probe makes sure the row allocates no samples even without the bound
+    "observability-too-many-samples": Row(
+        "observability --samples 3000000 --set domain.n_cells=100", EXIT_INVALID,
+        re.escape("error: --samples times domain.n_cells must be at most 16777216, got 300000000"),
+        patch={"observability_probe": raising(MemoryError("the samples were drawn"))}),
     # an empty output.dir once failed in os.makedirs, naming no key
     **rows(EXIT_INVALID, "error: output\\.dir must not be empty", {
         f"{command.split()[0]}-output.dir=\"\"": f"CHEMOSTEER_OUT= {command} {{n8}} "
