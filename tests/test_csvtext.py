@@ -1,6 +1,9 @@
+import io
 import time
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from chemosteer import csvtext
 
@@ -55,3 +58,66 @@ def test_g17_formats_zeros_and_typical_values_itself():
     slots = np.empty((x.size, csvtext.SLOT // 8), np.uint64)
     assert csvtext.g17(x, slots, b",") == 0
     assert [bytes(r[r != 0]) for r in slots.view(np.uint8)] == [b"%.17g," % v for v in x.tolist()]
+
+
+def plain_rows(levels, centers, *fields):
+    """The bytes of write_rows, one "%.17g," at a time in plain Python."""
+    return b"".join(b"".join(b"%.17g," % v for v in (t, x, *(f[k][i] for f in fields)))[:-1] + b"\n"
+                    for k, t in enumerate(levels.tolist()) for i, x in enumerate(centers.tolist()))
+
+
+# ties CPython rounds half-even, |x| outside (1e-270, 1e270) and non-finite values
+FALLBACK = [0.0010004043579101562, -1.0251998901367188e-05, 1e-300, -5e-324, 1e300,
+            np.nan, np.inf, -np.inf]
+WIDE = [12.5, -123.456, 98765.4321, 1200.0, 123456789012345.67, 99999999999999984.0,
+        1e16 + 2.0, 1e-7, -2.5e-200, 1.5e20, 1e22, 0.1, -0.5, 1.0 / 3.0, 1e-4, -1e-5]
+
+
+def oracle_field(rng, levels, centers):
+    """Whole rows of 0.0 and of -0.0, the values above, and random doubles."""
+    values = rng.standard_normal((levels, centers)) * 10.0 ** rng.integers(-12, 20, (levels, centers))
+    special = np.resize(FALLBACK + WIDE, values.size)
+    values.flat[rng.permutation(values.size)[:special.size // 2]] = special[:special.size // 2]
+    values[1], values[-2] = 0.0, -0.0
+    return values
+
+
+@pytest.mark.parametrize("block", [csvtext.BLOCK, 8, 4])
+@pytest.mark.parametrize("n_fields", [1, 2])
+def test_write_rows_equals_a_plain_python_writer(block, n_fields, monkeypatch):
+    """The u.csv layout (one field) and the weights.csv layout (two) in one
+    block, and across seams: 8 and 4 values cut 15 levels of 4 centers into
+    blocks of 2 levels, the last of 1, and into blocks of 1 level."""
+    monkeypatch.setattr(csvtext, "BLOCK", block)
+    rng = np.random.default_rng(block + n_fields)
+    levels, centers = np.linspace(0.0, 2.0, 15), np.array([0.125, 0.375, 1e-9, 12.75])
+    fields = [oracle_field(rng, 15, 4) for _ in range(n_fields)]
+    fh = io.BytesIO()
+    csvtext.write_rows(fh, levels, centers, *fields)
+    assert fh.getvalue() == plain_rows(levels, centers, *fields)
+
+
+def test_oracle_values_reach_cpython_and_the_tables():
+    """The FALLBACK values are formatted by CPython, the WIDE ones by g17."""
+    slots = np.empty((len(FALLBACK + WIDE), csvtext.SLOT // 8), np.uint64)
+    assert csvtext.g17(FALLBACK + WIDE, slots, b"\n") == len(FALLBACK)
+    assert slots.tobytes().translate(None, b"\0") == b"".join(
+        b"%.17g\n" % v for v in FALLBACK + WIDE)
+
+
+def test_write_rows_working_memory_is_bounded(tmp_path):
+    """A 401 x 200 field, the size of a nonlinear-coupled benchmark field,
+    written into a file: the tracemalloc peak reads 1.57 MiB at BLOCK = 8192
+    (0.79 MiB at 4096, 3.6 MiB at 16384), after the tables are built."""
+    rng = np.random.default_rng(11)
+    levels, centers = np.linspace(0.0, 1.0, 401), (np.arange(200) + 0.5) / 200
+    field = rng.standard_normal((401, 200)) * 10.0 ** rng.integers(-12, 2, (401, 200))
+    with open(tmp_path / "u.csv", "wb") as fh:
+        csvtext.write_rows(fh, levels[:2], centers[:2], field[:2, :2])
+        tracemalloc.start()
+        try:
+            csvtext.write_rows(fh, levels, centers, field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
