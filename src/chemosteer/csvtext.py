@@ -97,8 +97,7 @@ def _kept(groups):
 def g17(values, slots, sep=b","):
     """Write the %.17g text of each value, then sep in the last byte, into the
     rows of slots, (n, SLOT // 8) uint64; returns how many values CPython
-    formatted.  Zeros are written as they are, only the other values formatted.
-    The words are little-endian."""
+    formatted.  Zeros are written as they are, only the other values formatted."""
     x = np.ravel(np.asarray(values, dtype=float))
     nonzero = x != 0
     if not nonzero.all():
