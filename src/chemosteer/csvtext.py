@@ -15,7 +15,7 @@ the rest, and a CSV row is its t and x and such slots with the NULs taken out.
 import numpy as np
 
 SLOT = 32      # bytes of a value: at most 24 of text, then its separator
-BLOCK = 8192   # values per block: about 2 MB of working memory
+BLOCK = 8192   # values per block: under 2 MiB of working memory
 _E = range(-290, 290)   # the exponents e the tables cover; |x| < 1e270 needs +-271
 _tables = {}
 
@@ -37,7 +37,7 @@ def _table(name):
         for c in range(1, 5):
             digits[c, :, :c] = text[:, :c]
         zeros = np.logical_and.accumulate(text[:, ::-1] == 48, 1).sum(1)
-        shown = np.arange(17)[:, None] - 4 * np.arange(4)   # digits shown of each group
+        shown = np.arange(17)[:, None] - 4 * np.arange(4)   # of s digits, group j shows s - 4j
         # head layouts: d. (e = 0 and %e), d (e >= 1), 0.d, 0.0d, 0.00d, 0.000d
         e = np.array(_E)
         kind = np.where((e >= 1) & (e < 17), 1, np.where((e < 0) & (e >= -4), 1 - e, 0))
@@ -46,6 +46,7 @@ def _table(name):
                  for k in range(6) for d in range(10)]
         _tables.update(high=np.array(high), low=np.array(low), kind=10 * kind,
                        digits=digits.view(np.uint32)[..., 0], zeros=zeros,
+                       last=digits.view(np.uint32)[4 - zeros, np.arange(10000), 0],
                        cut=10000 * np.clip(shown, 0, 4), head=_words(heads),
                        exponent=[b"e%+03d" % e if e < -4 or e >= 17 else b"" for e in _E])
     return _tables[name]
@@ -140,10 +141,11 @@ def g17(values, slots, sep=b","):
     slots[:, 3] = _exponents(sep)[i]
     digits = _table("digits")
     half = slots.view(np.uint32)
-    for j in range(4):
+    for j in range(3):
         half[:, 2 + j] = digits[4][groups[1 + j]]
-    # the last digit is 0, or e >= 1 puts the point after digit e + 1
-    at = np.flatnonzero((_table("zeros")[groups[4]] > 0) | (kind == 10))
+    half[:, 5] = _table("last")[groups[4]]   # its trailing zeros cut
+    # the zeros reach into the other groups, or e >= 1 puts the point after digit e + 1
+    at = np.flatnonzero((groups[4] == 0) | (kind == 10))
     if at.size:
         g = groups[1:, at]
         kept = _kept(g)   # digits after the lead
