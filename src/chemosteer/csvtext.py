@@ -22,8 +22,8 @@ _tables = {}
 
 def _table(name):
     """Tables over the exponents e: the powers 10^(16-e) as double-doubles, the
-    head layout and the exponent; over the 4-digit groups: their words cut after
-    c digits and their trailing zeros; and the head words."""
+    head layout and the exponent; over the 4-digit groups: their words, their
+    words with the trailing zeros cut, and how many zeros; and the head words."""
     if not _tables:
         high = [float(f"1e{16 - e}") for e in _E]
         low = []
@@ -31,37 +31,34 @@ def _table(name):
             n, d = h.as_integer_ratio()
             num, den = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
             low.append((num * d - n * den) / (den * d))
-        ten = np.arange(48, 58, dtype=np.uint8)   # the 4 digits of each group
-        text = np.stack(np.meshgrid(ten, ten, ten, ten, indexing="ij"), -1).reshape(-1, 4)
-        digits = np.zeros((5, *text.shape), np.uint8)
-        for c in range(1, 5):
-            digits[c, :, :c] = text[:, :c]
-        zeros = np.logical_and.accumulate(text[:, ::-1] == 48, 1).sum(1)
-        shown = np.arange(17)[:, None] - 4 * np.arange(4)   # of s digits, group j shows s - 4j
+        # float64 only: a numpy loop first used after the solve pages in its code
+        group = np.arange(10000.0)
+        text = np.empty((4, group.size), np.uint8)   # digit j of each group in row j
+        zeros = np.zeros(group.size)
+        for j in range(4):
+            text[3 - j] = np.floor(group / 10 ** j) - 10 * np.floor(group / 10 ** (j + 1)) + 48
+            zeros += np.where(np.floor(group / 10 ** (j + 1)) * 10 ** (j + 1) == group, 1.0, 0.0)
+        text = text.T.copy()
+        last = text.copy()
+        np.copyto(last, 0, where=np.arange(4.0) >= 4 - zeros[:, None])
         # head layouts: d. (e = 0 and %e), d (e >= 1), 0.d, 0.0d, 0.00d, 0.000d
-        e = np.array(_E)
-        kind = np.where((e >= 1) & (e < 17), 1, np.where((e < 0) & (e >= -4), 1 - e, 0))
+        kind = [10 * (1 if 1 <= e < 17 else 1 - e if -4 <= e < 0 else 0) for e in _E]
         heads = [b"-"[:sign] + [b"", b"", b"0.", b"0.0", b"0.00", b"0.000"][k] + b"%d" % d
                  + b"."[:more and k == 0] for more in (1, 0) for sign in (0, 1)
                  for k in range(6) for d in range(10)]
-        _tables.update(high=np.array(high), low=np.array(low), kind=10 * kind,
-                       digits=digits.view(np.uint32)[..., 0], zeros=zeros,
-                       last=digits.view(np.uint32)[4 - zeros, np.arange(10000), 0],
-                       cut=10000 * np.clip(shown, 0, 4), head=_words(heads),
-                       exponent=[b"e%+03d" % e if e < -4 or e >= 17 else b"" for e in _E])
+        _tables.update(high=np.array(high), low=np.array(low), kind=np.array(kind),
+                       ints=np.array([float(e) if k == 10 else 0.0 for e, k in zip(_E, kind)]),
+                       digits=text.view(np.uint32)[:, 0], zeros=zeros,
+                       last=last.view(np.uint32)[:, 0], head=_words(heads),
+                       exponent={sep: _words([(b"e%+03d" % e if e < -4 or e >= 17 else b"")
+                                              .ljust(7, b"\0") + sep for e in _E])
+                                 for sep in (b",", b"\n")})   # the separator last
     return _tables[name]
 
 
 def _words(texts):
     """The texts, of at most 8 bytes, as NUL-padded uint64 words."""
     return np.array(texts, dtype="S8").view(np.uint64)
-
-
-def _exponents(sep):
-    """The exponent word of each e, sep in its last byte."""
-    if sep not in _tables:
-        _tables[sep] = _words([text.ljust(7, b"\0") + sep for text in _table("exponent")])
-    return _tables[sep]
 
 
 def _split(a):
@@ -80,33 +77,30 @@ def _scaled(a, i):
     return p, err + a * low
 
 
+def _divide(x, unit):
+    """floor(x / unit) and the remainder, exact for the integer-valued x here:
+    a quotient below 1e4, or x a 17-digit p, a multiple of its ulp, so that a
+    quotient just below an integer is too far below it to round up to it."""
+    q = np.floor(x / unit)
+    return q, x - q * unit
+
+
 def _outside(p, t):
     """Where p + t < 1e16 or p + t >= 1e17."""
     return ((p - 1e17) + t >= 0) | ((p - 1e16) + t < 0)
 
 
-def _kept(groups):
-    """How many of the 16 digits of the four 4-digit groups, (4, n), are left
-    once the trailing zeros are cut."""
-    zeros = _table("zeros")[groups]   # 4 for a group of zeros
-    trailing = zeros[0]
-    for j in range(1, 4):
-        trailing = zeros[j] + (groups[j] == 0) * trailing
-    return 16 - trailing
-
-
 def g17(values, slots, sep=b","):
-    """Write the %.17g text of each value, then sep in the last byte, into the
-    rows of slots, (n, SLOT // 8) uint64; returns how many values CPython
-    formatted.  Zeros are written as they are, only the other values formatted."""
+    """Write the %.17g text of each value into the rows of slots, (n, SLOT // 8)
+    uint64, and sep ("," or "\\n") last; returns how many values CPython
+    formatted.  Zeros are written as they are; only the rest is formatted."""
     x = np.ravel(np.asarray(values, dtype=float))
     nonzero = x != 0
     if not nonzero.all():
         zero, negative = _words([b"0", b"-0"])
-        slots[:, 0] = zero
+        slots[:, 0] = np.where(np.signbit(x), negative, zero)
         slots[:, 1:3] = 0
-        slots[:, 3] = _exponents(sep)[-_E.start]   # e = 0: the separator alone
-        slots[np.signbit(x) & ~nonzero, 0] = negative
+        slots[:, 3] = _table("exponent")[sep][-_E.start]   # e = 0: the separator alone
         at = np.flatnonzero(nonzero)
         part = np.empty((at.size, SLOT // 8), np.uint64)
         slow = g17(x[at], part, sep)
@@ -125,39 +119,46 @@ def g17(values, slots, sep=b","):
         fast[fix[_outside(p[fix], t[fix])]] = False
     near = np.rint(t)
     fast &= 0.5 - np.abs(t - near) > 1e-6   # CPython rounds ties to even
-    q = p.astype(np.int64) + near.astype(np.int64)   # the 17 digits, exact in int64
-    carry = np.flatnonzero(q == 10 ** 17)            # rounded up to 10^17
-    q[carry], i[carry] = 10 ** 16, i[carry] + 1
-    groups = np.empty((5, x.size), np.int64)   # the lead digit, then 4-digit groups
-    for j, unit in enumerate((10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4)):
-        np.floor_divide(q, unit, out=groups[j])
-        q -= groups[j] * unit
-    groups[4] = q
+    # the 17 digits p + near as hi 1e8 + lo, lo < 1e8
+    hi, lo = _divide(p, 1e8)
+    step, lo = _divide(lo + near, 1e8)
+    hi += step
+    carry = np.flatnonzero(hi == 1e9)   # rounded up to 10^17
+    hi[carry], i[carry] = 1e8, i[carry] + 1
+    lead, mid = _divide(hi, 1e8)   # the lead digit, then four 4-digit groups
+    groups = np.array([lead, *_divide(mid, 1e4), *_divide(lo, 1e4)], np.intp)
 
     kind = _table("kind")[i]
     head = kind + groups[0]
-    head += 60 * np.signbit(x)
+    head += np.where(np.signbit(x), 60, 0)
     slots[:, 0] = _table("head")[head]
-    slots[:, 3] = _exponents(sep)[i]
+    slots[:, 3] = _table("exponent")[sep][i]
     digits = _table("digits")
     half = slots.view(np.uint32)
     for j in range(3):
-        half[:, 2 + j] = digits[4][groups[1 + j]]
+        half[:, 2 + j] = digits[groups[1 + j]]
     half[:, 5] = _table("last")[groups[4]]   # its trailing zeros cut
     # the zeros reach into the other groups, or e >= 1 puts the point after digit e + 1
-    at = np.flatnonzero((groups[4] == 0) | (kind == 10))
+    ints = _table("ints")[i]
+    at = np.flatnonzero((_table("zeros")[groups[4]] == 4) | (ints > 0))
     if at.size:
         g = groups[1:, at]
-        kept = _kept(g)   # digits after the lead
-        e = np.where(kind[at] == 10, i[at] + _E.start, 0)   # integer digits after the lead
-        half[at, 2:6] = digits.ravel()[_table("cut")[np.maximum(kept, e)] + g.T]
+        zeros = _table("zeros")[g]   # 4 for a group of zeros
+        trailing = zeros[0]
+        for j in range(1, 4):
+            trailing = zeros[j] + np.where(zeros[j] == 4, trailing, 0.0)
+        kept = 16 - trailing   # digits after the lead once the trailing zeros are cut
+        e = ints[at]   # integer digits after the lead
+        text = digits[g.T].view(np.uint8).reshape(-1, 16)
+        np.copyto(text, 0, where=np.arange(16.0) >= np.maximum(kept, e)[:, None])
+        half[at, 2:6] = text.view(np.uint32)
         bare = at[kept == 0]   # no digit after the lead: no point after it
         slots[bare, 0] = _table("head")[head[bare] + 120]
         point = (e > 0) & (kept > e)
         at, e = at[point], e[point, None]
         if at.size:
             text = slots.view(np.uint8)[at, 8:25]   # the digits and a spare byte
-            column = np.arange(17)
+            column = np.arange(17.0)
             moved = np.zeros_like(text)
             moved[:, 1:] = text[:, :-1]
             np.copyto(moved, text, where=column < e)
