@@ -168,10 +168,10 @@ def cmd_nonlinear(cfg: RunConfig, args, out):
 
 
 def cmd_observability(cfg: RunConfig, args, out):
-    # the probe holds about five (domain.n_cells, --samples) arrays at once
-    if cfg.domain.n_cells * args.samples > MAX_GRID_VALUES // 8:
-        raise ConfigError(f"--samples times domain.n_cells must be at most {MAX_GRID_VALUES // 8}"
-                          f", got {cfg.domain.n_cells * args.samples}")
+    values = cfg.domain.n_cells * args.samples   # the probe holds about five such arrays
+    if values > MAX_GRID_VALUES // 8:
+        raise ConfigError(f"--samples times domain.n_cells must be at most "
+                          f"{MAX_GRID_VALUES // 8}, got {values}")
     per_t = []
     domain, _, beta, _ = build_geometry(cfg)
     for T in args.t_list or [cfg.time.T]:

@@ -15,7 +15,7 @@ the rest, and a CSV row is its t and x and such slots with the NULs taken out.
 import numpy as np
 
 SLOT = 32      # bytes of a value: at most 24 of text, then its separator
-BLOCK = 8192   # values per block: under 2 MiB of working memory
+BLOCK = 8192   # values per block: about 1.8 MiB of working memory
 _E = range(-290, 290)   # the exponents e the tables cover; |x| < 1e270 needs +-271
 _tables = {}
 
@@ -189,7 +189,7 @@ def write_rows(fh, levels, centers, *fields):
     x = _padded(["%.17g," % v for v in np.asarray(centers).tolist()])
     (_, wt), (n, wx) = t.shape, x.shape
     block = min(max(1, BLOCK // n), len(t))
-    lead = -(-(wt + wx) // 8) * 8
+    lead = -(-(wt + wx) // 8) * 8   # t and x, padded to whole words
     width = lead + SLOT * len(fields)
     text = bytearray(block * n * width)   # numpy fills it; it translates with no copy
     rows = np.frombuffer(text, np.uint8).reshape(block, n, width)
