@@ -106,15 +106,12 @@ UNDERFLOW_WARNING = "raw mid-horizon weight underflows; normalized table remains
 
 
 def select_params(b_sup: float, T: float, beta: BetaFunction,
-                  settings: CarlemanSettings = CarlemanSettings(), *,
-                  warn: bool = True) -> CarlemanParams:
+                  settings: CarlemanSettings = CarlemanSettings()) -> CarlemanParams:
     """Choose lam and s from the drift bound, enforcing both constraints.
 
     lam starts from lambda_scale * (1 + b_sup^2) and is raised if needed so
     that omega(lam) < delta0 - 1; s starts from s_scale * (1 + b_sup^2) *
-    (T + T^2) and is raised if needed to s >= gamma(lam) (T + T^2).  Unless
-    warn is false, emits a warning when the raw mid-horizon weight would
-    underflow (computation proceeds on the normalized table regardless).
+    (T + T^2) and is raised if needed to s >= gamma(lam) (T + T^2).
     """
     bsq = 1.0 + b_sup * b_sup
     lam = settings.lambda_scale * bsq
@@ -130,8 +127,6 @@ def select_params(b_sup: float, T: float, beta: BetaFunction,
     )
     if not params.constraints_certified():
         raise ValueError(f"weight parameters fail the admissibility constraints: {params}")
-    if warn and params.raw_weight_underflows:
-        warnings.warn(UNDERFLOW_WARNING, RuntimeWarning, stacklevel=2)
     return params
 
 
@@ -145,13 +140,13 @@ def build_weights(b_sup: float, beta: BetaFunction, domain: DomainSpec, time: Ti
     All exponentials are assembled in log space; underflow to exactly zero
     is accepted and is what switches the feedback off near t = 0 and t = T.
     A table past the float range (lam, s or delta0 s alpha overflows) raises
-    SolverError; only a table that does not emits the underflow warning of
-    select_params (unless warn is false).
+    SolverError; only a table that does not emits UNDERFLOW_WARNING when the
+    raw mid-horizon weight underflows (unless warn is false).
     """
     if time.n_steps < 4:
         raise ValueError("need at least 4 time steps for the weight tables")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, at the peak
-        params = select_params(b_sup, time.horizon_T, beta, settings, warn=False)
+        params = select_params(b_sup, time.T, beta, settings)
         tables = WeightTables(params, time.midpoints.copy(), np.exp(params.lam * beta.at_centers),
                               w=None, log_w_peak=0.0)  # its alpha forms the exponent
         # named, not a temporary: numpy tests a large temporary for in-place reuse by a

@@ -14,7 +14,7 @@ import numpy as np
 from .carleman import build_weights
 from .diagnostics import RecursionSpec, observability_ratio, recursion_simulate
 from .elliptic import DriftField, PhysicsParams, drift_from_v, solve_elliptic
-from .grid import build_beta, build_domain, build_time_grid
+from .grid import DomainSpec, TimeGrid, build_beta
 from .hum import HumSettings, adjoint_energy, dense_gramian, gramian_apply, solve_penalized
 from .nonlinear import FixedPointSettings, run_nonlinear
 from .parabolic import Propagator, SolverError, inner_l2, level_l2, solve_adjoint, solve_forward
@@ -66,7 +66,7 @@ def dense_kkt_deviation(u0, drift, weights, domain, tgrid, epsilon) -> float:
 
 def refinement_ratio(error) -> float:
     """error(domain) at N = 32 over N = 64: 4 for a second-order scheme."""
-    e32, e64 = (error(build_domain(n, (0.3, 0.7), 0.5)) for n in (32, 64))
+    e32, e64 = (error(DomainSpec(n)) for n in (32, 64))
     return e32 / e64
 
 
@@ -81,7 +81,7 @@ def refined_control(n_cells, epsilon=None) -> tuple:
     """(weighted energy, terminal norm, terminal / (sqrt(eps) |u0|)) of the control
     of u0 = 1e-2 (1 + cos pi x) / 2 without drift, T = 1, N = n_cells, M = 2N;
     epsilon None is Boyer's eps = h^4, which keeps the last one bounded as h -> 0."""
-    domain, tgrid = build_domain(n_cells, (0.3, 0.7), 0.5), build_time_grid(1.0, 2 * n_cells)
+    domain, tgrid = DomainSpec(n_cells), TimeGrid(1.0, 2 * n_cells)
     beta = build_beta(domain)
     weights = build_weights(0.0, beta, domain, tgrid)
     hum = HumSettings(epsilon=domain.h ** 4 if epsilon is None else epsilon)
@@ -95,7 +95,7 @@ def refined_nonlinear(n_cells, chi=10.0) -> tuple:
     """(weighted energy, terminal norm, outer iterations, relative gap of the verified
     terminal norm) of the fixed point for u0 = 0.5 (1 + cos pi x) / 2 with drift
     chi dv/dx, T = 1, eps = 1e-6, fixed_point.tol = 1e-10, N = n_cells, M = 2N."""
-    domain, tgrid = build_domain(n_cells, (0.3, 0.7), 0.5), build_time_grid(1.0, 2 * n_cells)
+    domain, tgrid = DomainSpec(n_cells), TimeGrid(1.0, 2 * n_cells)
     u0 = 0.5 * (1.0 + np.cos(np.pi * domain.centers)) / 2.0
     result = run_nonlinear(u0, PhysicsParams(chi=chi), domain, tgrid, build_beta(domain),
                            hum=HumSettings(epsilon=1e-6),
@@ -171,7 +171,7 @@ def selftest_problem(corrupt_adjoint=False) -> SimpleNamespace:
     corrupt_adjoint scales the adjoint of the duality checks by 1 + 1e-6,
     which proves that they can fail."""
     rng = np.random.default_rng(42)
-    domain, tgrid = build_domain(32, (0.3, 0.7), 0.5), build_time_grid(1.0, 24)
+    domain, tgrid = DomainSpec(32), TimeGrid(1.0, 24)
     p = SimpleNamespace(domain=domain, tgrid=tgrid, beta=build_beta(domain),
                         adjoint=solve_adjoint, v=rng.standard_normal(32))
     if corrupt_adjoint:
@@ -180,7 +180,7 @@ def selftest_problem(corrupt_adjoint=False) -> SimpleNamespace:
     p.u0, p.phiT, p.f = (rng.standard_normal(s) for s in (32, 32, (25, 32)))
     p.weights = build_weights(p.drift.sup_norm, p.beta, domain, tgrid)
     p.x, p.y = rng.standard_normal(32), rng.standard_normal(32)
-    dom8, tg8 = build_domain(8, (0.25, 0.75), 0.5), build_time_grid(1.0, 8)
+    dom8, tg8 = DomainSpec(8, 0.25, 0.75, 0.5), TimeGrid(1.0, 8)
     beta8, drift8 = build_beta(dom8), random_drift(rng, dom8, tg8)
     p.oracle = (rng.standard_normal(8), drift8, build_weights(drift8.sup_norm, beta8, dom8, tg8),
                 dom8, tg8, 1e-4)

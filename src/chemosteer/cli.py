@@ -23,10 +23,10 @@ from . import __version__
 from .carleman import build_weights
 from .checks import constant_mode_ratios, dense_kkt_deviation, random_drift, run_checks
 from .config import (MAX_GRID_VALUES, ConfigError, RunConfig, apply_override,
-                     build_geometry, config_from_dict, initial_data, read_config)
+                     config_from_dict, initial_data, read_config)
 from .diagnostics import observability_probe
 from .elliptic import DriftField, drift_from_state, solve_elliptic
-from .grid import HORIZON_RANGE, build_time_grid
+from .grid import HORIZON_RANGE, build_beta
 from .hum import control_bound_report, solve_penalized
 from .nonlinear import remark_check, run_nonlinear, state_guess, threshold_sweep
 from .parabolic import SolverError, linf_estimate_report, m_matrix_report
@@ -110,11 +110,11 @@ def _params_report(weights):
 
 def _linear_setup(cfg: RunConfig):
     """Geometry, data, drift (from the configured state guess) and weights."""
-    domain, tgrid, beta, physics = build_geometry(cfg)
-    u0 = initial_data(cfg, domain)
+    domain, tgrid, physics = cfg.domain, cfg.time, cfg.physics
+    u0 = initial_data(cfg)
     xi = state_guess(cfg.fixed_point, u0, tgrid)
     _, drift = drift_from_state(xi, physics, domain, tgrid)
-    weights = build_weights(drift.sup_norm, beta, domain, tgrid, cfg.carleman)
+    weights = build_weights(drift.sup_norm, build_beta(domain), domain, tgrid, cfg.carleman)
     return domain, tgrid, physics, u0, drift, weights
 
 
@@ -122,7 +122,7 @@ def cmd_linear(cfg: RunConfig, args, out):
     domain, tgrid, physics, u0, drift, weights = _linear_setup(cfg)
     sol = solve_penalized(u0, drift, weights, domain, tgrid, cfg.hum)
     try:
-        with np.errstate(over="ignore"):  # solve_elliptic checks its source
+        with np.errstate(over="ignore"):  # solve_elliptic checks its source and v
             v = solve_elliptic(sol.u, physics, domain)
     except ValueError as exc:
         raise SolverError(f"the controlled state overflows its chemoattractant: {exc}") from None
@@ -140,10 +140,10 @@ def cmd_linear(cfg: RunConfig, args, out):
 
 
 def cmd_nonlinear(cfg: RunConfig, args, out):
-    domain, tgrid, beta, physics = build_geometry(cfg)
-    u0 = initial_data(cfg, domain)
-    result = run_nonlinear(u0, physics, domain, tgrid, beta, carleman=cfg.carleman,
-                           hum=cfg.hum, fixed_point=cfg.fixed_point)
+    domain, tgrid = cfg.domain, cfg.time
+    u0 = initial_data(cfg)
+    result = run_nonlinear(u0, cfg.physics, domain, tgrid, build_beta(domain),
+                           carleman=cfg.carleman, hum=cfg.hum, fixed_point=cfg.fixed_point)
     for name, values in (("u", result.u), ("f", result.f), ("v", result.v)):
         _write_field_csv(os.path.join(out, f"{name}.csv"), values, tgrid.levels, domain.centers)
     _write_table(os.path.join(out, "history.csv"),
@@ -173,9 +173,9 @@ def cmd_observability(cfg: RunConfig, args, out):
         raise ConfigError(f"--samples times domain.n_cells must be at most "
                           f"{MAX_GRID_VALUES // 8}, got {values}")
     per_t = []
-    domain, _, beta, _ = build_geometry(cfg)
+    domain, beta = cfg.domain, build_beta(cfg.domain)
     for T in args.t_list or [cfg.time.T]:
-        tgrid = build_time_grid(T, cfg.time.n_steps)
+        tgrid = replace(cfg.time, T=T)
         drift = DriftField.zero(domain, tgrid)
         weights = build_weights(drift.sup_norm, beta, domain, tgrid, cfg.carleman)
         report = observability_probe(drift, weights, domain, tgrid,
@@ -202,13 +202,12 @@ def cmd_sweep_eps(cfg: RunConfig, args, out):
 
 
 def cmd_sweep_T(cfg: RunConfig, args, out):
-    domain, _, beta, physics = build_geometry(cfg)
+    domain = cfg.domain
     # the configured shape at unit amplitude; each cell scales it
-    shape = initial_data(replace(cfg, initial_data=replace(cfg.initial_data, amplitude=1.0)),
-                         domain)
-    table = threshold_sweep(args.t_list, args.amplitudes, shape, physics, domain,
-                            cfg.time.n_steps, beta, carleman=cfg.carleman, hum=cfg.hum,
-                            fixed_point=cfg.fixed_point)
+    shape = initial_data(replace(cfg, initial_data=replace(cfg.initial_data, amplitude=1.0)))
+    table = threshold_sweep(args.t_list, args.amplitudes, shape, cfg.physics, domain,
+                            cfg.time.n_steps, build_beta(domain), carleman=cfg.carleman,
+                            hum=cfg.hum, fixed_point=cfg.fixed_point)
     _write_table(os.path.join(out, "threshold_sweep.csv"), ("T", "kappa0", "a_star"),
                  table["rows"])
     return {"threshold_sweep": table}, EXIT_OK
@@ -217,10 +216,10 @@ def cmd_sweep_T(cfg: RunConfig, args, out):
 def cmd_oracle_check(cfg: RunConfig, args, out):
     if cfg.domain.n_cells > 16 or cfg.time.n_steps > 16:
         raise ConfigError("oracle check is limited to n_cells <= 16 and n_steps <= 16")
-    domain, tgrid, beta, physics = build_geometry(cfg)
-    u0 = initial_data(cfg, domain)
+    domain, tgrid = cfg.domain, cfg.time
+    u0 = initial_data(cfg)
     drift = random_drift(np.random.default_rng(cfg.seed), domain, tgrid)
-    weights = build_weights(drift.sup_norm, beta, domain, tgrid, cfg.carleman)
+    weights = build_weights(drift.sup_norm, build_beta(domain), domain, tgrid, cfg.carleman)
     deviation = dense_kkt_deviation(u0, drift, weights, domain, tgrid, cfg.hum.epsilon)
     passed = deviation <= 1e-8
     print(f"oracle-check deviation={_fmt(deviation)} {'PASS' if passed else 'FAIL'}")

@@ -14,27 +14,13 @@ import numpy as np
 
 from .carleman import CarlemanSettings
 from .elliptic import PhysicsParams, elliptic_factors
-from .grid import DomainSpec, GeometryError, build_beta, build_domain, build_time_grid
+from .grid import DomainSpec, TimeGrid, build_beta
 from .hum import HumSettings
 from .nonlinear import FixedPointSettings
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
-
-
-@dataclass
-class DomainConfig:
-    n_cells: int = 100
-    omega_a: float = 0.3
-    omega_b: float = 0.7
-    x0: float = 0.5
-
-
-@dataclass
-class TimeConfig:
-    T: float = 1.0
-    n_steps: int = 200
 
 
 @dataclass
@@ -51,8 +37,8 @@ class OutputConfig:
 
 @dataclass
 class RunConfig:
-    domain: DomainConfig = field(default_factory=DomainConfig)
-    time: TimeConfig = field(default_factory=TimeConfig)
+    domain: DomainSpec = field(default_factory=DomainSpec)
+    time: TimeGrid = field(default_factory=TimeGrid)
     physics: PhysicsParams = field(default_factory=PhysicsParams)
     carleman: CarlemanSettings = field(default_factory=CarlemanSettings)
     hum: HumSettings = field(default_factory=HumSettings)
@@ -154,10 +140,10 @@ def validate_config(cfg: RunConfig) -> None:
                           f"{MAX_GRID_VALUES}, got {values}")
     if not cfg.output.dir:
         raise ConfigError("output.dir must not be empty")
-    try:
-        domain, _, _, physics = build_geometry(cfg)
-        elliptic_factors(physics.gamma, domain.n_cells, domain.h)
-    except (GeometryError, ValueError) as exc:
+    try:  # a failed profile certificate, or an indefinite elliptic operator
+        build_beta(cfg.domain)
+        elliptic_factors(cfg.physics.gamma, cfg.domain.n_cells, cfg.domain.h)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.initial_data.shape not in ("cosine", "bump", "file"):
         raise ConfigError(f"unknown initial data shape '{cfg.initial_data.shape}'")
@@ -169,18 +155,9 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
 
 
-def build_geometry(cfg: RunConfig):
-    """Domain, time grid, profile and physics objects for a validated config."""
-    domain = build_domain(cfg.domain.n_cells,
-                          (cfg.domain.omega_a, cfg.domain.omega_b),
-                          cfg.domain.x0)
-    time = build_time_grid(cfg.time.T, cfg.time.n_steps)
-    return domain, time, build_beta(domain), cfg.physics
-
-
-def initial_data(cfg: RunConfig, domain: DomainSpec) -> np.ndarray:
-    """Built-in initial data shapes, or cell values ingested from a file."""
-    a = cfg.initial_data.amplitude
+def initial_data(cfg: RunConfig) -> np.ndarray:
+    """Built-in initial data shapes on cfg.domain, or cell values ingested from a file."""
+    a, domain = cfg.initial_data.amplitude, cfg.domain
     x = domain.centers
     if cfg.initial_data.shape == "cosine":
         return a * (1.0 + np.cos(np.pi * x)) / 2.0

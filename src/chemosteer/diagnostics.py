@@ -75,7 +75,7 @@ def observability_probe(drift: DriftField, weights: WeightTables,
     samples = np.column_stack([_unit_sample(rng, domain) for _ in range(n_samples)])
     ratios_arr = observability_ratio(samples, drift, weights, domain, time)
     max_ratio = float(ratios_arr.max())
-    kappa = kappa_const(drift.sup_norm, time.horizon_T)
+    kappa = kappa_const(drift.sup_norm, time.T)
     return ObservabilityReport(
         n_samples=n_samples,
         max_ratio=max_ratio,

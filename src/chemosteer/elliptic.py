@@ -73,7 +73,7 @@ class DriftField:
 @functools.lru_cache(maxsize=1)
 def elliptic_factors(gamma: float, n_cells: int, h: float) -> tuple:
     """LDL^T factors (d, e) of the elliptic operator (LAPACK dpttrf), kept for
-    the last grid; keyed on scalars, as a DomainSpec holds arrays.  A gamma
+    the last (gamma, n_cells, h), a key that omega and x0 do not change.  A gamma
     too small to keep the operator definite raises ValueError."""
     h2 = h * h
     diag = np.full(n_cells, gamma + 2.0 / h2)
@@ -94,11 +94,14 @@ def solve_elliptic(eta: np.ndarray, physics: PhysicsParams,
     condition; the resulting matrix is SPD, its LDL^T factors are computed
     once per grid and each call is one back substitution (LAPACK dpttrs).
     eta is one level (N,) or a stack of levels (L, N), solved in one call.
+    A non-finite source or solution raises ValueError.
     """
     source = physics.delta * np.asarray(eta, dtype=float).T
     if not np.isfinite(source).all():
         raise ValueError("elliptic source contains non-finite values")
     v, _ = dpttrs(*elliptic_factors(physics.gamma, domain.n_cells, domain.h), source)
+    if not np.isfinite(v).all():
+        raise ValueError("elliptic solution contains non-finite values")
     return v.T
 
 
@@ -111,7 +114,7 @@ def drift_from_v(v: np.ndarray, chi: float, domain: DomainSpec) -> np.ndarray:
     return faces
 
 
-@np.errstate(over="ignore")  # solve_elliptic checks the source, DriftField the drift
+@np.errstate(over="ignore")  # solve_elliptic checks its source and v, DriftField the drift
 def drift_from_state(xi: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
                      time: TimeGrid) -> tuple:
     """Elliptic solve of every level of a state trajectory, then per-step drift.
@@ -119,8 +122,8 @@ def drift_from_state(xi: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
     Returns (v, drift) where v has shape (M+1, N) and drift is a DriftField
     whose step-k row is computed from the average of the adjacent levels,
     i.e. the trajectory sampled at the step midpoint (exact by linearity of
-    the elliptic solve).  A state whose source delta * xi or drift overflows
-    raises SolverError.
+    the elliptic solve).  A state whose source delta * xi, solution v or
+    drift overflows raises SolverError.
     """
     elliptic_factors(physics.gamma, domain.n_cells, domain.h)  # a bad gamma stays ValueError
     try:

@@ -6,6 +6,7 @@ exact on the boundary faces.  The control region is an open subinterval
 (a, b); a cell belongs to it iff its center does.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,39 +20,86 @@ class SolverError(RuntimeError):
     """A solver breakdown: non-finite values met while solving."""
 
 
+# Horizons T the weights are computed for; far outside, T * T under/overflows.
+HORIZON_RANGE = (1e-6, 1e6)
+
+
 @dataclass(frozen=True)
 class DomainSpec:
-    """Uniform cell-centered grid on (0, 1) with a marked control subinterval.
+    """Uniform cell-centered grid on (0, 1) with a marked control subinterval;
+    the config's domain section.  h and the arrays are formed on first read.
 
     Attributes:
-        n_cells: number N of cells of width h = 1/N.
-        omega_a, omega_b: endpoints of the open control region (a, b).
+        n_cells: number N >= 8 of cells of width h = 1/N.
+        omega_a, omega_b: the open control region (a, b), 0 < a < b < 1, 2h wide or more.
         x0: interior point of (a, b) where the weight profile peaks.
-        h: cell width.
         centers: cell centers x_i = (i + 1/2) h, shape (N,).
         faces: cell faces x_{i+1/2} = i h, shape (N+1,).
         omega_mask: boolean per cell, True iff the center lies in (a, b).
     """
 
-    n_cells: int
-    omega_a: float
-    omega_b: float
-    x0: float
-    h: float
-    centers: np.ndarray
-    faces: np.ndarray
-    omega_mask: np.ndarray
+    n_cells: int = 100
+    omega_a: float = 0.3
+    omega_b: float = 0.7
+    x0: float = 0.5
+
+    def __post_init__(self):
+        a, b = self.omega_a, self.omega_b
+        if not self.n_cells >= 8:
+            raise GeometryError(f"n_cells must be >= 8, got {self.n_cells}")
+        if not 0.0 < a < 1.0:
+            raise GeometryError(f"omega_a must lie in (0, 1), got {a}")
+        if not a < b < 1.0:
+            raise GeometryError(f"omega_b must lie in ({a}, 1), got {b}")
+        if not a < self.x0 < b:
+            raise GeometryError(f"x0 must lie inside ({a}, {b}), got {self.x0}")
+        if b - a < 2.0 * self.h:
+            raise GeometryError(f"omega_b must lie two cells (h={self.h}) past {a}, got {b}")
+
+    @functools.cached_property
+    def h(self) -> float:
+        return 1.0 / self.n_cells
+
+    @functools.cached_property
+    def centers(self) -> np.ndarray:
+        return (np.arange(self.n_cells) + 0.5) * self.h
+
+    @functools.cached_property
+    def faces(self) -> np.ndarray:
+        return np.arange(self.n_cells + 1) * self.h
+
+    @functools.cached_property
+    def omega_mask(self) -> np.ndarray:
+        return (self.centers > self.omega_a) & (self.centers < self.omega_b)
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time levels t_k = k*dt on [0, T] plus interval midpoints."""
+    """Uniform time levels t_k = k*dt on [0, T], shape (M+1,), plus the interval
+    midpoints t_{k-1/2}, k = 1..M; the config's time section.  T lies in
+    HORIZON_RANGE and n_steps M >= 1; dt and the arrays are formed on first read."""
 
-    horizon_T: float
-    n_steps: int
-    dt: float
-    levels: np.ndarray     # (M+1,)
-    midpoints: np.ndarray  # (M,), t_{k-1/2} for k = 1..M
+    T: float = 1.0
+    n_steps: int = 200
+
+    def __post_init__(self):
+        lo, hi = HORIZON_RANGE
+        if not lo <= self.T <= hi:
+            raise GeometryError(f"T must lie in [{lo:g}, {hi:g}], got {self.T}")
+        if not self.n_steps >= 1:
+            raise GeometryError(f"n_steps must be positive, got {self.n_steps}")
+
+    @functools.cached_property
+    def dt(self) -> float:
+        return self.T / self.n_steps
+
+    @functools.cached_property
+    def levels(self) -> np.ndarray:
+        return np.linspace(0.0, self.T, self.n_steps + 1)
+
+    @functools.cached_property
+    def midpoints(self) -> np.ndarray:
+        return (np.arange(self.n_steps) + 0.5) * self.dt
 
 
 @dataclass(frozen=True)
@@ -73,54 +121,6 @@ class BetaFunction:
     at_centers: np.ndarray
     sup_norm: float
     validation: dict
-
-
-def build_domain(n_cells: int, omega: tuple, x0: float) -> DomainSpec:
-    """Construct the grid and control-region mask.
-
-    Raises GeometryError for n_cells < 8, a control region that is not a
-    proper subinterval of (0, 1), x0 outside (a, b), or a control region
-    narrower than two cells.
-    """
-    a, b = float(omega[0]), float(omega[1])
-    n_cells = int(n_cells)
-    if n_cells < 8:
-        raise GeometryError(f"n_cells must be >= 8, got {n_cells}")
-    if not (0.0 < a < b < 1.0):
-        raise GeometryError(f"control region must satisfy 0 < a < b < 1, got ({a}, {b})")
-    if not (a < x0 < b):
-        raise GeometryError(f"x0={x0} must lie inside the control region ({a}, {b})")
-    h = 1.0 / n_cells
-    if b - a < 2.0 * h:
-        raise GeometryError(
-            f"control region ({a}, {b}) is narrower than two cells (h={h})"
-        )
-    centers = (np.arange(n_cells) + 0.5) * h
-    faces = np.arange(n_cells + 1) * h
-    mask = (centers > a) & (centers < b)
-    return DomainSpec(
-        n_cells=n_cells, omega_a=a, omega_b=b, x0=float(x0),
-        h=h, centers=centers, faces=faces, omega_mask=mask,
-    )
-
-
-# Horizons T the weights are computed for; far outside, T * T under/overflows.
-HORIZON_RANGE = (1e-6, 1e6)
-
-
-def build_time_grid(horizon_T: float, n_steps: int) -> TimeGrid:
-    """Uniform time grid with M steps on [0, T], T inside HORIZON_RANGE."""
-    T = float(horizon_T)
-    M = int(n_steps)
-    lo, hi = HORIZON_RANGE
-    if not lo <= T <= hi:
-        raise GeometryError(f"horizon must lie in [{lo:g}, {hi:g}], got {T}")
-    if M < 1:
-        raise GeometryError(f"n_steps must be positive, got {M}")
-    dt = T / M
-    levels = np.linspace(0.0, T, M + 1)
-    midpoints = (np.arange(M) + 0.5) * dt
-    return TimeGrid(horizon_T=T, n_steps=M, dt=dt, levels=levels, midpoints=midpoints)
 
 
 def beta_values(x, x0: float):

@@ -153,7 +153,7 @@ def solve_penalized(u0: np.ndarray, drift: DriftField, weights: WeightTables,
     rhs = -u[-1]
     rhs_norm = level_l2(rhs, h)
     cells = np.flatnonzero(domain.omega_mask)
-    omega = slice(cells[0], cells[-1] + 1)  # build_domain makes omega one run of cells
+    omega = slice(cells[0], cells[-1] + 1)  # DomainSpec makes omega one run of cells
     f_p = np.zeros(u.shape)
     f_omega = np.zeros(f_p[1:, omega].shape)  # the control on omega, summed as CG goes
 
@@ -199,7 +199,7 @@ def solve_penalized(u0: np.ndarray, drift: DriftField, weights: WeightTables,
         weighted_energy=weighted, control_sup=float(np.abs(f).max()), cg_iters=iters,
         cg_residual=history[-1] if history else 0.0, cg_converged=converged,
         residual_history=history, epsilon=float(settings.epsilon),
-        kappa=kappa_const(drift.sup_norm, time.horizon_T), scale=e, scaled_energy=energy,
+        kappa=kappa_const(drift.sup_norm, time.T), scale=e, scaled_energy=energy,
     )
 
 

@@ -19,7 +19,7 @@ from scipy.linalg.lapack import dgtsv
 from .carleman import UNDERFLOW_WARNING, CarlemanSettings, WeightTables, build_weights
 from .elliptic import (PhysicsParams, drift_from_state, drift_from_v, elliptic_factors,
                        solve_elliptic)
-from .grid import BetaFunction, DomainSpec, TimeGrid, build_time_grid
+from .grid import BetaFunction, DomainSpec, TimeGrid
 from .hum import HumSettings, HumSolution, solve_penalized
 from .parabolic import (SolverError, level_l2, m_matrix_report, space_time_l2,
                         step_matrix_banded)
@@ -258,7 +258,7 @@ def threshold_sweep(T_list, amplitude_grid, shape: np.ndarray, physics: PhysicsP
         raise ValueError("amplitude grid must be positive")
     rows = []
     for T in T_list:
-        time = build_time_grid(T, n_steps)
+        time = TimeGrid(T, n_steps)
         a_star = None
         cells = []
         for a in amplitude_grid:

@@ -22,10 +22,12 @@ from .elliptic import DriftField
 from .grid import DomainSpec, SolverError, TimeGrid
 
 
+@np.errstate(over="ignore")  # an overflowing sum takes the exact branch below
 def _norm(values: np.ndarray, weight: float) -> float:
     """sqrt(weight sum(values^2)).  Where the plain sum of squares leaves
     [2^-960, 2^960], the values are first scaled exactly by the power of two
-    that brings their peak into [1/2, 1), so tiny data do not underflow."""
+    that brings their peak into [1/2, 1), so tiny data do not underflow.  A
+    norm past the float range is inf."""
     s = np.square(values).sum()
     if not 2.0 ** -960 <= s <= 2.0 ** 960:
         peak = float(np.abs(values).max(initial=0.0))
@@ -245,7 +247,7 @@ def linf_estimate_report(u: np.ndarray, u0: np.ndarray, f, drift: DriftField,
         force_sup = float(np.abs(masked).max()) if masked.size else 0.0
     k0 = force_sup + float(np.abs(u0).max())
     sup_u = float(np.abs(u).max())
-    rho0 = rho0_const(drift.sup_norm, time.horizon_T)
+    rho0 = rho0_const(drift.sup_norm, time.T)
     return {"K0": k0, "rho0": rho0, "sup_u": sup_u, "degenerate": bool(k0 == 0.0),
             "C_hat": growth_constant(sup_u, k0, rho0),
             "consistent": bool(k0 > 0.0 or sup_u == 0.0)}

@@ -18,7 +18,7 @@ from chemosteer.checks import (dense_kkt_deviation, difference_ratios, duality_d
                                refinement_ratio, weight_chain_holds)
 from chemosteer.diagnostics import RecursionSpec, recursion_simulate
 from chemosteer.elliptic import DriftField, PhysicsParams
-from chemosteer.grid import build_beta, build_domain, build_time_grid
+from chemosteer.grid import DomainSpec, TimeGrid, build_beta
 from chemosteer.hum import HumSettings, solve_penalized
 from chemosteer.nonlinear import FixedPointSettings, run_nonlinear, threshold_sweep
 from chemosteer.parabolic import level_l2
@@ -37,8 +37,8 @@ def cosine_data(domain, amplitude):
 def test_criterion_01_discrete_duality():
     # forward/adjoint transpose identity on 100 random problem tuples
     t0 = _time.perf_counter()
-    dom = build_domain(50, (0.3, 0.7), 0.5)
-    tg = build_time_grid(1.0, 50)
+    dom = DomainSpec(50)
+    tg = TimeGrid(1.0, 50)
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(100):
@@ -74,8 +74,8 @@ def test_criterion_02_gramian_symmetry_psd(domain32, tgrid24, beta32):
 
 def test_criterion_03_dense_kkt_oracle():
     t0 = _time.perf_counter()
-    dom = build_domain(8, (0.25, 0.75), 0.5)
-    tg = build_time_grid(1.0, 8)
+    dom = DomainSpec(8, 0.25, 0.75, 0.5)
+    tg = TimeGrid(1.0, 8)
     beta = build_beta(dom)
     rng = np.random.default_rng(3)
     worst = 0.0
@@ -97,8 +97,8 @@ def decay_run():
     """Shared penalty sweep for the two criteria that inspect it."""
     if not _DECAY_CACHE:
         t0 = _time.perf_counter()
-        dom = build_domain(100, (0.3, 0.7), 0.5)
-        tg = build_time_grid(1.0, 200)
+        dom = DomainSpec(100)
+        tg = TimeGrid(1.0, 200)
         beta = build_beta(dom)
         drift = DriftField.zero(dom, tg)
         weights = default_weights(dom, tg, beta, b_sup=0.0)
@@ -139,8 +139,8 @@ def test_criterion_05_control_structure():
 
 def test_criterion_06_nonlinear_fixed_point():
     t0 = _time.perf_counter()
-    dom = build_domain(100, (0.3, 0.7), 0.5)
-    tg = build_time_grid(1.0, 200)
+    dom = DomainSpec(100)
+    tg = TimeGrid(1.0, 200)
     beta = build_beta(dom)
     phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
     u0 = cosine_data(dom, 1e-3)
@@ -161,8 +161,8 @@ def test_criterion_06_nonlinear_fixed_point():
 
 
 def test_criterion_07_decoupled_equivalence():
-    dom = build_domain(50, (0.3, 0.7), 0.5)
-    tg = build_time_grid(1.0, 50)
+    dom = DomainSpec(50)
+    tg = TimeGrid(1.0, 50)
     beta = build_beta(dom)
     u0 = cosine_data(dom, 1e-2)
     result = run_nonlinear(u0, PhysicsParams(chi=0.0, gamma=1.0, delta=1.0),
@@ -179,8 +179,8 @@ def test_criterion_07_decoupled_equivalence():
 
 def test_criterion_08_conservation_and_convergence():
     # mass conservation without control
-    dom = build_domain(64, (0.3, 0.7), 0.5)
-    tg = build_time_grid(1.0, 64)
+    dom = DomainSpec(64)
+    tg = TimeGrid(1.0, 64)
     rng = np.random.default_rng(8)
     drift = random_drift(rng, dom, tg, amplitude=2.0, per_step=True)
     u0 = rng.uniform(0.5, 1.5, 64)
@@ -221,7 +221,7 @@ def test_criterion_10_weight_sanity(domain32, beta32):
     ok = True
     detail = []
     for T, b_sup in ((0.25, 0.0), (1.0, 0.0), (1.0, 1.5), (4.0, 0.7)):
-        tg = build_time_grid(T, 24)
+        tg = TimeGrid(T, 24)
         weights = build_weights(b_sup, beta32, domain32, tg)
         ok = ok and weights.params.constraints_certified()
         ok = ok and bool(weights.alpha.max() < 0.0)
@@ -233,7 +233,7 @@ def test_criterion_10_weight_sanity(domain32, beta32):
 
 
 def test_criterion_11_threshold_sweep():
-    dom = build_domain(40, (0.3, 0.7), 0.5)
+    dom = DomainSpec(40)
     beta = build_beta(dom)
     phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
     shape = (1.0 + np.cos(np.pi * dom.centers)) / 2.0

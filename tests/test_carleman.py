@@ -6,7 +6,7 @@ import pytest
 
 from chemosteer.carleman import CarlemanSettings, build_weights, select_params
 from chemosteer.checks import weight_chain_holds
-from chemosteer.grid import build_beta, build_domain, build_time_grid
+from chemosteer.grid import DomainSpec, TimeGrid, build_beta
 from chemosteer.parabolic import SolverError
 from conftest import default_weights
 
@@ -21,15 +21,15 @@ class TestSelectParams:
         assert params.s == pytest.approx(8.0, rel=1e-7)
 
     def test_lambda_scale_dominates_floor(self, beta32):
-        with pytest.warns(RuntimeWarning):
-            params = select_params(1.0, 1.0, beta32, CarlemanSettings(lambda_scale=3.0))
+        params = select_params(1.0, 1.0, beta32, CarlemanSettings(lambda_scale=3.0))
+        assert params.raw_weight_underflows
         # 3 * (1 + 1) = 6 exceeds the floor, so it is taken verbatim
         assert params.lam == 6.0
         assert params.gamma_of_lambda == pytest.approx(np.exp(3.0))
 
     def test_identity_omega_sqrt_gamma(self, beta32):
-        with pytest.warns(RuntimeWarning):
-            params = select_params(0.7, 2.0, beta32, CarlemanSettings(lambda_scale=5.0))
+        params = select_params(0.7, 2.0, beta32, CarlemanSettings(lambda_scale=5.0))
+        assert params.raw_weight_underflows
         assert params.omega_of_lambda * np.sqrt(params.gamma_of_lambda) == \
             pytest.approx(1.0, rel=1e-12)
 
@@ -51,8 +51,9 @@ class TestSelectParams:
             select_params(0.0, 1.0, beta32, CarlemanSettings(s_scale=-1.0))
 
     def test_underflow_warning(self, beta32):
-        with pytest.warns(RuntimeWarning):
-            select_params(0.0, 1.0, beta32, CarlemanSettings(s_scale=50.0))
+        # select_params only flags the underflow; build_weights warns of it
+        params = select_params(0.0, 1.0, beta32, CarlemanSettings(s_scale=50.0))
+        assert params.raw_weight_underflows
 
     def test_uncertified_params_raise(self, beta32):
         # a non-finite drift bound leaves lam and s undefined; the check is
@@ -69,7 +70,7 @@ class TestWeightTables:
     def test_alpha_closed_form(self, domain32, tgrid24, beta32):
         weights = default_weights(domain32, tgrid24, beta32)
         p = weights.params
-        T = tgrid24.horizon_T
+        T = tgrid24.T
         k, i = 5, 11
         t = tgrid24.midpoints[k]
         expected = (np.exp(p.lam * beta32.at_centers[i])
@@ -95,7 +96,7 @@ class TestWeightTables:
 
     def test_endpoint_rows_underflow(self, domain32, beta32):
         # with a fine time grid the first/last rows underflow to exact zero
-        tg = build_time_grid(1.0, 200)
+        tg = TimeGrid(1.0, 200)
         weights = default_weights(domain32, tg, beta32)
         assert np.all(weights.w[0] == 0.0)
         assert np.all(weights.w[-1] == 0.0)
@@ -104,17 +105,17 @@ class TestWeightTables:
         weights = default_weights(domain32, tgrid24, beta32)
         k, i = np.unravel_index(np.argmax(weights.w), weights.w.shape)
         assert domain32.omega_mask[i]
-        assert abs(tgrid24.midpoints[k] - 0.5 * tgrid24.horizon_T) <= tgrid24.dt
+        assert abs(tgrid24.midpoints[k] - 0.5 * tgrid24.T) <= tgrid24.dt
 
     def test_too_few_steps_rejected(self, domain32, beta32):
         with pytest.raises(ValueError):
-            build_weights(0.0, beta32, domain32, build_time_grid(1.0, 3))
+            build_weights(0.0, beta32, domain32, TimeGrid(1.0, 3))
 
     @pytest.mark.parametrize("T", [0.5, 2.0])
     def test_params_chosen_on_the_horizon_of_time(self, T, domain32, beta32):
-        tg = build_time_grid(T, 24)
+        tg = TimeGrid(T, 24)
         weights = build_weights(0.7, beta32, domain32, tg)
-        assert weights.params.horizon_T == tg.horizon_T
+        assert weights.params.horizon_T == tg.T
         assert weights.params == select_params(0.7, T, beta32)
 
     def test_underflow_warning_points_at_the_caller(self, domain32, tgrid24, beta32):
@@ -142,13 +143,13 @@ class TestWeightTables:
         settings = CarlemanSettings(s_scale=50.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            params = select_params(0.0, 1.0, beta32, settings, warn=False)
+            params = select_params(0.0, 1.0, beta32, settings)
             weights = build_weights(0.0, beta32, domain32, tgrid24, settings, warn=False)
         assert params.raw_weight_underflows and weights.params == params
 
 
 def test_weights_exponentiated_in_place():
-    domain, time = build_domain(200, (0.3, 0.7), 0.5), build_time_grid(1.0, 400)
+    domain, time = DomainSpec(200), TimeGrid(1.0, 400)
     beta = build_beta(domain)
     tracemalloc.start()
     try:

@@ -13,7 +13,7 @@ from chemosteer.cli import (EXIT_CHECK_FAILED, EXIT_INVALID,
                             EXIT_NO_CONVERGENCE, EXIT_OK, main)
 from chemosteer.config import (ConfigError, RunConfig, apply_override,
                                config_from_dict, initial_data, read_config)
-from chemosteer.grid import build_domain
+from chemosteer.grid import DomainSpec
 from chemosteer.nonlinear import run_nonlinear
 
 from conftest import read_report, run_fresh
@@ -97,16 +97,15 @@ class TestConfig:
         assert cfg.carleman.freeze_after_first is True
 
     def test_initial_data_shapes(self, tmp_path):
-        dom = build_domain(24, (0.3, 0.7), 0.5)
-        cfg = RunConfig()
-        u = initial_data(cfg, dom)
+        cfg = RunConfig(domain=DomainSpec(24))
+        u = initial_data(cfg)
         assert u.shape == (24,) and u.min() >= 0.0
         d = cfg.to_dict()
         d["initial_data"]["shape"] = "file"
         d["initial_data"]["file_path"] = str(tmp_path / "u0.txt")
         np.savetxt(d["initial_data"]["file_path"], np.ones(24))
         cfg2 = config_from_dict(d)
-        assert np.allclose(initial_data(cfg2, dom), cfg2.initial_data.amplitude)
+        assert np.allclose(initial_data(cfg2), cfg2.initial_data.amplitude)
 
 
 class TestSelftest:
@@ -123,6 +122,9 @@ class TestSelftest:
         assert main(["selftest"]) == EXIT_OK
         assert "PASS" in capsys.readouterr().out
         assert main(["selftest", "--inject-adjoint-fault"]) == EXIT_CHECK_FAILED
+
+    def test_passes_with_asserts_stripped(self, tmp_path):
+        assert run_fresh(["selftest"], tmp_path / "out", ("-O",))[0] == EXIT_OK
 
 
 class TestParser:
@@ -286,7 +288,7 @@ class TestCommands:
                             {"rows": [], "c1_hat": 0.0, "fit_rms_residual": 0.0, "n_fitted": 0})
         argv = ["sweep-T", "--t-list", "1", "--amplitudes", "1e-3"] + SMALL + settings
         assert run_cli(argv, tmp_path, monkeypatch)[0] == EXIT_OK
-        x = build_domain(24, (0.3, 0.7), 0.5).centers
+        x = DomainSpec(24).centers
         unit = np.exp(-100.0 * (x - 0.5) ** 2) if settings else (1.0 + np.cos(np.pi * x)) / 2.0
         assert shapes[0].tobytes() == unit.tobytes()
 

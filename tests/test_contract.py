@@ -181,14 +181,15 @@ CONTRACT = {
            "linear": ("carleman.delta0=2", "carleman.s_scale=0", "hum.epsilon=-1",
                       "hum.cg_tol=0", "hum.cg_max_iters=0", "fixed_point.tol=0",
                       "fixed_point.max_iters=-1", "fixed_point.initial_guess=bogus",
-                      "physics.chi=-1", "physics.delta=0"),
+                      "physics.chi=-1", "physics.delta=0", "domain.x0=0.9", "time.T=1e7"),
            "nonlinear": ("fixed_point.initial_guess=bogus", "hum.cg_max_iters=0"),
            "sweep-T --t-list 1 --amplitudes 1": ("fixed_point.initial_guess=bogus",
                                                  "hum.cg_max_iters=0")}.items()
        for setting in settings},
     # breakdowns name their cause.  The drift and linear source cases once traced back,
     # the observability case wrote inf and NaN ratios, the chi=200 case blamed a forward
-    # step, and the chi=1e10 case printed four numpy warnings before its error line
+    # step, the chi=1e10 case printed four numpy warnings before its error line, and the
+    # solution case printed one
     **{name: Row(f"{argv} {{n16}}", EXIT_NO_CONVERGENCE, f"error: {cause}") for name, (argv, cause)
        in {"drift-overflow": (
                "nonlinear --set physics.chi=1e300 --set initial_data.amplitude=1e10",
@@ -196,6 +197,10 @@ CONTRACT = {
            "source-overflow": (
                "nonlinear --set physics.delta=1e300 --set initial_data.amplitude=1e10",
                "the state overflows its drift: elliptic source contains non-finite values"),
+           "solution-overflow": (
+               "nonlinear --set physics.chi=0 --set physics.delta=3e307 "
+               "--set initial_data.amplitude=1",
+               "the state overflows its drift: elliptic solution contains non-finite values"),
            "linear-drift-overflow": (
                "linear --set physics.chi=1e300 --set initial_data.amplitude=1e10 "
                "--set fixed_point.initial_guess=u0-constant",
@@ -213,6 +218,12 @@ CONTRACT = {
            "nonlinear-weight-parameters-overflow": (
                "nonlinear --set physics.chi=1e10 --set initial_data.amplitude=1",
                "the Carleman weight table overflows: delta0 s alpha is nan")}.items()},
+    # a chemoattractant past the float range was once written to v.csv as inf
+    "linear-solution-overflow": Row(
+        "linear {n8} --set physics.delta=1e308 --set physics.gamma=0.01 "
+        "--set initial_data.amplitude=1", EXIT_NO_CONVERGENCE,
+        re.escape("error: the controlled state overflows its chemoattractant: "
+                  "elliptic solution contains non-finite values\n") + CLEAN),
     "solver-breakdown": Row("linear {n24}", EXIT_NO_CONVERGENCE,
                             re.escape("error: non-finite state after forward step 3\n") + CLEAN,
                             patch={"solve_penalized": raising(SolverError(
@@ -244,10 +255,13 @@ CONTRACT = {
         for eps in ("5e-324", "1e-300")}),
     # extreme but valid inputs.  A tiny amplitude once underflowed the CG curvature
     # (a ZeroDivisionError); a sweep once failed whole, with no table, when one cell
-    # broke down; at chi=1000 the steps are no M-matrices, so their LU pivots
+    # broke down; at chi=1000 the steps are no M-matrices, so their LU pivots; a
+    # chemoattractant near the float range once warned of an overflowing norm
     **rows(EXIT_OK, CLEAN, {
         f"{command}-tiny-amplitude-{n}": f"{command} --set initial_data.amplitude=1e-155 {{{n}}}"
         for command in ("linear", "nonlinear") for n in ("n16", "n24")}, controlled),
+    "nonlinear-huge-chemoattractant": Row(
+        "nonlinear {n8} --set physics.chi=0 --set physics.delta=1e300", EXIT_OK, CLEAN),
     "sweep-T-one-cell-breaks-down": Row(
         "sweep-T --t-list 0.25 1 --amplitudes 0.01 0.5 --set physics.chi=200 {n16}", EXIT_OK,
         CLEAN, one_cell_broke_down),

@@ -9,7 +9,7 @@ from chemosteer.checks import constant_mode_ratios, random_drift, recursion_hand
 from chemosteer.diagnostics import (ObservabilityReport, RecursionSpec, observability_probe,
                                     observability_ratio, recursion_simulate)
 from chemosteer.elliptic import DriftField
-from chemosteer.grid import build_beta, build_domain, build_time_grid
+from chemosteer.grid import DomainSpec, TimeGrid, build_beta
 from chemosteer.hum import dense_gramian
 from chemosteer.parabolic import solve_adjoint
 from conftest import default_weights, propagator_of
@@ -74,7 +74,7 @@ class TestObservability:
         assert rep.c_hat_obs == pytest.approx(math.log(rep.max_ratio) / rep.kappa)
 
     def test_ratio_stores_no_trajectory(self):
-        domain, time = build_domain(200, (0.3, 0.7), 0.5), build_time_grid(1.0, 400)
+        domain, time = DomainSpec(200), TimeGrid(1.0, 400)
         drift = DriftField.zero(domain, time)
         weights = default_weights(domain, time, build_beta(domain))
         phiT = np.random.default_rng(8).standard_normal((200, 20))

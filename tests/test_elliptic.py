@@ -5,7 +5,7 @@ from scipy.linalg import solveh_banded
 from chemosteer.checks import elliptic_constant_defect, elliptic_error, refinement_ratio
 from chemosteer.elliptic import (DriftField, PhysicsParams, drift_from_state,
                                  drift_from_v, solve_elliptic)
-from chemosteer.grid import build_domain
+from chemosteer.grid import DomainSpec
 from chemosteer.parabolic import SolverError
 
 
@@ -57,7 +57,7 @@ def test_bitwise_equal_to_solveh_banded():
     # the factors are kept for one grid at a time: alternating grids and
     # gammas would read stale factors if the cache key missed any of them
     rng = np.random.default_rng(9)
-    grids = [build_domain(32, (0.3, 0.7), 0.5), build_domain(50, (0.3, 0.7), 0.5)]
+    grids = [DomainSpec(32), DomainSpec(50)]
     for domain, gamma in [(grids[0], 1.0), (grids[1], 1.0), (grids[1], 0.3),
                           (grids[0], 0.3), (grids[0], 1.0)]:
         phys = PhysicsParams(chi=1.0, gamma=gamma, delta=1.7)
@@ -103,7 +103,7 @@ class TestDrift:
         assert faces[0] == 0.0 and faces[-1] == 0.0
 
     def test_cosine_derivative_oracle(self):
-        dom = build_domain(200, (0.3, 0.7), 0.5)
+        dom = DomainSpec(200)
         faces = drift_from_v(np.cos(np.pi * dom.centers), 2.0, dom)
         exact = -2.0 * np.pi * np.sin(np.pi * dom.faces[1:-1])
         assert np.abs(faces[1:-1] - exact).max() < 5e-4
@@ -113,7 +113,7 @@ class TestDrift:
         phys = PhysicsParams(chi=2.0, gamma=1.0, delta=1.0)
         gains = []
         for n in (64, 128):
-            dom = build_domain(n, (0.3, 0.7), 0.5)
+            dom = DomainSpec(n)
             eta = np.sin(2.0 * np.pi * dom.centers)
             v = solve_elliptic(eta, phys, dom)
             faces = drift_from_v(v, phys.chi, dom)

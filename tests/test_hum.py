@@ -10,7 +10,7 @@ from chemosteer import hum
 from chemosteer.checks import (dense_kkt_deviation, gramian_defects, random_drift,
                                zero_data_control)
 from chemosteer.elliptic import DriftField
-from chemosteer.grid import build_beta, build_domain, build_time_grid
+from chemosteer.grid import DomainSpec, TimeGrid, build_beta
 from chemosteer.hum import (HumSettings, control_bound_report, dense_gramian,
                             feedback_control, gramian_apply, kappa_const,
                             solve_penalized)
@@ -130,8 +130,8 @@ class TestSolvePenalized:
 @pytest.mark.parametrize("eps", [1e-2, 1e-4])
 def test_dense_kkt_oracle_small_grid(eps):
     # CG against the dense factorized optimality system on an 8x8 problem
-    dom = build_domain(8, (0.25, 0.75), 0.5)
-    tg = build_time_grid(1.0, 8)
+    dom = DomainSpec(8, 0.25, 0.75, 0.5)
+    tg = TimeGrid(1.0, 8)
     beta = build_beta(dom)
     rng = np.random.default_rng(31)
     drift = random_drift(rng, dom, tg, amplitude=1.0)
@@ -244,7 +244,7 @@ class TestSynthesisByLinearity:
 def test_solve_peak_memory_with_a_per_step_drift():
     # the forward march's source lives in the trajectory it becomes, unpivoted steps
     # share one du2 and ipiv, and CG sums the control on omega alone
-    domain, time = build_domain(200, (0.3, 0.7), 0.5), build_time_grid(1.0, 400)
+    domain, time = DomainSpec(200), TimeGrid(1.0, 400)
     drift = random_drift(np.random.default_rng(0), domain, time, amplitude=1.0, per_step=True)
     weights = default_weights(domain, time, build_beta(domain), b_sup=drift.sup_norm)
     tracemalloc.start()

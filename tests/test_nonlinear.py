@@ -9,7 +9,7 @@ import pytest
 from chemosteer import hum, nonlinear
 from chemosteer.carleman import CarlemanSettings
 from chemosteer.elliptic import PhysicsParams, drift_from_v, solve_elliptic
-from chemosteer.grid import build_beta, build_domain, build_time_grid
+from chemosteer.grid import DomainSpec, TimeGrid, build_beta
 from chemosteer.hum import HumSettings, solve_penalized
 from chemosteer.nonlinear import (FixedPointSettings, remark_check, run_nonlinear,
                                   threshold_sweep, verify_nonlinear)
@@ -19,8 +19,8 @@ from conftest import default_weights
 
 @pytest.fixture
 def small_setup():
-    domain = build_domain(40, (0.3, 0.7), 0.5)
-    tgrid = build_time_grid(1.0, 40)
+    domain = DomainSpec(40)
+    tgrid = TimeGrid(1.0, 40)
     beta = build_beta(domain)
     u0 = 1e-3 * (1.0 + np.cos(np.pi * domain.centers)) / 2.0
     return domain, tgrid, beta, u0
@@ -86,7 +86,7 @@ def test_zero_data_converge_to_a_zero_control(chi, small_setup):
 def test_a_zero_increment_before_a_tight_solve():
     # two loose solves stop at the same CG iterate, so iteration 2 moves by exactly 0;
     # iteration 4 then weighs the contraction against that zero increment
-    domain, tgrid = build_domain(8, (0.3, 0.7), 0.5), build_time_grid(1.0, 8)
+    domain, tgrid = DomainSpec(8), TimeGrid(1.0, 8)
     u0 = (1.0 + np.cos(np.pi * domain.centers)) / 2.0
     result = run_nonlinear(u0, PhysicsParams(chi=0.0), domain, tgrid, build_beta(domain))
     assert result.converged and result.iterations == 4
@@ -289,7 +289,7 @@ def test_no_solution_outlives_the_start_of_the_next_solve(small_setup, monkeypat
 def test_fixed_point_peak_memory():
     # one solution, no stored alpha, no separate forward source, no per-step du2 and
     # ipiv where no row is swapped and no control off omega at the peak
-    domain, time = build_domain(200, (0.3, 0.7), 0.5), build_time_grid(1.0, 400)
+    domain, time = DomainSpec(200), TimeGrid(1.0, 400)
     u0 = 0.5 * (1.0 + np.cos(np.pi * domain.centers)) / 2.0
     beta = build_beta(domain)
     tracemalloc.start()
@@ -354,7 +354,7 @@ def test_invalid_fp_tol(small_setup):
 
 class TestThresholdSweep:
     def test_monotone_scan_and_fit(self):
-        domain = build_domain(40, (0.3, 0.7), 0.5)
+        domain = DomainSpec(40)
         beta = build_beta(domain)
         phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
         shape = (1.0 + np.cos(np.pi * domain.centers)) / 2.0
@@ -371,7 +371,7 @@ class TestThresholdSweep:
         assert np.isfinite(table["c1_hat"])
 
     def test_rejects_nonpositive_amplitudes(self):
-        domain = build_domain(40, (0.3, 0.7), 0.5)
+        domain = DomainSpec(40)
         beta = build_beta(domain)
         phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
         with pytest.raises(ValueError):

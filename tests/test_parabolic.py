@@ -7,7 +7,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from chemosteer.checks import (duality_defect, forward_constant_defect, mass_drift,
                                random_drift, refinement_ratio)
 from chemosteer.elliptic import DriftField
-from chemosteer.grid import build_domain, build_time_grid
+from chemosteer.grid import DomainSpec, TimeGrid
 from chemosteer.hum import adjoint_energy, dense_gramian, gramian_apply
 from chemosteer.parabolic import (Propagator, SolverError, adjoint_observation, level_l2,
                                   linf_estimate_report, m_matrix_report, solve_adjoint,
@@ -29,8 +29,8 @@ def test_mass_conservation_with_drift(domain32, tgrid24):
 def test_heat_fourier_oracle():
     # pure diffusion with Neumann data: u0 = 1 + cos(pi x) decays its
     # oscillatory mode like e^{-pi^2 t}
-    dom = build_domain(200, (0.3, 0.7), 0.5)
-    tg = build_time_grid(0.1, 400)
+    dom = DomainSpec(200)
+    tg = TimeGrid(0.1, 400)
     drift = DriftField.zero(dom, tg)
     u0 = 1.0 + np.cos(np.pi * dom.centers)
     u = solve_forward(u0, propagator_of(drift, dom, tg))
@@ -197,7 +197,7 @@ class TestPropagator:
     def test_singular_step_raises(self):
         # h = 1/8, B = 2/h on face 1 and dt = -h^2/2 make row 0 of I - dt*A
         # exactly zero, so the LU factorization meets an exact zero pivot
-        dom = build_domain(8, (0.25, 0.75), 0.5)
+        dom = DomainSpec(8, 0.25, 0.75, 0.5)
         faces = np.zeros((3, 9))
         faces[:, 1] = 2.0 / dom.h
         with pytest.raises(SolverError, match="singular"):
@@ -306,7 +306,7 @@ def banded_with_temporaries(face_drift, domain, dt):
 @pytest.mark.parametrize("rows", [(), (24,)], ids=["slice", "stack"])
 @pytest.mark.parametrize("data", ["random", "signed-zeros"])
 def test_step_matrix_banded_keeps_its_bits(tgrid24, rows, data):
-    domain = build_domain(30, (0.3, 0.7), 0.5)  # 1/h not a power of two: products round
+    domain = DomainSpec(30)  # 1/h not a power of two: products round
     rng = np.random.default_rng(31)
     shape = rows + (31,)
     faces = (rng.uniform(-100.0, 100.0, shape) if data == "random" else
@@ -320,7 +320,7 @@ def test_step_matrix_banded_keeps_its_bits(tgrid24, rows, data):
 
 def test_step_matrix_banded_peak_memory():
     # the band stack and numpy's iteration buffers: no coefficient temporaries
-    domain, time = build_domain(200, (0.3, 0.7), 0.5), build_time_grid(1.0, 400)
+    domain, time = DomainSpec(200), TimeGrid(1.0, 400)
     drift = random_drift(np.random.default_rng(0), domain, time, amplitude=1.0, per_step=True)
     tracemalloc.start()
     try:
