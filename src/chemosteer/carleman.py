@@ -130,12 +130,12 @@ def select_params(b_sup: float, T: float, beta: BetaFunction,
     return params
 
 
-def build_weights(b_sup: float, beta: BetaFunction, domain: DomainSpec, time: TimeGrid,
+def build_weights(b_sup: float, domain: DomainSpec, time: TimeGrid,
                   settings: CarlemanSettings = CarlemanSettings(), *,
                   warn: bool = True) -> WeightTables:
     """The weights of a drift bounded by b_sup: the parameters select_params
-    chooses on the horizon of time, then alpha and the normalized weight at
-    all midpoints.
+    chooses for the profile of domain on the horizon of time, then alpha and
+    the normalized weight at all midpoints.
 
     All exponentials are assembled in log space; underflow to exactly zero
     is accepted and is what switches the feedback off near t = 0 and t = T.
@@ -143,8 +143,7 @@ def build_weights(b_sup: float, beta: BetaFunction, domain: DomainSpec, time: Ti
     SolverError; only a table that does not emits UNDERFLOW_WARNING when the
     raw mid-horizon weight underflows (unless warn is false).
     """
-    if time.n_steps < 4:
-        raise ValueError("need at least 4 time steps for the weight tables")
+    beta = domain.beta
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, at the peak
         params = select_params(b_sup, time.T, beta, settings)
         tables = WeightTables(params, time.midpoints.copy(), np.exp(params.lam * beta.at_centers),

@@ -14,7 +14,7 @@ import numpy as np
 from .carleman import build_weights
 from .diagnostics import RecursionSpec, observability_ratio, recursion_simulate
 from .elliptic import DriftField, PhysicsParams, drift_from_v, solve_elliptic
-from .grid import DomainSpec, TimeGrid, build_beta
+from .grid import DomainSpec, TimeGrid
 from .hum import HumSettings, adjoint_energy, dense_gramian, gramian_apply, solve_penalized
 from .nonlinear import FixedPointSettings, run_nonlinear
 from .parabolic import Propagator, SolverError, inner_l2, level_l2, solve_adjoint, solve_forward
@@ -82,8 +82,7 @@ def refined_control(n_cells, epsilon=None) -> tuple:
     of u0 = 1e-2 (1 + cos pi x) / 2 without drift, T = 1, N = n_cells, M = 2N;
     epsilon None is Boyer's eps = h^4, which keeps the last one bounded as h -> 0."""
     domain, tgrid = DomainSpec(n_cells), TimeGrid(1.0, 2 * n_cells)
-    beta = build_beta(domain)
-    weights = build_weights(0.0, beta, domain, tgrid)
+    weights = build_weights(0.0, domain, tgrid)
     hum = HumSettings(epsilon=domain.h ** 4 if epsilon is None else epsilon)
     u0 = 1e-2 * (1.0 + np.cos(np.pi * domain.centers)) / 2.0
     sol = solve_penalized(u0, DriftField.zero(domain, tgrid), weights, domain, tgrid, hum)
@@ -97,7 +96,7 @@ def refined_nonlinear(n_cells, chi=10.0) -> tuple:
     chi dv/dx, T = 1, eps = 1e-6, fixed_point.tol = 1e-10, N = n_cells, M = 2N."""
     domain, tgrid = DomainSpec(n_cells), TimeGrid(1.0, 2 * n_cells)
     u0 = 0.5 * (1.0 + np.cos(np.pi * domain.centers)) / 2.0
-    result = run_nonlinear(u0, PhysicsParams(chi=chi), domain, tgrid, build_beta(domain),
+    result = run_nonlinear(u0, PhysicsParams(chi=chi), domain, tgrid,
                            hum=HumSettings(epsilon=1e-6),
                            fixed_point=FixedPointSettings(tol=1e-10))
     if not result.converged:
@@ -172,17 +171,17 @@ def selftest_problem(corrupt_adjoint=False) -> SimpleNamespace:
     which proves that they can fail."""
     rng = np.random.default_rng(42)
     domain, tgrid = DomainSpec(32), TimeGrid(1.0, 24)
-    p = SimpleNamespace(domain=domain, tgrid=tgrid, beta=build_beta(domain),
-                        adjoint=solve_adjoint, v=rng.standard_normal(32))
+    p = SimpleNamespace(domain=domain, tgrid=tgrid, adjoint=solve_adjoint,
+                        v=rng.standard_normal(32))
     if corrupt_adjoint:
         p.adjoint = lambda *args: solve_adjoint(*args) * (1.0 + 1e-6)
     p.drift = random_drift(rng, domain, tgrid)
     p.u0, p.phiT, p.f = (rng.standard_normal(s) for s in (32, 32, (25, 32)))
-    p.weights = build_weights(p.drift.sup_norm, p.beta, domain, tgrid)
+    p.weights = build_weights(p.drift.sup_norm, domain, tgrid)
     p.x, p.y = rng.standard_normal(32), rng.standard_normal(32)
     dom8, tg8 = DomainSpec(8, 0.25, 0.75, 0.5), TimeGrid(1.0, 8)
-    beta8, drift8 = build_beta(dom8), random_drift(rng, dom8, tg8)
-    p.oracle = (rng.standard_normal(8), drift8, build_weights(drift8.sup_norm, beta8, dom8, tg8),
+    drift8 = random_drift(rng, dom8, tg8)
+    p.oracle = (rng.standard_normal(8), drift8, build_weights(drift8.sup_norm, dom8, tg8),
                 dom8, tg8, 1e-4)
     return p
 
@@ -193,7 +192,7 @@ def _gramian(key):
 
 CHECKS = [
     ("beta-validation", 1e-10,
-     lambda p: (abs(p.beta.validation["deriv_at_x0"]), p.beta.validation["ok"])),
+     lambda p: (abs(p.domain.beta.validation["deriv_at_x0"]), p.domain.beta.validation["ok"])),
     ("omega-mask-count", 0.5,
      lambda p: abs(int(p.domain.omega_mask.sum())
                    - int(np.sum((p.domain.centers > 0.3) & (p.domain.centers < 0.7))))),

@@ -26,7 +26,7 @@ from .config import (MAX_GRID_VALUES, ConfigError, RunConfig, apply_override,
                      config_from_dict, initial_data, read_config)
 from .diagnostics import observability_probe
 from .elliptic import DriftField, drift_from_state, solve_elliptic
-from .grid import HORIZON_RANGE, build_beta
+from .grid import HORIZON_RANGE
 from .hum import control_bound_report, solve_penalized
 from .nonlinear import remark_check, run_nonlinear, state_guess, threshold_sweep
 from .parabolic import SolverError, linf_estimate_report, m_matrix_report
@@ -114,7 +114,7 @@ def _linear_setup(cfg: RunConfig):
     u0 = initial_data(cfg)
     xi = state_guess(cfg.fixed_point, u0, tgrid)
     _, drift = drift_from_state(xi, physics, domain, tgrid)
-    weights = build_weights(drift.sup_norm, build_beta(domain), domain, tgrid, cfg.carleman)
+    weights = build_weights(drift.sup_norm, domain, tgrid, cfg.carleman)
     return domain, tgrid, physics, u0, drift, weights
 
 
@@ -142,14 +142,14 @@ def cmd_linear(cfg: RunConfig, args, out):
 def cmd_nonlinear(cfg: RunConfig, args, out):
     domain, tgrid = cfg.domain, cfg.time
     u0 = initial_data(cfg)
-    result = run_nonlinear(u0, cfg.physics, domain, tgrid, build_beta(domain),
-                           carleman=cfg.carleman, hum=cfg.hum, fixed_point=cfg.fixed_point)
+    result = run_nonlinear(u0, cfg.physics, domain, tgrid, carleman=cfg.carleman,
+                           hum=cfg.hum, fixed_point=cfg.fixed_point)
     for name, values in (("u", result.u), ("f", result.f), ("v", result.v)):
         _write_field_csv(os.path.join(out, f"{name}.csv"), values, tgrid.levels, domain.centers)
     _write_table(os.path.join(out, "history.csv"),
                  ("iteration", "increment", "sup_u", "terminal_l2", "B_sup", "cg_iters",
                   "cg_tol"), result.history)
-    reports = {
+    return {
         "fixed_point": {
             "iterations": result.iterations,
             "converged": result.converged,
@@ -158,13 +158,11 @@ def cmd_nonlinear(cfg: RunConfig, args, out):
             "verification_sweeps": result.verification_sweeps,
             "history": result.history,
         },
-        "remark": remark_check(result, domain, tgrid) if result.iterations else None,
-    }
-    if result.hum_last is not None:
-        reports["hum"] = _hum_report(result.hum_last)
-        reports["carleman"] = _params_report(result.weights)
-        reports["m_matrix"] = result.m_matrix
-    return reports, result.failure or EXIT_OK
+        "remark": remark_check(result, domain, tgrid),
+        "hum": _hum_report(result.hum_last),
+        "carleman": _params_report(result.weights),
+        "m_matrix": result.m_matrix,
+    }, result.failure or EXIT_OK
 
 
 def cmd_observability(cfg: RunConfig, args, out):
@@ -173,11 +171,11 @@ def cmd_observability(cfg: RunConfig, args, out):
         raise ConfigError(f"--samples times domain.n_cells must be at most "
                           f"{MAX_GRID_VALUES // 8}, got {values}")
     per_t = []
-    domain, beta = cfg.domain, build_beta(cfg.domain)
+    domain = cfg.domain
     for T in args.t_list or [cfg.time.T]:
         tgrid = replace(cfg.time, T=T)
         drift = DriftField.zero(domain, tgrid)
-        weights = build_weights(drift.sup_norm, beta, domain, tgrid, cfg.carleman)
+        weights = build_weights(drift.sup_norm, domain, tgrid, cfg.carleman)
         report = observability_probe(drift, weights, domain, tgrid,
                                      args.samples, cfg.seed)
         summary = {name: v for name, v in vars(report).items() if name != "ratios"}
@@ -202,12 +200,11 @@ def cmd_sweep_eps(cfg: RunConfig, args, out):
 
 
 def cmd_sweep_T(cfg: RunConfig, args, out):
-    domain = cfg.domain
     # the configured shape at unit amplitude; each cell scales it
     shape = initial_data(replace(cfg, initial_data=replace(cfg.initial_data, amplitude=1.0)))
-    table = threshold_sweep(args.t_list, args.amplitudes, shape, cfg.physics, domain,
-                            cfg.time.n_steps, build_beta(domain), carleman=cfg.carleman,
-                            hum=cfg.hum, fixed_point=cfg.fixed_point)
+    table = threshold_sweep(args.t_list, args.amplitudes, shape, cfg.physics, cfg.domain,
+                            cfg.time, carleman=cfg.carleman, hum=cfg.hum,
+                            fixed_point=cfg.fixed_point)
     _write_table(os.path.join(out, "threshold_sweep.csv"), ("T", "kappa0", "a_star"),
                  table["rows"])
     return {"threshold_sweep": table}, EXIT_OK
@@ -219,7 +216,7 @@ def cmd_oracle_check(cfg: RunConfig, args, out):
     domain, tgrid = cfg.domain, cfg.time
     u0 = initial_data(cfg)
     drift = random_drift(np.random.default_rng(cfg.seed), domain, tgrid)
-    weights = build_weights(drift.sup_norm, build_beta(domain), domain, tgrid, cfg.carleman)
+    weights = build_weights(drift.sup_norm, domain, tgrid, cfg.carleman)
     deviation = dense_kkt_deviation(u0, drift, weights, domain, tgrid, cfg.hum.epsilon)
     passed = deviation <= 1e-8
     print(f"oracle-check deviation={_fmt(deviation)} {'PASS' if passed else 'FAIL'}")

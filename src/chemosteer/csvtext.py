@@ -17,48 +17,45 @@ import numpy as np
 SLOT = 32      # bytes of a value: at most 24 of text, then its separator
 BLOCK = 8192   # values per block: about 1.8 MiB of working memory
 _E = range(-290, 290)   # the exponents e the tables cover; |x| < 1e270 needs +-271
-_tables = {}
-
-
-def _table(name):
-    """Tables over the exponents e: the powers 10^(16-e) as double-doubles, the
-    head layout and the exponent; over the 4-digit groups: their words, their
-    words with the trailing zeros cut, and how many zeros; and the head words."""
-    if not _tables:
-        high = [float(f"1e{16 - e}") for e in _E]
-        low = []
-        for e, h in zip(_E, high):  # L = 10^k - n/d, rounded once from integers
-            n, d = h.as_integer_ratio()
-            num, den = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
-            low.append((num * d - n * den) / (den * d))
-        # float64 only: a numpy loop first used after the solve pages in its code
-        group = np.arange(10000.0)
-        text = np.empty((4, group.size), np.uint8)   # digit j of each group in row j
-        zeros = np.zeros(group.size)
-        for j in range(4):
-            text[3 - j] = np.floor(group / 10 ** j) - 10 * np.floor(group / 10 ** (j + 1)) + 48
-            zeros += np.where(np.floor(group / 10 ** (j + 1)) * 10 ** (j + 1) == group, 1.0, 0.0)
-        text = text.T.copy()
-        last = text.copy()
-        np.copyto(last, 0, where=np.arange(4.0) >= 4 - zeros[:, None])
-        # head layouts: d. (e = 0 and %e), d (e >= 1), 0.d, 0.0d, 0.00d, 0.000d
-        kind = [10 * (1 if 1 <= e < 17 else 1 - e if -4 <= e < 0 else 0) for e in _E]
-        heads = [b"-"[:sign] + [b"", b"", b"0.", b"0.0", b"0.00", b"0.000"][k] + b"%d" % d
-                 + b"."[:more and k == 0] for more in (1, 0) for sign in (0, 1)
-                 for k in range(6) for d in range(10)]
-        _tables.update(high=np.array(high), low=np.array(low), kind=np.array(kind),
-                       ints=np.array([float(e) if k == 10 else 0.0 for e, k in zip(_E, kind)]),
-                       digits=text.view(np.uint32)[:, 0], zeros=zeros,
-                       last=last.view(np.uint32)[:, 0], head=_words(heads),
-                       exponent={sep: _words([(b"e%+03d" % e if e < -4 or e >= 17 else b"")
-                                              .ljust(7, b"\0") + sep for e in _E])
-                                 for sep in (b",", b"\n")})   # the separator last
-    return _tables[name]
 
 
 def _words(texts):
     """The texts, of at most 8 bytes, as NUL-padded uint64 words."""
     return np.array(texts, dtype="S8").view(np.uint64)
+
+
+def _rest(e, h):
+    """10^(16-e) - h, h = fl(10^(16-e)), rounded once from integers."""
+    n, d = h.as_integer_ratio()
+    num, den = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
+    return (num * d - n * den) / (den * d)
+
+
+# Tables over the exponents e: the powers 10^(16-e) as double-doubles, the head
+# layout and the exponent; over the 4-digit groups: their words, their words with
+# the trailing zeros cut, and how many zeros; and the head words.
+_HIGH = np.array([float(f"1e{16 - e}") for e in _E])
+_LOW = np.array([_rest(e, h) for e, h in zip(_E, _HIGH.tolist())])
+# head layouts: d. (e = 0 and %e), d (e >= 1), 0.d, 0.0d, 0.00d, 0.000d
+_KIND = np.array([10 * (1 if 1 <= e < 17 else 1 - e if -4 <= e < 0 else 0) for e in _E])
+_INTS = np.array([float(e) if k == 10 else 0.0 for e, k in zip(_E, _KIND.tolist())])
+_EXPONENT = {sep: _words([(b"e%+03d" % e if e < -4 or e >= 17 else b"").ljust(7, b"\0") + sep
+                          for e in _E]) for sep in (b",", b"\n")}   # the separator last
+# float64 only: a numpy loop first used after the solve pages in its code
+_group = np.arange(10000.0)
+_text = np.empty((4, _group.size), np.uint8)   # digit j of each group in row j
+_ZEROS = np.zeros(_group.size)
+for _j in range(4):
+    _text[3 - _j] = np.floor(_group / 10 ** _j) - 10 * np.floor(_group / 10 ** (_j + 1)) + 48
+    _ZEROS += np.where(np.floor(_group / 10 ** (_j + 1)) * 10 ** (_j + 1) == _group, 1.0, 0.0)
+_text = _text.T.copy()
+_last = _text.copy()
+np.copyto(_last, 0, where=np.arange(4.0) >= 4 - _ZEROS[:, None])
+_DIGITS, _LAST = _text.view(np.uint32)[:, 0], _last.view(np.uint32)[:, 0]
+_HEAD = _words([b"-"[:sign] + [b"", b"", b"0.", b"0.0", b"0.00", b"0.000"][k] + b"%d" % d
+                + b"."[:more and k == 0] for more in (1, 0) for sign in (0, 1)
+                for k in range(6) for d in range(10)])
+del _group, _text, _last, _j
 
 
 def _split(a):
@@ -70,7 +67,7 @@ def _split(a):
 
 def _scaled(a, i):
     """p, t with p + t = a 10^(16-e) to about 1e-15; i indexes e in _E."""
-    h, low = _table("high")[i], _table("low")[i]
+    h, low = _HIGH[i], _LOW[i]
     p = a * h
     (ah, al), (hh, hl) = _split(a), _split(h)
     err = ((ah * hh - p) + ah * hl + al * hh) + al * hl
@@ -100,7 +97,7 @@ def g17(values, slots, sep=b","):
         zero, negative = _words([b"0", b"-0"])
         slots[:, 0] = np.where(np.signbit(x), negative, zero)
         slots[:, 1:3] = 0
-        slots[:, 3] = _table("exponent")[sep][-_E.start]   # e = 0: the separator alone
+        slots[:, 3] = _EXPONENT[sep][-_E.start]   # e = 0: the separator alone
         at = np.flatnonzero(nonzero)
         part = np.empty((at.size, SLOT // 8), np.uint64)
         slow = g17(x[at], part, sep)
@@ -128,32 +125,31 @@ def g17(values, slots, sep=b","):
     lead, mid = _divide(hi, 1e8)   # the lead digit, then four 4-digit groups
     groups = np.array([lead, *_divide(mid, 1e4), *_divide(lo, 1e4)], np.intp)
 
-    kind = _table("kind")[i]
+    kind = _KIND[i]
     head = kind + groups[0]
     head += np.where(np.signbit(x), 60, 0)
-    slots[:, 0] = _table("head")[head]
-    slots[:, 3] = _table("exponent")[sep][i]
-    digits = _table("digits")
+    slots[:, 0] = _HEAD[head]
+    slots[:, 3] = _EXPONENT[sep][i]
     half = slots.view(np.uint32)
     for j in range(3):
-        half[:, 2 + j] = digits[groups[1 + j]]
-    half[:, 5] = _table("last")[groups[4]]   # its trailing zeros cut
+        half[:, 2 + j] = _DIGITS[groups[1 + j]]
+    half[:, 5] = _LAST[groups[4]]   # its trailing zeros cut
     # the zeros reach into the other groups, or e >= 1 puts the point after digit e + 1
-    ints = _table("ints")[i]
-    at = np.flatnonzero((_table("zeros")[groups[4]] == 4) | (ints > 0))
+    ints = _INTS[i]
+    at = np.flatnonzero((_ZEROS[groups[4]] == 4) | (ints > 0))
     if at.size:
         g = groups[1:, at]
-        zeros = _table("zeros")[g]   # 4 for a group of zeros
+        zeros = _ZEROS[g]   # 4 for a group of zeros
         trailing = zeros[0]
         for j in range(1, 4):
             trailing = zeros[j] + np.where(zeros[j] == 4, trailing, 0.0)
         kept = 16 - trailing   # digits after the lead once the trailing zeros are cut
         e = ints[at]   # integer digits after the lead
-        text = digits[g.T].view(np.uint8).reshape(-1, 16)
+        text = _DIGITS[g.T].view(np.uint8).reshape(-1, 16)
         np.copyto(text, 0, where=np.arange(16.0) >= np.maximum(kept, e)[:, None])
         half[at, 2:6] = text.view(np.uint32)
         bare = at[kept == 0]   # no digit after the lead: no point after it
-        slots[bare, 0] = _table("head")[head[bare] + 120]
+        slots[bare, 0] = _HEAD[head[bare] + 120]
         point = (e > 0) & (kept > e)
         at, e = at[point], e[point, None]
         if at.size:

@@ -19,7 +19,7 @@ from scipy.linalg.lapack import dgtsv
 from .carleman import UNDERFLOW_WARNING, CarlemanSettings, WeightTables, build_weights
 from .elliptic import (PhysicsParams, drift_from_state, drift_from_v, elliptic_factors,
                        solve_elliptic)
-from .grid import BetaFunction, DomainSpec, TimeGrid
+from .grid import DomainSpec, TimeGrid
 from .hum import HumSettings, HumSolution, solve_penalized
 from .parabolic import (SolverError, level_l2, m_matrix_report, space_time_l2,
                         step_matrix_banded)
@@ -37,10 +37,10 @@ class NonlinearResult:
     failure: str                       # why the run did not converge, None when it did
     in_K: bool
     verification_terminal_l2: float
-    verification_sweeps: dict = None   # inner sweeps of verify_nonlinear
-    hum_last: HumSolution = field(repr=False, default=None)
-    weights: WeightTables = field(repr=False, default=None)  # of the last iteration
-    m_matrix: dict = None              # m_matrix_report of the last drift
+    verification_sweeps: dict          # inner sweeps of verify_nonlinear
+    hum_last: HumSolution = field(repr=False)
+    weights: WeightTables = field(repr=False)  # of the last iteration
+    m_matrix: dict                     # m_matrix_report of the last drift
 
     @property
     def converged(self) -> bool:
@@ -59,8 +59,8 @@ class FixedPointSettings:
     def __post_init__(self):
         if not (self.tol > 0.0):
             raise ValueError("tol must be positive")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
         if self.initial_guess not in ("zero", "u0-constant"):
             raise ValueError(f"initial_guess must be zero or u0-constant: {self.initial_guess!r}")
 
@@ -81,8 +81,7 @@ def state_guess(settings: FixedPointSettings, u0: np.ndarray, time: TimeGrid) ->
 
 
 def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
-                  time: TimeGrid, beta: BetaFunction,
-                  carleman: CarlemanSettings = CarlemanSettings(),
+                  time: TimeGrid, carleman: CarlemanSettings = CarlemanSettings(),
                   hum: HumSettings = HumSettings(),
                   fixed_point: FixedPointSettings = FixedPointSettings()) -> NonlinearResult:
     """Iterate the linearized control map until the state guess converges.
@@ -101,16 +100,16 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
     """
     u0 = np.asarray(u0, dtype=float)
     xi = state_guess(fixed_point, u0, time)
-    history, increment, failure, in_k = [], math.nan, None, True
+    history, failure, in_k = [], None, True
     rel = prev = math.inf  # the relative increments of the last two iterations
-    sol = weights = None
+    weights = None
     underflowed = False
 
     for it in range(1, fixed_point.max_iters + 1):
         sol = None  # the previous solution, but for xi, dies before the next drift is built
         drift = drift_from_state(xi, physics, domain, time)[1]
         if weights is None or not carleman.freeze_after_first:
-            weights = build_weights(drift.sup_norm, beta, domain, time, carleman, warn=False)
+            weights = build_weights(drift.sup_norm, domain, time, carleman, warn=False)
             underflowed = underflowed or weights.params.raw_weight_underflows
         if it > 2 and rel * min(rel, prev) <= fixed_point.tol * prev:
             cg_tol = hum.cg_tol
@@ -142,12 +141,6 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
         failure = failure or (f"fixed point stopped at fixed_point.max_iters="
                               f"{fixed_point.max_iters} with increment {increment:.3g}")
 
-    if sol is None:
-        # iteration cap of zero: report the (empty) initial guess honestly
-        return NonlinearResult(u=xi, v=np.zeros_like(xi), f=np.zeros_like(xi),
-                               iterations=0, history=[], failure=failure, in_K=in_k,
-                               verification_terminal_l2=float("nan"))
-
     verification, sweeps = verify_nonlinear(u0, sol.f, physics, domain, time, guide=xi)
     if underflowed:
         warnings.warn(UNDERFLOW_WARNING, RuntimeWarning, stacklevel=2)
@@ -160,23 +153,25 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
     )
 
 
-# Relative change of a step iterate at which a verification step stops sweeping.
+# Relative change of a step iterate at which a verification step stops sweeping,
+# and the sweeps after which it stops regardless.
 INNER_TOL = 1e-10
+MAX_SWEEPS = 5
 
 
 @np.errstate(over="ignore")  # each sweep checks its elliptic source and its state
 def verify_nonlinear(u0: np.ndarray, f: np.ndarray, physics: PhysicsParams,
-                     domain: DomainSpec, time: TimeGrid, max_sweeps: int = 5, guide=None):
+                     domain: DomainSpec, time: TimeGrid, guide=None):
     """Forward solve of the nonlinear discrete dynamics with a given control.
 
     Each implicit step runs a frozen-coefficient inner loop: the drift is
     recomputed from the elliptic solve of the step-midpoint state until the
-    step iterate stabilizes (or after max_sweeps sweeps), each sweep one
+    step iterate stabilizes (or after MAX_SWEEPS sweeps), each sweep one
     LAPACK dgtsv solve.  The first iterate of step k is u[k], or, given a
     guide trajectory (a fixed point, which solves nearly the same step
     equations), u[k] + guide[k+1] - guide[k]; either way every step iterates
     to INNER_TOL.  Returns the trajectory and a dict with the total
-    number of sweeps and the number of steps stopped at max_sweeps before
+    number of sweeps and the number of steps stopped at MAX_SWEEPS before
     meeting INNER_TOL ("capped_steps").  A breakdown, an elliptic source
     that overflows included, raises SolverError.
     """
@@ -193,7 +188,7 @@ def verify_nonlinear(u0: np.ndarray, f: np.ndarray, physics: PhysicsParams,
         if f is not None:
             rhs[mask] += time.dt * f[k + 1][mask]
         u_next = u[k].copy() if guide is None else u[k] + (guide[k + 1] - guide[k])
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             sweeps += 1
             try:
                 v_mid = solve_elliptic(0.5 * (u[k] + u_next), physics, domain)
@@ -214,7 +209,7 @@ def verify_nonlinear(u0: np.ndarray, f: np.ndarray, physics: PhysicsParams,
             capped += 1
         u[k + 1] = u_next
     return u, {"sweeps": sweeps, "capped_steps": capped,
-               "max_sweeps": max_sweeps, "inner_tol": INNER_TOL}
+               "max_sweeps": MAX_SWEEPS, "inner_tol": INNER_TOL}
 
 
 def remark_check(result: NonlinearResult, domain: DomainSpec, time: TimeGrid) -> dict:
@@ -241,11 +236,11 @@ SUCCESS_REL_TERMINAL = 0.05
 
 
 def threshold_sweep(T_list, amplitude_grid, shape: np.ndarray, physics: PhysicsParams,
-                    domain: DomainSpec, n_steps: int, beta: BetaFunction, **run_kwargs) -> dict:
+                    domain: DomainSpec, time: TimeGrid, **run_kwargs) -> dict:
     """Scan, per horizon, for the largest admissible initial amplitude.
 
-    The initial data are u0 = a * shape, marched in n_steps steps over each
-    horizon T.  For each T the amplitudes are scanned in increasing order; a
+    The initial data are u0 = a * shape, marched in time.n_steps steps over
+    each horizon T.  For each T the amplitudes are scanned in increasing order; a
     cell counts as successful when the fixed point converges, stays in the
     unit ball, and the nonlinear verification terminal norm is below
     SUCCESS_REL_TERMINAL * |u0|_2; a SolverError fails the cell, with its
@@ -258,13 +253,13 @@ def threshold_sweep(T_list, amplitude_grid, shape: np.ndarray, physics: PhysicsP
         raise ValueError("amplitude grid must be positive")
     rows = []
     for T in T_list:
-        time = TimeGrid(T, n_steps)
+        tgrid = replace(time, T=T)
         a_star = None
         cells = []
         for a in amplitude_grid:
             u0 = a * shape
             try:
-                result = run_nonlinear(u0, physics, domain, time, beta, **run_kwargs)
+                result = run_nonlinear(u0, physics, domain, tgrid, **run_kwargs)
             except SolverError as exc:
                 cells.append({"amplitude": a, "success": False, "error": str(exc)})
                 break

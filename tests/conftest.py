@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import chemosteer
-from chemosteer import DomainSpec, TimeGrid, build_beta, build_weights
+from chemosteer import DomainSpec, TimeGrid, build_weights
 from chemosteer.elliptic import DriftField
 from chemosteer.parabolic import Propagator, solve_forward
 
@@ -25,11 +25,11 @@ def tgrid24():
 
 @pytest.fixture
 def beta32(domain32):
-    return build_beta(domain32)
+    return domain32.beta
 
 
-def default_weights(domain, tgrid, beta, b_sup=0.0):
-    return build_weights(b_sup, beta, domain, tgrid)
+def default_weights(domain, tgrid, b_sup=0.0):
+    return build_weights(b_sup, domain, tgrid)
 
 
 def propagator_of(drift, domain, tgrid):

@@ -18,7 +18,7 @@ from chemosteer.checks import (dense_kkt_deviation, difference_ratios, duality_d
                                refinement_ratio, weight_chain_holds)
 from chemosteer.diagnostics import RecursionSpec, recursion_simulate
 from chemosteer.elliptic import DriftField, PhysicsParams
-from chemosteer.grid import DomainSpec, TimeGrid, build_beta
+from chemosteer.grid import DomainSpec, TimeGrid
 from chemosteer.hum import HumSettings, solve_penalized
 from chemosteer.nonlinear import FixedPointSettings, run_nonlinear, threshold_sweep
 from chemosteer.parabolic import level_l2
@@ -52,14 +52,14 @@ def test_criterion_01_discrete_duality():
            f"max relative defect {worst:.3e} (tol 1e-12), {wall:.1f}s")
 
 
-def test_criterion_02_gramian_symmetry_psd(domain32, tgrid24, beta32):
+def test_criterion_02_gramian_symmetry_psd(domain32, tgrid24):
     rng = np.random.default_rng(2)
     worst_sym = 0.0
     worst_psd = 0.0
     worst_id = 0.0
     for _ in range(50):
         drift = random_drift(rng, domain32, tgrid24, amplitude=1.5)
-        weights = default_weights(domain32, tgrid24, beta32, b_sup=drift.sup_norm)
+        weights = default_weights(domain32, tgrid24, b_sup=drift.sup_norm)
         x = rng.standard_normal(32)
         y = rng.standard_normal(32)
         d = gramian_defects(x, y, drift, weights, domain32, tgrid24)
@@ -76,12 +76,11 @@ def test_criterion_03_dense_kkt_oracle():
     t0 = _time.perf_counter()
     dom = DomainSpec(8, 0.25, 0.75, 0.5)
     tg = TimeGrid(1.0, 8)
-    beta = build_beta(dom)
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(5):
         drift = random_drift(rng, dom, tg, amplitude=1.0)
-        weights = default_weights(dom, tg, beta, b_sup=drift.sup_norm)
+        weights = default_weights(dom, tg, b_sup=drift.sup_norm)
         u0 = rng.standard_normal(8)
         for eps in (1e-2, 1e-4):
             worst = max(worst, dense_kkt_deviation(u0, drift, weights, dom, tg, eps))
@@ -99,9 +98,8 @@ def decay_run():
         t0 = _time.perf_counter()
         dom = DomainSpec(100)
         tg = TimeGrid(1.0, 200)
-        beta = build_beta(dom)
         drift = DriftField.zero(dom, tg)
-        weights = default_weights(dom, tg, beta, b_sup=0.0)
+        weights = default_weights(dom, tg, b_sup=0.0)
         u0 = cosine_data(dom, 1e-2)
         sols = {eps: solve_penalized(u0, drift, weights, dom, tg, HumSettings(epsilon=eps))
                 for eps in (1e-2, 1e-4, 1e-6)}
@@ -141,10 +139,9 @@ def test_criterion_06_nonlinear_fixed_point():
     t0 = _time.perf_counter()
     dom = DomainSpec(100)
     tg = TimeGrid(1.0, 200)
-    beta = build_beta(dom)
     phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
     u0 = cosine_data(dom, 1e-3)
-    result = run_nonlinear(u0, phys, dom, tg, beta, hum=HumSettings(epsilon=1e-6))
+    result = run_nonlinear(u0, phys, dom, tg, hum=HumSettings(epsilon=1e-6))
     wall = _time.perf_counter() - t0
     u0_l2 = level_l2(u0, dom.h)
     value = result.verification_terminal_l2
@@ -163,12 +160,11 @@ def test_criterion_06_nonlinear_fixed_point():
 def test_criterion_07_decoupled_equivalence():
     dom = DomainSpec(50)
     tg = TimeGrid(1.0, 50)
-    beta = build_beta(dom)
     u0 = cosine_data(dom, 1e-2)
     result = run_nonlinear(u0, PhysicsParams(chi=0.0, gamma=1.0, delta=1.0),
-                           dom, tg, beta, hum=HumSettings(epsilon=1e-6))
+                           dom, tg, hum=HumSettings(epsilon=1e-6))
     drift = DriftField.zero(dom, tg)
-    weights = default_weights(dom, tg, beta, b_sup=0.0)
+    weights = default_weights(dom, tg, b_sup=0.0)
     sol = solve_penalized(u0, drift, weights, dom, tg, HumSettings(epsilon=1e-6))
     ok = (result.converged
           and np.array_equal(result.u, sol.u)
@@ -216,13 +212,13 @@ def test_criterion_09_recursion_lemma():
            "specs (threshold decays / 2x threshold diverges)")
 
 
-def test_criterion_10_weight_sanity(domain32, beta32):
+def test_criterion_10_weight_sanity(domain32):
     from chemosteer.carleman import build_weights
     ok = True
     detail = []
     for T, b_sup in ((0.25, 0.0), (1.0, 0.0), (1.0, 1.5), (4.0, 0.7)):
         tg = TimeGrid(T, 24)
-        weights = build_weights(b_sup, beta32, domain32, tg)
+        weights = build_weights(b_sup, domain32, tg)
         ok = ok and weights.params.constraints_certified()
         ok = ok and bool(weights.alpha.max() < 0.0)
         ok = ok and weight_chain_holds(weights)
@@ -234,12 +230,11 @@ def test_criterion_10_weight_sanity(domain32, beta32):
 
 def test_criterion_11_threshold_sweep():
     dom = DomainSpec(40)
-    beta = build_beta(dom)
     phys = PhysicsParams(chi=1.0, gamma=1.0, delta=1.0)
     shape = (1.0 + np.cos(np.pi * dom.centers)) / 2.0
     table = threshold_sweep(
-        [0.25, 1.0, 4.0], [1e-3, 1e-2, 0.1, 0.5, 2.0], shape, phys, dom,
-        60, beta, hum=HumSettings(epsilon=1e-6), fixed_point=FixedPointSettings(max_iters=20),
+        [0.25, 1.0, 4.0], [1e-3, 1e-2, 0.1, 0.5, 2.0], shape, phys, dom, TimeGrid(1.0, 60),
+        hum=HumSettings(epsilon=1e-6), fixed_point=FixedPointSettings(max_iters=20),
     )
     monotone = all(
         [c["success"] for c in row["cells"]]

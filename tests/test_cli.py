@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from chemosteer import cli, csvtext, nonlinear
+from chemosteer import cli, csvtext, grid, nonlinear
 from chemosteer.checks import run_checks
 from chemosteer.cli import (EXIT_CHECK_FAILED, EXIT_INVALID,
                             EXIT_NO_CONVERGENCE, EXIT_OK, main)
@@ -256,8 +256,26 @@ class TestCommands:
         code, _ = run_cli(args, tmp_path, monkeypatch)
         assert code == EXIT_OK and len(calls) == 1
         assert calls[0]["fixed_point"].initial_guess == "u0-constant"
-        options = list(inspect.signature(run_nonlinear).parameters)[5:]
+        options = [name for name, p in inspect.signature(run_nonlinear).parameters.items()
+                   if p.default is not p.empty]
         assert set(calls[0]) == set(options)
+
+    def test_a_run_certifies_the_profile_once(self, tmp_path, monkeypatch):
+        derivative, dense = grid.beta_derivative, []
+
+        def counted(x, x0):
+            dense.append(np.size(x) > 1)   # the certificate's dense grid, not x0 alone
+            return derivative(x, x0)
+
+        monkeypatch.setattr(grid, "beta_derivative", counted)
+        assert run_cli(["linear"] + SMALL, tmp_path, monkeypatch)[0] == EXIT_OK
+        assert sum(dense) == 1
+
+    def test_a_zero_iteration_cap_writes_no_output(self, tmp_path, monkeypatch):
+        # the cap once ran no iteration, wrote all-zero fields and exited 3
+        argv = ["nonlinear", *SIZE16, "--set", "fixed_point.max_iters=0"]
+        code, out = run_cli(argv, tmp_path, monkeypatch)
+        assert code == EXIT_INVALID and not out.exists()
 
     def test_oracle_check(self, tmp_path, monkeypatch, capsys):
         args = ["oracle-check", "--set", "domain.n_cells=8",
@@ -372,6 +390,23 @@ class TestWriters:
                 for k, t in enumerate(self.LEVELS) for i, x in enumerate(self.CENTERS)]
         assert (tmp_path / "weights.csv").read_text() == reference_csv(
             "t_mid,x,alpha,w\n", rows)
+
+
+def test_artifacts_are_per_value_g17(tmp_path, monkeypatch):
+    """Every value of the field and weight CSVs of three runs is as %.17g formats it,
+    the last run's fields across two csvtext.BLOCKs (161 levels of 64 cells)."""
+    assert csvtext.BLOCK < 161 * 64 <= 2 * csvtext.BLOCK
+    runs = {"linear": ["linear", *SIZE16], "nonlinear": ["nonlinear", *SIZE16],
+            "blocks": ["linear", "--set", "domain.n_cells=64", "--set", "time.n_steps=160"]}
+    for run, argv in runs.items():
+        code, out = run_cli(argv, tmp_path / run, monkeypatch)
+        assert code == EXIT_OK
+        for name in ("u", "f", "v") + (("weights",) if argv[0] == "linear" else ()):
+            header, *rows, last = (out / f"{name}.csv").read_bytes().split(b"\n")
+            assert last == b"" and len(rows) >= 16 * 16, (run, name)
+            for row in rows:
+                again = b",".join(b"%.17g" % float(v) for v in row.split(b","))
+                assert again == row, (run, name, row)
 
 
 class TestOutputErrors:

@@ -186,6 +186,14 @@ CONTRACT = {
            "sweep-T --t-list 1 --amplitudes 1": ("fixed_point.initial_guess=bogus",
                                                  "hum.cg_max_iters=0")}.items()
        for setting in settings},
+    # a record rejects what no run can use: the weight tables take 4 steps, and a
+    # fixed-point cap of 0 once wrote all-zero fields and exited 3
+    "linear-time.n_steps=3": Row(
+        "linear {n8} --set time.n_steps=3", EXIT_INVALID,
+        re.escape("error: time.n_steps must be at least 4, got 3\n") + CLEAN),
+    "nonlinear-fixed_point.max_iters=0": Row(
+        "nonlinear {n8} --set fixed_point.max_iters=0", EXIT_INVALID,
+        re.escape("error: fixed_point.max_iters must be at least 1\n") + CLEAN),
     # breakdowns name their cause.  The drift and linear source cases once traced back,
     # the observability case wrote inf and NaN ratios, the chi=200 case blamed a forward
     # step, the chi=1e10 case printed four numpy warnings before its error line, and the

@@ -9,7 +9,7 @@ from chemosteer.checks import constant_mode_ratios, random_drift, recursion_hand
 from chemosteer.diagnostics import (ObservabilityReport, RecursionSpec, observability_probe,
                                     observability_ratio, recursion_simulate)
 from chemosteer.elliptic import DriftField
-from chemosteer.grid import DomainSpec, TimeGrid, build_beta
+from chemosteer.grid import DomainSpec, TimeGrid
 from chemosteer.hum import dense_gramian
 from chemosteer.parabolic import solve_adjoint
 from conftest import default_weights, propagator_of
@@ -34,39 +34,39 @@ def extremal_ratio(drift, weights, domain, time, ridge=1e-14):
 
 
 class TestObservability:
-    def test_probe_deterministic_per_seed(self, domain32, tgrid24, beta32):
+    def test_probe_deterministic_per_seed(self, domain32, tgrid24):
         drift = DriftField.zero(domain32, tgrid24)
-        weights = default_weights(domain32, tgrid24, beta32)
+        weights = default_weights(domain32, tgrid24)
         r1 = observability_probe(drift, weights, domain32, tgrid24, 10, 7)
         r2 = observability_probe(drift, weights, domain32, tgrid24, 10, 7)
         assert r1.ratios == r2.ratios
 
-    def test_nested_seed_prefix(self, domain32, tgrid24, beta32):
+    def test_nested_seed_prefix(self, domain32, tgrid24):
         # a longer run with the same seed extends, not reshuffles, the draws
         drift = DriftField.zero(domain32, tgrid24)
-        weights = default_weights(domain32, tgrid24, beta32)
+        weights = default_weights(domain32, tgrid24)
         short = observability_probe(drift, weights, domain32, tgrid24, 5, 3)
         long = observability_probe(drift, weights, domain32, tgrid24, 15, 3)
         assert long.ratios[:5] == short.ratios
         assert long.max_ratio >= short.max_ratio
 
-    def test_constant_mode_closed_form(self, domain32, tgrid24, beta32):
+    def test_constant_mode_closed_form(self, domain32, tgrid24):
         drift = DriftField.zero(domain32, tgrid24)
-        weights = default_weights(domain32, tgrid24, beta32)
+        weights = default_weights(domain32, tgrid24)
         ratios = constant_mode_ratios(drift, weights, domain32, tgrid24)
         assert ratios["computed_ratio"] == pytest.approx(ratios["closed_form_ratio"], rel=1e-12)
 
-    def test_extremal_dominates_samples(self, domain32, tgrid24, beta32):
+    def test_extremal_dominates_samples(self, domain32, tgrid24):
         rng = np.random.default_rng(5)
         drift = random_drift(rng, domain32, tgrid24, amplitude=0.5)
-        weights = default_weights(domain32, tgrid24, beta32, b_sup=drift.sup_norm)
+        weights = default_weights(domain32, tgrid24, b_sup=drift.sup_norm)
         probe = observability_probe(drift, weights, domain32, tgrid24, 30, 11)
         extremal = extremal_ratio(drift, weights, domain32, tgrid24)
         assert extremal >= probe.max_ratio * (1.0 - 1e-8)
 
-    def test_report_fields(self, domain32, tgrid24, beta32):
+    def test_report_fields(self, domain32, tgrid24):
         drift = DriftField.zero(domain32, tgrid24)
-        weights = default_weights(domain32, tgrid24, beta32)
+        weights = default_weights(domain32, tgrid24)
         rep = observability_probe(drift, weights, domain32, tgrid24, 8, 0)
         assert isinstance(rep, ObservabilityReport)
         assert rep.n_samples == 8 and len(rep.ratios) == 8
@@ -76,7 +76,7 @@ class TestObservability:
     def test_ratio_stores_no_trajectory(self):
         domain, time = DomainSpec(200), TimeGrid(1.0, 400)
         drift = DriftField.zero(domain, time)
-        weights = default_weights(domain, time, build_beta(domain))
+        weights = default_weights(domain, time)
         phiT = np.random.default_rng(8).standard_normal((200, 20))
         tracemalloc.start()
         try:
@@ -88,9 +88,9 @@ class TestObservability:
         # less than one (M+1, N) trajectory, let alone one per column
         assert peak < (time.n_steps + 1) * domain.n_cells * 8
 
-    def test_probe_rejects_zero_samples(self, domain32, tgrid24, beta32):
+    def test_probe_rejects_zero_samples(self, domain32, tgrid24):
         drift = DriftField.zero(domain32, tgrid24)
-        weights = default_weights(domain32, tgrid24, beta32)
+        weights = default_weights(domain32, tgrid24)
         with pytest.raises(ValueError):
             observability_probe(drift, weights, domain32, tgrid24, 0, 0)
 

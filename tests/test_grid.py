@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chemosteer.grid import (HORIZON_RANGE, DomainSpec, GeometryError, TimeGrid,
-                             beta_derivative, beta_values, build_beta)
+                             beta_derivative, beta_values)
 
 
 class TestBuildDomain:
@@ -91,7 +91,7 @@ class TestTimeGrid:
 class TestBeta:
     def test_symmetric_case(self):
         dom = DomainSpec(100)
-        beta = build_beta(dom)
+        beta = dom.beta
         assert beta.eta == 0.0
         assert beta.sup_norm == pytest.approx(0.25, abs=1e-12)
         assert beta_derivative(0.0, 0.5) == pytest.approx(1.0)
@@ -103,7 +103,7 @@ class TestBeta:
         # the second root of the derivative's quadratic factor is
         # (1 - x0) / (1 - 2 x0) = 1.5 for x0 = 0.25, outside [0, 1]
         dom = DomainSpec(100, 0.1, 0.4, 0.25)
-        beta = build_beta(dom)
+        beta = dom.beta
         assert beta.eta == pytest.approx(-8.0 / 3.0)
         assert beta.validation["n_sign_changes"] == 1
         assert beta.validation["sign_change_locations"][0] == pytest.approx(0.25, abs=1e-3)
@@ -114,7 +114,7 @@ class TestBeta:
         assert beta_values(0.0, x0) == 0.0
         assert beta_values(1.0, x0) == 0.0
         dom = DomainSpec(64, *omega, x0)
-        beta = build_beta(dom)
+        beta = dom.beta
         assert abs(beta.validation["deriv_at_x0"]) < 1e-10
         assert beta.validation["min_abs_deriv_outside_omega"] > 0.0
         assert beta.validation["min_interior"] > 0.0

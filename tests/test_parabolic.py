@@ -157,13 +157,13 @@ class TestPropagator:
             assert np.array_equal(u[..., j], single_u)
             assert np.array_equal(phi[..., j], single_phi)
 
-    def test_duality_and_symmetry_per_step_drift(self, domain32, tgrid24, beta32):
+    def test_duality_and_symmetry_per_step_drift(self, domain32, tgrid24):
         rng = np.random.default_rng(22)
         drift = random_drift(rng, domain32, tgrid24, amplitude=1.0, per_step=True)
         u0 = rng.standard_normal(32)
         phiT = rng.standard_normal(32)
         assert duality_defect(u0, None, phiT, drift, domain32, tgrid24) <= 1e-12
-        weights = default_weights(domain32, tgrid24, beta32, b_sup=drift.sup_norm)
+        weights = default_weights(domain32, tgrid24, b_sup=drift.sup_norm)
         g = dense_gramian(drift, weights, domain32, tgrid24)
         assert np.abs(g - g.T).max() <= 1e-12 * np.abs(g).max()
         for j in (0, 13, 31):
@@ -359,11 +359,11 @@ class TestAdjointObservation:
 
     @pytest.mark.parametrize("per_step", [False, True], ids=["zero", "per-step"])
     @pytest.mark.parametrize("batch", [(), (4,)], ids=["single", "batch"])
-    def test_matches_stored_trajectory(self, domain32, tgrid24, beta32, per_step, batch):
+    def test_matches_stored_trajectory(self, domain32, tgrid24, per_step, batch):
         rng = np.random.default_rng(26)
         drift = (random_drift(rng, domain32, tgrid24, amplitude=1.5, per_step=True)
                  if per_step else DriftField.zero(domain32, tgrid24))
-        weights = default_weights(domain32, tgrid24, beta32, b_sup=drift.sup_norm)
+        weights = default_weights(domain32, tgrid24, b_sup=drift.sup_norm)
         phiT = rng.standard_normal((32,) + batch)
         prop = propagator_of(drift, domain32, tgrid24)
         phi0, energy = adjoint_observation(phiT, weights.w, prop)
@@ -375,10 +375,10 @@ class TestAdjointObservation:
         assert np.all(np.abs(num / (domain32.h * np.sum(np.square(phi[0]), axis=0)) - 1.0)
                       <= 1e-13)
 
-    def test_batch_columns_equal_single_calls_bitwise(self, domain32, tgrid24, beta32):
+    def test_batch_columns_equal_single_calls_bitwise(self, domain32, tgrid24):
         rng = np.random.default_rng(27)
         drift = random_drift(rng, domain32, tgrid24, amplitude=1.5, per_step=True)
-        weights = default_weights(domain32, tgrid24, beta32, b_sup=drift.sup_norm)
+        weights = default_weights(domain32, tgrid24, b_sup=drift.sup_norm)
         phiT = rng.standard_normal((32, 5))
         prop = propagator_of(drift, domain32, tgrid24)
         phi0, energy = adjoint_observation(phiT, weights.w, prop)
@@ -387,8 +387,8 @@ class TestAdjointObservation:
             assert np.array_equal(phi0[:, j], single0)
             assert energy[j] == single
 
-    def test_nonfinite_data_and_level_raise(self, domain32, tgrid24, beta32):
-        weights = default_weights(domain32, tgrid24, beta32)
+    def test_nonfinite_data_and_level_raise(self, domain32, tgrid24):
+        weights = default_weights(domain32, tgrid24)
         drift = DriftField.zero(domain32, tgrid24)
         phiT = np.ones((32, 2))
         phiT[3, 1] = np.nan
