@@ -15,9 +15,10 @@ from .carleman import build_weights
 from .diagnostics import RecursionSpec, observability_ratio, recursion_simulate
 from .elliptic import DriftField, PhysicsParams, drift_from_v, solve_elliptic
 from .grid import DomainSpec, TimeGrid
-from .hum import HumSettings, adjoint_energy, dense_gramian, gramian_apply, solve_penalized
+from .hum import HumSettings, dense_gramian, gramian_apply, solve_penalized
 from .nonlinear import FixedPointSettings, run_nonlinear
-from .parabolic import Propagator, SolverError, inner_l2, level_l2, solve_adjoint, solve_forward
+from .parabolic import (Propagator, SolverError, adjoint_observation, inner_l2, level_l2,
+                        solve_adjoint, solve_forward)
 
 
 def random_drift(rng, domain, tgrid, amplitude=1.0, per_step=False):
@@ -43,12 +44,11 @@ def duality_defect(u0, f, phiT, drift, domain, tgrid, adjoint=solve_adjoint) -> 
 
 def gramian_defects(x, y, drift, weights, domain, tgrid) -> dict:
     """Gramian defects at x, y: "symmetry" |<Gx, y> - <x, Gy>| / (|x| |y|), "psd"
-    -<Gx, x>, and "energy" the relative gap of <Gx, x> to the adjoint energy."""
+    -<Gx, x>, and "energy" the relative gap of <Gx, x> to adjoint_observation's energy."""
     h = domain.h
     gx, gy = gramian_apply(np.column_stack((x, y)), drift, weights, domain, tgrid).T
     q = inner_l2(gx, x, h)
-    phi = solve_adjoint(x, Propagator(drift.faces, domain, tgrid.dt))
-    energy = float(adjoint_energy(phi, weights, domain, tgrid))
+    energy = float(adjoint_observation(x, weights.w, Propagator(drift.faces, domain, tgrid.dt))[1])
     return {"symmetry": abs(inner_l2(gx, y, h) - inner_l2(x, gy, h))
             / max(level_l2(x, h) * level_l2(y, h), 1e-300),
             "psd": -q, "energy": abs(q - energy) / max(energy, 1e-300)}

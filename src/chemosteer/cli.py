@@ -121,11 +121,7 @@ def _linear_setup(cfg: RunConfig):
 def cmd_linear(cfg: RunConfig, args, out):
     domain, tgrid, physics, u0, drift, weights = _linear_setup(cfg)
     sol = solve_penalized(u0, drift, weights, domain, tgrid, cfg.hum)
-    try:
-        with np.errstate(over="ignore"):  # solve_elliptic checks its source and v
-            v = solve_elliptic(sol.u, physics, domain)
-    except ValueError as exc:
-        raise SolverError(f"the controlled state overflows its chemoattractant: {exc}") from None
+    v = solve_elliptic(sol.u, physics, domain)
     for name, values in (("u", sol.u), ("f", sol.f), ("v", v)):
         _write_field_csv(os.path.join(out, f"{name}.csv"), values, tgrid.levels, domain.centers)
     _write_weights_csv(os.path.join(out, "weights.csv"), weights, domain.centers)

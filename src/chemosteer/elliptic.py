@@ -53,7 +53,7 @@ class DriftField:
         if np.any(f[:, 0] != 0.0) or np.any(f[:, -1] != 0.0):
             raise ValueError("drift must vanish on boundary faces")
         if not np.all(np.isfinite(f)):
-            raise ValueError("drift contains non-finite values")
+            raise SolverError("drift contains non-finite values")
 
     @property
     def sup_norm(self) -> float:
@@ -86,6 +86,7 @@ def elliptic_factors(gamma: float, n_cells: int, h: float) -> tuple:
     return d, e
 
 
+@np.errstate(over="ignore")  # the source and v are checked below
 def solve_elliptic(eta: np.ndarray, physics: PhysicsParams,
                    domain: DomainSpec) -> np.ndarray:
     """Solve -(v_{i+1} - 2 v_i + v_{i-1})/h^2 + gamma v_i = delta eta_i.
@@ -94,14 +95,14 @@ def solve_elliptic(eta: np.ndarray, physics: PhysicsParams,
     condition; the resulting matrix is SPD, its LDL^T factors are computed
     once per grid and each call is one back substitution (LAPACK dpttrs).
     eta is one level (N,) or a stack of levels (L, N), solved in one call.
-    A non-finite source or solution raises ValueError.
+    A non-finite source or solution raises SolverError.
     """
     source = physics.delta * np.asarray(eta, dtype=float).T
     if not np.isfinite(source).all():
-        raise ValueError("elliptic source contains non-finite values")
+        raise SolverError("elliptic source contains non-finite values")
     v, _ = dpttrs(*elliptic_factors(physics.gamma, domain.n_cells, domain.h), source)
     if not np.isfinite(v).all():
-        raise ValueError("elliptic solution contains non-finite values")
+        raise SolverError("elliptic solution contains non-finite values")
     return v.T
 
 
@@ -114,7 +115,7 @@ def drift_from_v(v: np.ndarray, chi: float, domain: DomainSpec) -> np.ndarray:
     return faces
 
 
-@np.errstate(over="ignore")  # solve_elliptic checks its source and v, DriftField the drift
+@np.errstate(over="ignore")  # DriftField checks the drift
 def drift_from_state(xi: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
                      time: TimeGrid) -> tuple:
     """Elliptic solve of every level of a state trajectory, then per-step drift.
@@ -125,9 +126,5 @@ def drift_from_state(xi: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
     the elliptic solve).  A state whose source delta * xi, solution v or
     drift overflows raises SolverError.
     """
-    elliptic_factors(physics.gamma, domain.n_cells, domain.h)  # a bad gamma stays ValueError
-    try:
-        v = solve_elliptic(xi, physics, domain)
-        return v, DriftField(faces=drift_from_v(0.5 * (v[:-1] + v[1:]), physics.chi, domain))
-    except ValueError as exc:
-        raise SolverError(f"the state overflows its drift: {exc}") from None
+    v = solve_elliptic(xi, physics, domain)
+    return v, DriftField(faces=drift_from_v(0.5 * (v[:-1] + v[1:]), physics.chi, domain))

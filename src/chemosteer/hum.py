@@ -114,14 +114,6 @@ def gramian_apply(phiT: np.ndarray, drift: DriftField, weights: WeightTables,
                                weights)[-1].copy()
 
 
-def adjoint_energy(phi: np.ndarray, weights: WeightTables, domain: DomainSpec,
-                   time: TimeGrid):
-    """Weighted energy dt h sum_{k, omega} w_k phi_{k-1}^2 of an adjoint
-    trajectory, one per column of a batch; <G phiT, phiT> for phi from phiT."""
-    w = np.where(domain.omega_mask, weights.w, 0.0)
-    return time.dt * domain.h * np.einsum("kn,kn...,kn...->...", w, phi[:-1], phi[:-1])
-
-
 def dense_gramian(drift: DriftField, weights: WeightTables, domain: DomainSpec,
                   time: TimeGrid) -> np.ndarray:
     """Assemble G from all basis vectors in one batched apply (small grids only)."""

@@ -17,8 +17,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .carleman import UNDERFLOW_WARNING, CarlemanSettings, WeightTables, build_weights
-from .elliptic import (PhysicsParams, drift_from_state, drift_from_v, elliptic_factors,
-                       solve_elliptic)
+from .elliptic import PhysicsParams, drift_from_state, drift_from_v, solve_elliptic
 from .grid import DomainSpec, TimeGrid
 from .hum import HumSettings, HumSolution, solve_penalized
 from .parabolic import (SolverError, level_l2, m_matrix_report, space_time_l2,
@@ -159,7 +158,7 @@ INNER_TOL = 1e-10
 MAX_SWEEPS = 5
 
 
-@np.errstate(over="ignore")  # each sweep checks its elliptic source and its state
+@np.errstate(over="ignore")  # each sweep checks its state
 def verify_nonlinear(u0: np.ndarray, f: np.ndarray, physics: PhysicsParams,
                      domain: DomainSpec, time: TimeGrid, guide=None):
     """Forward solve of the nonlinear discrete dynamics with a given control.
@@ -178,7 +177,6 @@ def verify_nonlinear(u0: np.ndarray, f: np.ndarray, physics: PhysicsParams,
     u0 = np.asarray(u0, dtype=float)
     if not np.all(np.isfinite(u0)):
         raise SolverError("non-finite initial data")
-    elliptic_factors(physics.gamma, domain.n_cells, domain.h)  # a bad gamma stays ValueError
     mask = domain.omega_mask
     u = np.empty((time.n_steps + 1, domain.n_cells))
     u[0] = u0
@@ -192,7 +190,7 @@ def verify_nonlinear(u0: np.ndarray, f: np.ndarray, physics: PhysicsParams,
             sweeps += 1
             try:
                 v_mid = solve_elliptic(0.5 * (u[k] + u_next), physics, domain)
-            except ValueError as exc:
+            except SolverError as exc:
                 raise SolverError(f"{exc} at verification step {k + 1}") from None
             ab = step_matrix_banded(drift_from_v(v_mid, physics.chi, domain),
                                     domain, time.dt)

@@ -110,6 +110,10 @@ def underflowed(out):
 
 
 LO, HI = HORIZON_RANGE
+# one fixed-point iteration whose controlled state overflows its chemoattractant
+FINAL_V_OVERFLOW = ("--set physics.chi=0 --set physics.gamma=10 --set physics.delta=1e308 "
+                    "--set initial_data.shape=bump --set initial_data.amplitude=2 "
+                    "--set fixed_point.max_iters=1")
 # A row with the id of a fuzzed one replaces it.
 CONTRACT = {
     **{name: fuzzed(*case) for name, case in FUZZ.items()},
@@ -201,21 +205,20 @@ CONTRACT = {
     **{name: Row(f"{argv} {{n16}}", EXIT_NO_CONVERGENCE, f"error: {cause}") for name, (argv, cause)
        in {"drift-overflow": (
                "nonlinear --set physics.chi=1e300 --set initial_data.amplitude=1e10",
-               "the state overflows its drift: drift contains non-finite values"),
+               "drift contains non-finite values"),
            "source-overflow": (
                "nonlinear --set physics.delta=1e300 --set initial_data.amplitude=1e10",
-               "the state overflows its drift: elliptic source contains non-finite values"),
+               "elliptic source contains non-finite values"),
            "solution-overflow": (
                "nonlinear --set physics.chi=0 --set physics.delta=3e307 "
                "--set initial_data.amplitude=1",
-               "the state overflows its drift: elliptic solution contains non-finite values"),
+               "elliptic solution contains non-finite values"),
            "linear-drift-overflow": (
                "linear --set physics.chi=1e300 --set initial_data.amplitude=1e10 "
                "--set fixed_point.initial_guess=u0-constant",
-               "the state overflows its drift: drift contains non-finite values"),
+               "drift contains non-finite values"),
            "linear-source-overflow": (
                "linear --set physics.delta=1e300 --set initial_data.amplitude=1e10",
-               "the controlled state overflows its chemoattractant: "
                "elliptic source contains non-finite values"),
            "observability-weights-overflow": (
                "observability --samples 3 --set carleman.lambda_scale=1e3",
@@ -230,8 +233,15 @@ CONTRACT = {
     "linear-solution-overflow": Row(
         "linear {n8} --set physics.delta=1e308 --set physics.gamma=0.01 "
         "--set initial_data.amplitude=1", EXIT_NO_CONVERGENCE,
-        re.escape("error: the controlled state overflows its chemoattractant: "
-                  "elliptic solution contains non-finite values\n") + CLEAN),
+        re.escape("error: elliptic solution contains non-finite values\n") + CLEAN),
+    # the same, met by the fixed point's last elliptic solve, once traced back and exited 1
+    "nonlinear-final-solution-overflow": Row(
+        f"nonlinear {{n8}} {FINAL_V_OVERFLOW}", EXIT_NO_CONVERGENCE,
+        re.escape("error: elliptic solution contains non-finite values\n") + CLEAN),
+    "sweep-T-final-solution-overflow": Row(
+        f"sweep-T --t-list 1 --amplitudes 2 {{n8}} {FINAL_V_OVERFLOW}", EXIT_OK, CLEAN,
+        lambda out: [cell["error"] for row in reports(out)["threshold_sweep"]["rows"]
+                     for cell in row["cells"]] == ["elliptic solution contains non-finite values"]),
     "solver-breakdown": Row("linear {n24}", EXIT_NO_CONVERGENCE,
                             re.escape("error: non-finite state after forward step 3\n") + CLEAN,
                             patch={"solve_penalized": raising(SolverError(
