@@ -80,17 +80,9 @@ def _write_report(out, cfg, reports, timings):
         "timings": timings,
     }
     with open(os.path.join(out, "report.json"), "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return record
-
-
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 _HUM_REPORT = ("terminal_norm", "weighted_energy", "control_sup", "cg_iters", "cg_residual",
@@ -113,7 +105,7 @@ def _linear_setup(cfg: RunConfig):
     domain, tgrid, physics = cfg.domain, cfg.time, cfg.physics
     u0 = initial_data(cfg)
     xi = state_guess(cfg.fixed_point, u0, tgrid)
-    _, drift = drift_from_state(xi, physics, domain, tgrid)
+    drift = drift_from_state(xi, physics, domain, tgrid)
     weights = build_weights(drift.sup_norm, domain, tgrid, cfg.carleman)
     return domain, tgrid, physics, u0, drift, weights
 
@@ -317,10 +309,7 @@ def _config_from_args(args) -> RunConfig:
     """The --config document with the --set overrides applied, validated once."""
     data = read_config(args.config) if args.config else {}
     for override in args.set:
-        if "=" not in override:
-            raise ConfigError(f"override '{override}' must look like path=value")
-        path, raw = override.split("=", 1)
-        apply_override(data, path, raw)
+        apply_override(data, override)
     return config_from_dict(data)
 
 

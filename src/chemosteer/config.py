@@ -110,10 +110,11 @@ def read_config(path: str) -> dict:
     return data
 
 
-def apply_override(cfg_dict: dict, dotted: str, raw_value: str) -> None:
+def apply_override(cfg_dict: dict, override: str) -> None:
     """Apply one --set override of the form section.key=value in place."""
-    if "=" in dotted:
-        raise ConfigError("pass path and value separately")
+    if "=" not in override:
+        raise ConfigError(f"override '{override}' must look like path=value")
+    dotted, raw_value = override.split("=", 1)
     parts = dotted.split(".")
     node = cfg_dict
     for p in parts[:-1]:

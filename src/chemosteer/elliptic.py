@@ -117,14 +117,13 @@ def drift_from_v(v: np.ndarray, chi: float, domain: DomainSpec) -> np.ndarray:
 
 @np.errstate(over="ignore")  # DriftField checks the drift
 def drift_from_state(xi: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
-                     time: TimeGrid) -> tuple:
+                     time: TimeGrid) -> DriftField:
     """Elliptic solve of every level of a state trajectory, then per-step drift.
 
-    Returns (v, drift) where v has shape (M+1, N) and drift is a DriftField
-    whose step-k row is computed from the average of the adjacent levels,
-    i.e. the trajectory sampled at the step midpoint (exact by linearity of
-    the elliptic solve).  A state whose source delta * xi, solution v or
-    drift overflows raises SolverError.
+    Returns the DriftField whose step-k row is computed from the average of
+    the solutions v at the adjacent levels, i.e. the trajectory sampled at the
+    step midpoint (exact by linearity of the elliptic solve).  A state whose
+    source delta * xi, solution v or drift overflows raises SolverError.
     """
     v = solve_elliptic(xi, physics, domain)
-    return v, DriftField(faces=drift_from_v(0.5 * (v[:-1] + v[1:]), physics.chi, domain))
+    return DriftField(faces=drift_from_v(0.5 * (v[:-1] + v[1:]), physics.chi, domain))

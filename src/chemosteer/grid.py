@@ -36,7 +36,6 @@ class DomainSpec:
         omega_a, omega_b: the open control region (a, b), 0 < a < b < 1, 2h wide or more.
         x0: interior point of (a, b) where the weight profile peaks.
         centers: cell centers x_i = (i + 1/2) h, shape (N,).
-        faces: cell faces x_{i+1/2} = i h, shape (N+1,).
         omega_mask: boolean per cell, True iff the center lies in (a, b).
         beta: the certified weight profile of the grid.
     """
@@ -66,10 +65,6 @@ class DomainSpec:
     @functools.cached_property
     def centers(self) -> np.ndarray:
         return (np.arange(self.n_cells) + 0.5) * self.h
-
-    @functools.cached_property
-    def faces(self) -> np.ndarray:
-        return np.arange(self.n_cells + 1) * self.h
 
     @functools.cached_property
     def omega_mask(self) -> np.ndarray:

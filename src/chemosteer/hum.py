@@ -26,12 +26,12 @@ from .carleman import WeightTables
 from .elliptic import DriftField
 from .grid import DomainSpec, TimeGrid
 from .parabolic import (Propagator, SolverError, check_levels, growth_constant, inner_l2,
-                        level_l2, solve_adjoint, solve_forward)
+                        level_l2, rho0_const, solve_adjoint, solve_forward)
 
 
 def kappa_const(b_sup: float, T: float) -> float:
     """Observability exponent (1 + |B|^2)(1 + T) + 1/T."""
-    return (1.0 + b_sup * b_sup) * (1.0 + T) + 1.0 / T
+    return rho0_const(b_sup, T) + 1.0 / T
 
 
 @dataclass(frozen=True)

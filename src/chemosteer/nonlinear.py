@@ -19,7 +19,7 @@ from scipy.linalg.lapack import dgtsv
 from .carleman import UNDERFLOW_WARNING, CarlemanSettings, WeightTables, build_weights
 from .elliptic import PhysicsParams, drift_from_state, drift_from_v, solve_elliptic
 from .grid import DomainSpec, TimeGrid
-from .hum import HumSettings, HumSolution, solve_penalized
+from .hum import HumSettings, HumSolution, kappa_const, solve_penalized
 from .parabolic import (SolverError, level_l2, m_matrix_report, space_time_l2,
                         step_matrix_banded)
 
@@ -106,7 +106,7 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
 
     for it in range(1, fixed_point.max_iters + 1):
         sol = None  # the previous solution, but for xi, dies before the next drift is built
-        drift = drift_from_state(xi, physics, domain, time)[1]
+        drift = drift_from_state(xi, physics, domain, time)
         if weights is None or not carleman.freeze_after_first:
             weights = build_weights(drift.sup_norm, domain, time, carleman, warn=False)
             underflowed = underflowed or weights.params.raw_weight_underflows
@@ -276,7 +276,7 @@ def threshold_sweep(T_list, amplitude_grid, shape: np.ndarray, physics: PhysicsP
             a_star = a
         rows.append({
             "T": float(T),
-            "kappa0": float(1.0 + T + 1.0 / T),
+            "kappa0": float(kappa_const(0.0, T)),
             "a_star": a_star,
             "cells": cells,
         })

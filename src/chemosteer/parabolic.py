@@ -168,7 +168,7 @@ def m_matrix_report(drift: DriftField, domain: DomainSpec) -> dict:
     Off-diagonal entries of I - dt*A are nonpositive iff h |B| <= 2 on every
     interior face; positivity of the data is then preserved by each step.
     """
-    b_max = float(np.abs(drift.faces[:, 1:-1]).max()) if domain.n_cells > 1 else 0.0
+    b_max = float(np.abs(drift.faces[:, 1:-1]).max())
     margin = 2.0 / domain.h - b_max
     return {
         "is_m_matrix": bool(margin >= 0.0),
@@ -240,11 +240,7 @@ def linf_estimate_report(u: np.ndarray, u0: np.ndarray, f, drift: DriftField,
     constant C_hat = ln(|u|_inf / K0) / rho0 (-inf when |u|_inf <= K0).
     """
     u0 = np.asarray(u0, dtype=float)
-    if f is None:
-        force_sup = 0.0
-    else:
-        masked = np.where(domain.omega_mask[None, :], f[1:], 0.0)
-        force_sup = float(np.abs(masked).max()) if masked.size else 0.0
+    force_sup = float(np.abs(np.where(domain.omega_mask, f[1:], 0.0)).max())
     k0 = force_sup + float(np.abs(u0).max())
     sup_u = float(np.abs(u).max())
     rho0 = rho0_const(drift.sup_norm, time.T)

@@ -88,9 +88,9 @@ class TestConfig:
 
     def test_apply_override_types(self):
         d = RunConfig().to_dict()
-        apply_override(d, "hum.epsilon", "1e-3")
-        apply_override(d, "fixed_point.initial_guess", "u0-constant")
-        apply_override(d, "carleman.freeze_after_first", "true")
+        apply_override(d, "hum.epsilon=1e-3")
+        apply_override(d, "fixed_point.initial_guess=u0-constant")
+        apply_override(d, "carleman.freeze_after_first=true")
         cfg = config_from_dict(d)
         assert cfg.hum.epsilon == 1e-3
         assert cfg.fixed_point.initial_guess == "u0-constant"

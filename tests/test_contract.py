@@ -146,6 +146,7 @@ CONTRACT = {
         "fractional-iteration-cap": "linear {n8} --set hum.cg_max_iters=2.5",
         "seed-not-a-number": "linear {n8} --set seed=abc",
         "override-without-value": "linear --set nonsense",
+        "override-through-a-value": "linear {n8} --set seed=1 --set seed.x=2",
         "oracle-check-large-grid": "oracle-check",
         "missing-config-file": "linear {n8} --config {tmp}/missing.json",
         "garbled-config-file": "linear {n8} --config {tmp}/garbled.txt",

@@ -41,7 +41,6 @@ class TestBuildDomain:
         dom = DomainSpec(10)
         assert dom.h == 0.1
         assert np.allclose(dom.centers, np.arange(10) * 0.1 + 0.05)
-        assert dom.faces[0] == 0.0 and dom.faces[-1] == 1.0
 
 
     def test_records_allocate_on_first_read(self):
@@ -56,7 +55,7 @@ def test_arrays_keep_the_bits_of_their_formulas():
     dom, tg = DomainSpec(n, a, b, 0.5), TimeGrid(T, m)
     h, dt = 1.0 / n, T / m
     centers = (np.arange(n) + 0.5) * h
-    expected = {"centers": centers, "faces": np.arange(n + 1) * h,
+    expected = {"centers": centers,
                 "omega_mask": (centers > a) & (centers < b),
                 "levels": np.linspace(0.0, T, m + 1), "midpoints": (np.arange(m) + 0.5) * dt}
     assert (dom.h, tg.dt) == (h, dt)

@@ -116,7 +116,7 @@ class TestLinfReport:
         drift = DriftField.zero(domain32, tgrid24)
         u0 = 1.0 + np.cos(np.pi * domain32.centers)
         u = solve_forward(u0, propagator_of(drift, domain32, tgrid24))
-        rep = linf_estimate_report(u, u0, None, drift, domain32, tgrid24)
+        rep = linf_estimate_report(u, u0, np.zeros_like(u), drift, domain32, tgrid24)
         # K0 is the sup of the cell-sampled data, just shy of 2
         assert rep["K0"] == pytest.approx(np.abs(u0).max())
         assert rep["rho0"] == pytest.approx(2.0)
@@ -127,7 +127,7 @@ class TestLinfReport:
     def test_zero_data_degenerate(self, domain32, tgrid24):
         drift = DriftField.zero(domain32, tgrid24)
         u = solve_forward(np.zeros(32), propagator_of(drift, domain32, tgrid24))
-        rep = linf_estimate_report(u, np.zeros(32), None, drift, domain32, tgrid24)
+        rep = linf_estimate_report(u, np.zeros(32), np.zeros_like(u), drift, domain32, tgrid24)
         assert rep["degenerate"] and rep["consistent"]
 
     def test_forced_run_finite_constant(self, domain32, tgrid24):
