@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .carleman import build_weights
-from .diagnostics import RecursionSpec, observability_ratio, recursion_simulate
+from .diagnostics import RecursionSpec, recursion_simulate
 from .elliptic import DriftField, PhysicsParams, drift_from_v, solve_elliptic
 from .grid import DomainSpec, TimeGrid
 from .hum import HumSettings, dense_gramian, gramian_apply, solve_penalized
@@ -117,14 +117,6 @@ def mass_drift(u0, drift, domain, tgrid) -> float:
     """Largest change of the mass h sum(u) over a force-free march, relative to its start."""
     mass = domain.h * solve_forward(u0, Propagator(drift.faces, domain, tgrid.dt)).sum(axis=1)
     return float(np.abs(mass - mass[0]).max()) / max(abs(mass[0]), 1e-300)
-
-
-def constant_mode_ratios(drift, weights, domain, tgrid) -> dict:
-    """Observability ratio of the constant terminal datum, computed and in the closed
-    form 1 / (dt h sum_omega w) that holds when the drift keeps constants (zero drift)."""
-    mass = tgrid.dt * domain.h * float(np.sum(weights.w[:, domain.omega_mask]))
-    ratio = observability_ratio(np.ones(domain.n_cells), drift, weights, domain, tgrid)
-    return {"computed_ratio": ratio, "closed_form_ratio": 1.0 / mass}
 
 
 def weight_chain_holds(weights) -> bool:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .carleman import build_weights
-from .checks import constant_mode_ratios, dense_kkt_deviation, random_drift, run_checks
+from .checks import dense_kkt_deviation, random_drift, run_checks
 from .config import (MAX_GRID_VALUES, ConfigError, RunConfig, apply_override,
                      config_from_dict, initial_data, read_config)
 from .diagnostics import observability_probe
@@ -166,9 +166,7 @@ def cmd_observability(cfg: RunConfig, args, out):
         weights = build_weights(drift.sup_norm, domain, tgrid, cfg.carleman)
         report = observability_probe(drift, weights, domain, tgrid,
                                      args.samples, cfg.seed)
-        summary = {name: v for name, v in vars(report).items() if name != "ratios"}
-        per_t.append({"T": float(T), **summary,
-                      "constant_mode": constant_mode_ratios(drift, weights, domain, tgrid)})
+        per_t.append({"T": float(T), **{k: v for k, v in vars(report).items() if k != "ratios"}})
     return {"observability": per_t}, EXIT_OK
 
 

@@ -12,6 +12,8 @@ groups of 4 digits cut after the last digit shown, and an exponent.  NUL fills
 the rest, and a CSV row is its t and x and such slots with the NULs taken out.
 """
 
+import functools
+
 import numpy as np
 
 SLOT = 32      # bytes of a value: at most 24 of text, then its separator
@@ -173,6 +175,15 @@ def _padded(texts):
     return np.array(texts, dtype="S").view(np.uint8).reshape(len(texts), -1)
 
 
+@functools.lru_cache(maxsize=4)
+def _column(raw):
+    """The "%.17g," texts of the float64 values in the bytes raw, as read-only
+    _padded rows: a command writes the same t and x columns into several files."""
+    text = _padded(["%.17g," % v for v in np.frombuffer(raw).tolist()])
+    text.flags.writeable = False
+    return text
+
+
 def write_rows(fh, levels, centers, *fields):
     """Write the rows 't,x,a[,b...]' of every level and center, level-major.
 
@@ -181,8 +192,7 @@ def write_rows(fh, levels, centers, *fields):
     reused array, each value in an 8-byte aligned slot, and written without
     its NULs.
     """
-    t = _padded(["%.17g," % v for v in np.asarray(levels).tolist()])
-    x = _padded(["%.17g," % v for v in np.asarray(centers).tolist()])
+    t, x = (_column(np.asarray(v, dtype=float).tobytes()) for v in (levels, centers))
     (_, wt), (n, wx) = t.shape, x.shape
     block = min(max(1, BLOCK // n), len(t))
     lead = -(-(wt + wx) // 8) * 8   # t and x, padded to whole words

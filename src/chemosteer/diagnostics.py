@@ -31,6 +31,7 @@ class ObservabilityReport:
     kappa: float
     c_hat_obs: float
     ratios: list
+    constant_mode: dict
 
 
 @dataclass(frozen=True)
@@ -68,25 +69,30 @@ def observability_probe(drift: DriftField, weights: WeightTables,
 
     Zero draws are rejected and resampled; every reported ratio is finite
     and positive because the weight peak sits inside the control region.
+    constant_mode is the ratio of the constant datum, the batch's last column,
+    and its closed form 1 / (dt h sum_omega w), exact for the zero drift.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(rng_seed)
-    samples = np.column_stack([_unit_sample(rng, domain) for _ in range(n_samples)])
-    ratios_arr = observability_ratio(samples, drift, weights, domain, time)
-    max_ratio = float(ratios_arr.max())
+    batch = np.column_stack([_unit_sample(rng, domain) for _ in range(n_samples)]
+                            + [np.ones(domain.n_cells)])
+    *ratios, constant = observability_ratio(batch, drift, weights, domain, time).tolist()
+    max_ratio = max(ratios)
     kappa = kappa_const(drift.sup_norm, time.T)
+    mass = time.dt * domain.h * float(np.sum(weights.w[:, domain.omega_mask]))
     return ObservabilityReport(
         n_samples=n_samples,
         max_ratio=max_ratio,
         quantiles={
-            "q50": float(np.quantile(ratios_arr, 0.5)),
-            "q90": float(np.quantile(ratios_arr, 0.9)),
+            "q50": float(np.quantile(ratios, 0.5)),
+            "q90": float(np.quantile(ratios, 0.9)),
             "q100": max_ratio,
         },
         kappa=kappa,
         c_hat_obs=float(np.log(max_ratio) / kappa),
-        ratios=ratios_arr.tolist(),
+        ratios=ratios,
+        constant_mode={"computed_ratio": constant, "closed_form_ratio": 1.0 / mass},
     )
 
 

@@ -10,13 +10,14 @@ boundary faces,
 so the total mass h * sum(u) is exactly conserved by force-free steps.  The
 backward solver is the transpose of the forward time-stepping map in the
 discrete L2 inner products, not an independent discretization: this is what
-makes the control Gramian exactly symmetric.
+makes the control Gramian exactly symmetric.  Steps solve with LAPACK LDL^T
+factors of I - dt*A for the zero drift, whose step is symmetric, else LU.
 """
 
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 from .elliptic import DriftField
 from .grid import DomainSpec, SolverError, TimeGrid
@@ -94,15 +95,16 @@ def step_matrix_banded(face_drift: np.ndarray, domain: DomainSpec,
 
 
 class Propagator:
-    """LU factors (LAPACK dgttrf) of the implicit step matrices of one drift,
-    built by a solve for its marches and freed with it.
+    """Factors of the implicit step matrices of one drift, built by a solve for
+    its marches and freed with it; solve is the LAPACK routine each step calls.
 
-    Forward steps solve with the factors (dgttrs), adjoint steps with their
-    transpose on the same factors (dgttrs, trans='T'), so the adjoint march
-    is the algebraic transpose of the forward one by construction.  A drift
-    that is the same at every step is factored once (n_factored == 1).  The
-    steps whose factoring did not pivot share one zero du2 and one identity
-    ipiv, owned by this propagator.
+    A drift that is the same at every step is factored once (n_factored == 1).
+    The zero drift's step S = S^T is positive definite: its LDL^T factors
+    (dpttrf) serve forward and adjoint steps alike (dpttrs).  Any other drift
+    is LU-factored (dgttrf), and adjoint steps solve with the transpose on the
+    same factors (dgttrs, trans='T'), so the adjoint march is the algebraic
+    transpose of the forward one by construction.  The LU steps whose factoring
+    did not pivot share one zero du2 and one identity ipiv, owned by this propagator.
     """
 
     def __init__(self, faces: np.ndarray, domain: DomainSpec, dt: float):
@@ -111,7 +113,13 @@ class Propagator:
             faces = faces[:1]
         self.n_factored = len(faces)
         ab = step_matrix_banded(faces, domain, dt)
-        self.steps = []  # the dgttrs arguments of each step, built once for every march
+        if self.n_factored == 1 and not faces.any():
+            d, e, info = dpttrf(ab[1, 0], ab[0, 0, 1:])
+            if info != 0:
+                raise SolverError("implicit step matrix is not positive definite")
+            self.solve, self.steps = dpttrs, [(d, e)] * self.n_steps
+            return
+        self.solve, self.steps = dgttrs, []  # the dgttrs arguments of each step
         unpivoted = shared = None
         for k in range(self.n_factored):
             # the factors overwrite the band rows of step k in place
@@ -126,14 +134,15 @@ class Propagator:
         self.steps *= self.n_steps // self.n_factored  # shared factors serve every step
 
     def levels(self, x: np.ndarray, source=None, transpose: bool = False):
-        """The one dgttrs loop: step the Fortran-ordered level x, (N,) or (N, K),
+        """The one solve loop: step the Fortran-ordered level x, (N,) or (N, K),
         in place and yield (k, x) after each step.  Forward, x <- S_k^{-1} (x +
         source[k]) is level k+1, k = 0..M-1; transposed, x <- S_k^{-T} x is level k."""
-        steps, trans = self.steps, "T" if transpose else "N"
+        solve, steps = self.solve, self.steps
+        mode = (1,) if solve is dpttrs else ("T" if transpose else "N", 1)  # trans, overwrite_b
         for k in (range(self.n_steps - 1, -1, -1) if transpose else range(self.n_steps)):
             if source is not None:
                 x += source[k]
-            dgttrs(*steps[k], x, trans, 1)
+            solve(*steps[k], x, *mode)
             yield (k if transpose else k + 1), x
 
     def trajectory(self, shape: tuple, fill=np.empty) -> np.ndarray:

@@ -409,6 +409,33 @@ def test_artifacts_are_per_value_g17(tmp_path, monkeypatch):
                 assert again == row, (run, name, row)
 
 
+def test_artifacts_equal_plain_writes_with_each_column_formatted_once(tmp_path, monkeypatch):
+    """Every field and weight CSV of a linear and a nonlinear run equals, whole file,
+    the %.17g text of the arrays it was written from, while csvtext formats each
+    distinct t or x column of the run once."""
+    written = {}
+
+    def spy(fh, levels, centers, *fields):
+        written[fh.name] = [np.array(a) for a in (levels, centers, *fields)]
+        write_rows(fh, levels, centers, *fields)
+
+    write_rows = csvtext.write_rows
+    monkeypatch.setattr(csvtext, "write_rows", spy)
+    # M != N, so that the weights' t_mid is not the centers over again
+    sizes = ["--set", "domain.n_cells=16", "--set", "time.n_steps=20"]
+    for command, files, columns in (("linear", 4, 3), ("nonlinear", 3, 2)):
+        written.clear()
+        csvtext._column.cache_clear()
+        code, out = run_cli([command, *sizes], tmp_path / command, monkeypatch)
+        assert code == EXIT_OK and len(written) == files
+        assert csvtext._column.cache_info().misses == columns
+        for path, (levels, centers, *fields) in written.items():
+            header, text = open(path).read().split("\n", 1)
+            rows = [(t, x, *(f[k, i] for f in fields)) for k, t in enumerate(levels)
+                    for i, x in enumerate(centers)]
+            assert header + "\n" + text == reference_csv(header + "\n", rows), path
+
+
 class TestOutputErrors:
     # this id runs rows of test_contract.CONTRACT
     test_unwritable_output_exits_2_before_the_solve = named(

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from chemosteer.checks import constant_mode_ratios, random_drift, recursion_hand_rows
+from chemosteer.checks import random_drift, recursion_hand_rows
 from chemosteer.diagnostics import (ObservabilityReport, RecursionSpec, observability_probe,
                                     observability_ratio, recursion_simulate)
 from chemosteer.elliptic import DriftField
 from chemosteer.grid import DomainSpec, TimeGrid
 from chemosteer.hum import dense_gramian
-from chemosteer.parabolic import solve_adjoint
+from chemosteer.parabolic import level_l2, solve_adjoint
 from conftest import default_weights, propagator_of
 
 
@@ -53,8 +53,25 @@ class TestObservability:
     def test_constant_mode_closed_form(self, domain32, tgrid24):
         drift = DriftField.zero(domain32, tgrid24)
         weights = default_weights(domain32, tgrid24)
-        ratios = constant_mode_ratios(drift, weights, domain32, tgrid24)
+        ratios = observability_probe(drift, weights, domain32, tgrid24, 3, 0).constant_mode
         assert ratios["computed_ratio"] == pytest.approx(ratios["closed_form_ratio"], rel=1e-12)
+
+    @pytest.mark.parametrize("per_step", [False, True], ids=["zero", "per-step"])
+    def test_batch_with_constant_mode_equals_separate_marches_bitwise(self, domain32, tgrid24,
+                                                                      per_step):
+        """The constant mode rides in the samples' batch as its last column; each
+        ratio is the bits of the datum's own march."""
+        drift = (random_drift(np.random.default_rng(6), domain32, tgrid24, per_step=True)
+                 if per_step else DriftField.zero(domain32, tgrid24))
+        weights = default_weights(domain32, tgrid24, b_sup=drift.sup_norm)
+        probe = observability_probe(drift, weights, domain32, tgrid24, 6, 4)
+        rng = np.random.default_rng(4)
+        for ratio in probe.ratios:
+            phiT = rng.standard_normal(32)
+            phiT /= level_l2(phiT, domain32.h)
+            assert ratio == observability_ratio(phiT, drift, weights, domain32, tgrid24)
+        assert probe.constant_mode["computed_ratio"] == observability_ratio(
+            np.ones(32), drift, weights, domain32, tgrid24)
 
     def test_extremal_dominates_samples(self, domain32, tgrid24):
         rng = np.random.default_rng(5)

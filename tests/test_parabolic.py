@@ -1,8 +1,9 @@
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 from chemosteer.checks import (duality_defect, forward_constant_defect, mass_drift,
                                random_drift, refinement_ratio)
@@ -144,18 +145,19 @@ class TestLinfReport:
 class TestPropagator:
     def test_batch_columns_equal_single_marches_bitwise(self, domain32, tgrid24):
         rng = np.random.default_rng(21)
-        drift = random_drift(rng, domain32, tgrid24, amplitude=1.5, per_step=True)
+        per_step = random_drift(rng, domain32, tgrid24, amplitude=1.5, per_step=True)
         start = rng.standard_normal((32, 5))
         f = rng.standard_normal((tgrid24.n_steps + 1, 32, 5))
-        prop = propagator_of(drift, domain32, tgrid24)
-        u = solve_forward(start, prop, f)
-        phi = solve_adjoint(start, prop)
-        assert u.shape == phi.shape == (tgrid24.n_steps + 1, 32, 5)
-        for j in range(5):
-            single_u = solve_forward(start[:, j], prop, f[..., j])
-            single_phi = solve_adjoint(start[:, j], prop)
-            assert np.array_equal(u[..., j], single_u)
-            assert np.array_equal(phi[..., j], single_phi)
+        for drift in (per_step, DriftField.zero(domain32, tgrid24)):  # LU, then LDL^T
+            prop = propagator_of(drift, domain32, tgrid24)
+            u = solve_forward(start, prop, f)
+            phi = solve_adjoint(start, prop)
+            assert u.shape == phi.shape == (tgrid24.n_steps + 1, 32, 5)
+            for j in range(5):
+                single_u = solve_forward(start[:, j], prop, f[..., j])
+                single_phi = solve_adjoint(start[:, j], prop)
+                assert np.array_equal(u[..., j], single_u)
+                assert np.array_equal(phi[..., j], single_phi)
 
     def test_duality_and_symmetry_per_step_drift(self, domain32, tgrid24):
         rng = np.random.default_rng(22)
@@ -181,6 +183,20 @@ class TestPropagator:
         assert propagator_of(constant, domain32, tgrid24).n_factored == 1
         assert propagator_of(per_step, domain32, tgrid24).n_factored == tgrid24.n_steps
 
+    def test_only_the_zero_drift_solves_with_ldlt(self, domain32, tgrid24):
+        rng = np.random.default_rng(23)
+        constant = random_drift(rng, domain32, tgrid24, amplitude=1.0)
+        per_step = random_drift(rng, domain32, tgrid24, amplitude=1.0, per_step=True)
+        zero_but_one = np.zeros_like(per_step.faces)
+        zero_but_one[5] = per_step.faces[5]
+        signed_zeros = np.where(rng.random(per_step.faces.shape) < 0.5, -0.0, 0.0)
+        solves = {kind: Propagator(faces, domain32, tgrid24.dt).solve for kind, faces in [
+            ("zero", DriftField.zero(domain32, tgrid24).faces), ("signed-zeros", signed_zeros),
+            ("constant", constant.faces), ("per-step", per_step.faces),
+            ("zero-but-one-step", zero_but_one)]}
+        assert solves == {"zero": dpttrs, "signed-zeros": dpttrs, "constant": dgttrs,
+                          "per-step": dgttrs, "zero-but-one-step": dgttrs}
+
     def test_shared_factors_match_per_step_factors(self, domain32, tgrid24):
         rng = np.random.default_rng(24)
         drift = random_drift(rng, domain32, tgrid24, amplitude=1.0)
@@ -203,6 +219,13 @@ class TestPropagator:
         with pytest.raises(SolverError, match="singular"):
             Propagator(faces, dom, -dom.h ** 2 / 2.0)
 
+    def test_indefinite_zero_drift_step_raises(self):
+        # dt = -h^2/2 puts the eigenvalues of I - dt*A in (-1, 1]: dpttrf meets a
+        # nonpositive pivot
+        dom = DomainSpec(8, 0.25, 0.75, 0.5)
+        with pytest.raises(SolverError, match="^implicit step matrix is not positive definite$"):
+            Propagator(np.zeros((3, 9)), dom, -dom.h ** 2 / 2.0)
+
     def test_nonfinite_data_and_forward_level_reported(self, domain32, tgrid24):
         drift = DriftField.zero(domain32, tgrid24)
         phiT = np.ones(32)
@@ -215,20 +238,59 @@ class TestPropagator:
             solve_forward(np.ones(32), propagator_of(drift, domain32, tgrid24), f)
 
 
-def reference_march(faces, domain, dt, start, source=None, transpose=False):
+def reference_march(faces, domain, dt, start, source=None, transpose=False, lu=False):
     """Propagator.march as it was written before its levels were solved in
-    place (a fresh right-hand side and a copy of dgttrs' result per step),
-    on factors of its own: dgttrf of every step."""
+    place (a fresh right-hand side and a copy of the solve's result per step),
+    on factors of its own: dpttrf of each step of a zero drift, unless lu is
+    set, and dgttrf of every step otherwise."""
     m = len(faces)
     ab = step_matrix_banded(faces, domain, dt)
-    factors = [dgttrf(ab[2, k, :-1], ab[1, k], ab[0, k, 1:])[:5] for k in range(m)]
+    if lu or faces.any():
+        factors = [dgttrf(ab[2, k, :-1], ab[1, k], ab[0, k, 1:])[:5] for k in range(m)]
+        solve = functools.partial(dgttrs, trans="T" if transpose else "N")
+    else:
+        factors, solve = [dpttrf(ab[1, k], ab[0, k, 1:])[:2] for k in range(m)], dpttrs
     x = np.empty((m + 1,) + start.shape[::-1]).transpose(0, *range(start.ndim, 0, -1))
     x[m if transpose else 0] = start
     for k in (range(m - 1, -1, -1) if transpose else range(m)):
         src, dst = (k + 1, k) if transpose else (k, k + 1)
         rhs = x[src] if source is None else x[src] + source[k]
-        x[dst], _ = dgttrs(*factors[k], rhs, trans="T" if transpose else "N")
+        x[dst], _ = solve(*factors[k], rhs)
     return x
+
+
+def dense_march(faces, domain, dt, start, source=None, transpose=False):
+    """The march by np.linalg.solve of each dense step matrix (its transpose adjoint)."""
+    ab = step_matrix_banded(faces, domain, dt)
+    m, x = len(faces), np.empty((len(faces) + 1,) + start.shape)
+    x[m if transpose else 0] = start
+    for k in (range(m - 1, -1, -1) if transpose else range(m)):
+        s = np.diag(ab[1, k]) + np.diag(ab[0, k, 1:], 1) + np.diag(ab[2, k, :-1], -1)
+        if transpose:
+            x[k] = np.linalg.solve(s.T, x[k + 1])
+        else:
+            x[k + 1] = np.linalg.solve(s, x[k] if source is None else x[k] + source[k])
+    return x
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batch"])
+@pytest.mark.parametrize("kind", ["forward-source", "forward", "adjoint"])
+def test_ldlt_march_matches_lu_and_dense_marches(domain32, tgrid24, batch, kind):
+    """The zero drift's LDL^T march against an LU march and a dense solve of the
+    same step matrices, relative to each level's largest value."""
+    rng = np.random.default_rng(32)
+    faces = DriftField.zero(domain32, tgrid24).faces
+    prop = Propagator(faces, domain32, tgrid24.dt)
+    assert prop.solve is dpttrs
+    start = rng.standard_normal((32,) + batch)
+    source = (rng.standard_normal((tgrid24.n_steps, 32) + batch)
+              if kind == "forward-source" else None)
+    transpose = kind == "adjoint"
+    x = prop.march(start, source, transpose)
+    scale = np.abs(x).max(axis=1, keepdims=True)
+    for other in (reference_march(faces, domain32, tgrid24.dt, start, source, transpose, lu=True),
+                  dense_march(faces, domain32, tgrid24.dt, start, source, transpose)):
+        assert np.all(np.abs(x - other) <= 1e-13 * scale)
 
 
 def pivoting_drift(rng, domain, tgrid):
@@ -244,16 +306,17 @@ def pivoted(step):
     return not np.array_equal(ipiv, np.arange(1, len(ipiv) + 1))
 
 
-@pytest.mark.parametrize("drift_kind", ["shared", "per-step", "pivoting"])
+@pytest.mark.parametrize("drift_kind", ["shared", "per-step", "pivoting", "zero"])
 @pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batch"])
 @pytest.mark.parametrize("kind", ["forward-source", "forward", "adjoint"])
 def test_in_place_march_equals_reference_bitwise(domain32, tgrid24, drift_kind, batch, kind):
     rng = np.random.default_rng(25)
     drift = (pivoting_drift(rng, domain32, tgrid24) if drift_kind == "pivoting" else
+             DriftField.zero(domain32, tgrid24) if drift_kind == "zero" else
              random_drift(rng, domain32, tgrid24, amplitude=1.5,
                           per_step=drift_kind == "per-step"))
     prop = Propagator(drift.faces, domain32, tgrid24.dt)
-    assert prop.n_factored == (1 if drift_kind == "shared" else tgrid24.n_steps)
+    assert prop.n_factored == (tgrid24.n_steps if drift_kind in ("per-step", "pivoting") else 1)
     if drift_kind == "pivoting":
         assert [pivoted(step) for step in prop.steps] == [k % 3 == 0 for k in range(24)]
     start = rng.standard_normal((32,) + batch)
@@ -378,15 +441,16 @@ class TestAdjointObservation:
 
     def test_batch_columns_equal_single_calls_bitwise(self, domain32, tgrid24):
         rng = np.random.default_rng(27)
-        drift = random_drift(rng, domain32, tgrid24, amplitude=1.5, per_step=True)
-        weights = default_weights(domain32, tgrid24, b_sup=drift.sup_norm)
+        per_step = random_drift(rng, domain32, tgrid24, amplitude=1.5, per_step=True)
         phiT = rng.standard_normal((32, 5))
-        prop = propagator_of(drift, domain32, tgrid24)
-        phi0, energy = adjoint_observation(phiT, weights.w, prop)
-        for j in range(5):
-            single0, single = adjoint_observation(phiT[:, j], weights.w, prop)
-            assert np.array_equal(phi0[:, j], single0)
-            assert energy[j] == single
+        for drift in (per_step, DriftField.zero(domain32, tgrid24)):  # LU, then LDL^T
+            weights = default_weights(domain32, tgrid24, b_sup=drift.sup_norm)
+            prop = propagator_of(drift, domain32, tgrid24)
+            phi0, energy = adjoint_observation(phiT, weights.w, prop)
+            for j in range(5):
+                single0, single = adjoint_observation(phiT[:, j], weights.w, prop)
+                assert np.array_equal(phi0[:, j], single0)
+                assert energy[j] == single
 
     def test_nonfinite_data_and_level_raise(self, domain32, tgrid24):
         weights = default_weights(domain32, tgrid24)
