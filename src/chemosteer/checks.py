@@ -90,20 +90,23 @@ def refined_control(n_cells, epsilon=None) -> tuple:
             sol.terminal_norm / (np.sqrt(hum.epsilon) * level_l2(u0, domain.h)))
 
 
-def refined_nonlinear(n_cells, chi=10.0) -> tuple:
+def refined_nonlinear(n_cells, epsilon=None, chi=10.0) -> tuple:
     """(weighted energy, terminal norm, outer iterations, relative gap of the verified
-    terminal norm) of the fixed point for u0 = 0.5 (1 + cos pi x) / 2 with drift
-    chi dv/dx, T = 1, eps = 1e-6, fixed_point.tol = 1e-10, N = n_cells, M = 2N."""
+    terminal norm, terminal / (sqrt(eps) |u0|), that gap over the last outer increment)
+    of the fixed point for u0 = 0.5 (1 + cos pi x) / 2 with drift chi dv/dx, T = 1,
+    fixed_point.tol = 1e-10, N = n_cells, M = 2N; epsilon None is Boyer's eps = h^4."""
     domain, tgrid = DomainSpec(n_cells), TimeGrid(1.0, 2 * n_cells)
     u0 = 0.5 * (1.0 + np.cos(np.pi * domain.centers)) / 2.0
-    result = run_nonlinear(u0, PhysicsParams(chi=chi), domain, tgrid,
-                           hum=HumSettings(epsilon=1e-6),
+    hum = HumSettings(epsilon=domain.h ** 4 if epsilon is None else epsilon)
+    result = run_nonlinear(u0, PhysicsParams(chi=chi), domain, tgrid, hum=hum,
                            fixed_point=FixedPointSettings(tol=1e-10))
     if not result.converged:
         raise SolverError(f"refined_nonlinear at N={n_cells}: {result.failure}")
     sol = result.hum_last
-    return (sol.weighted_energy, sol.terminal_norm, result.iterations,
-            abs(result.verification_terminal_l2 - sol.terminal_norm) / sol.terminal_norm)
+    gap = abs(result.verification_terminal_l2 - sol.terminal_norm)
+    return (sol.weighted_energy, sol.terminal_norm, result.iterations, gap / sol.terminal_norm,
+            sol.terminal_norm / (np.sqrt(hum.epsilon) * level_l2(u0, domain.h)),
+            gap / result.history[-1]["increment"])
 
 
 def elliptic_error(dom) -> float:

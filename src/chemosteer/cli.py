@@ -27,7 +27,7 @@ from .config import (MAX_GRID_VALUES, ConfigError, RunConfig, apply_override,
 from .diagnostics import observability_probe
 from .elliptic import DriftField, drift_from_state, solve_elliptic
 from .grid import HORIZON_RANGE
-from .hum import control_bound_report, solve_penalized
+from .hum import SUCCESS_REL_TERMINAL, control_bound_report, solve_penalized
 from .nonlinear import remark_check, run_nonlinear, state_guess, threshold_sweep
 from .parabolic import SolverError, linf_estimate_report, m_matrix_report
 
@@ -85,8 +85,11 @@ def _write_report(out, cfg, reports, timings):
     return record
 
 
-_HUM_REPORT = ("terminal_norm", "weighted_energy", "control_sup", "cg_iters", "cg_residual",
-               "cg_converged", "epsilon", "kappa", "residual_history")
+_HUM_REPORT = ("terminal_norm", "terminal_ratio", "weighted_energy", "control_sup", "cg_iters",
+               "cg_residual", "cg_converged", "epsilon", "kappa", "residual_history")
+# the line a run that exits 0 prints when its control did not null the state
+APPROXIMATE_CONTROL_WARNING = ("|u(T)| / |u0| = {ratio:.3g} exceeds {limit:g} at T={T:g}: "
+                               "an approximate control, not a null control")
 
 
 def _hum_report(sol):
@@ -329,6 +332,10 @@ def main(argv=None) -> int:
             _write_report(out, cfg, reports, {"wall_s": _time.perf_counter() - t0})
             if isinstance(code, str):
                 raise SolverError(code)
+            ratio = reports.get("hum", {}).get("terminal_ratio", 0.0)  # linear and nonlinear
+            if ratio > SUCCESS_REL_TERMINAL:
+                warnings.warn(APPROXIMATE_CONTROL_WARNING.format(
+                    ratio=ratio, limit=SUCCESS_REL_TERMINAL, T=cfg.time.T), RuntimeWarning)
             return code
         except (ConfigError, SolverError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -29,6 +29,11 @@ from .parabolic import (Propagator, SolverError, check_levels, growth_constant, 
                         level_l2, rho0_const, solve_adjoint, solve_forward)
 
 
+# |u(T)|_2 / |u0|_2 at or below which a control counts as a null control: the
+# threshold sweep's success rule, and the line below which a run does not warn.
+SUCCESS_REL_TERMINAL = 0.05
+
+
 def kappa_const(b_sup: float, T: float) -> float:
     """Observability exponent (1 + |B|^2)(1 + T) + 1/T."""
     return rho0_const(b_sup, T) + 1.0 / T
@@ -60,6 +65,7 @@ class HumSolution:
     u: np.ndarray                 # (M+1, N)
     u_free_terminal: np.ndarray   # u(T) of the uncontrolled trajectory
     terminal_norm: float          # |u(.,T)|_2
+    terminal_ratio: float         # |u(.,T)|_2 / |u0|_2, 0 for zero data
     weighted_energy: float        # dt h sum f^2 / w over {w > 0}
     control_sup: float            # sup |1_omega f|
     cg_iters: int
@@ -178,8 +184,9 @@ def solve_penalized(u0: np.ndarray, drift: DriftField, weights: WeightTables,
 
     positive = weights.w > 0.0
     energy = time.dt * h * float(np.sum(np.square(f[1:][positive]) / weights.w[positive]))
+    terminal, initial = level_l2(u[-1], h), level_l2(u[0], h)  # at the solve's scale
     try:
-        weighted, terminal_norm = math.ldexp(energy, 2 * e), math.ldexp(level_l2(u[-1], h), e)
+        weighted, terminal_norm = math.ldexp(energy, 2 * e), math.ldexp(terminal, e)
     except OverflowError:
         raise SolverError("the control energy of these data overflows the float range") from None
     for x in (phiT, f, u):
@@ -188,6 +195,7 @@ def solve_penalized(u0: np.ndarray, drift: DriftField, weights: WeightTables,
     check_levels(f, "non-finite control at level {}", first=True)
     return HumSolution(
         phiT=phiT, f=f, u=u, u_free_terminal=u_free_terminal, terminal_norm=terminal_norm,
+        terminal_ratio=terminal / initial if initial > 0.0 else 0.0,
         weighted_energy=weighted, control_sup=float(np.abs(f).max()), cg_iters=iters,
         cg_residual=history[-1] if history else 0.0, cg_converged=converged,
         residual_history=history, epsilon=float(settings.epsilon),
@@ -199,7 +207,9 @@ def control_bound_report(sol: HumSolution, u0: np.ndarray, domain: DomainSpec) -
     """Empirical constants of the sup-norm and weighted-energy control bounds.
 
     C_hat_f = ln(sup |f| / |u0|_2) / kappa, and the energy analogue uses
-    the value of twice the penalized functional at the optimum.
+    the value of twice the penalized functional at the optimum.  null_control
+    is false for a control that leaves |u(T)| above SUCCESS_REL_TERMINAL |u0|,
+    whose C_hat_* are then not the cost of a null control.
     """
     u0_l2 = level_l2(np.asarray(u0, dtype=float), domain.h)
     # squares at the solve's scale, where tiny data do not underflow (same bits otherwise)
@@ -207,5 +217,6 @@ def control_bound_report(sol: HumSolution, u0: np.ndarray, domain: DomainSpec) -
     lhs = sol.scaled_energy + math.ldexp(sol.terminal_norm, -sol.scale) ** 2 / sol.epsilon
     return {"kappa": sol.kappa, "u0_l2": u0_l2, "control_sup": sol.control_sup,
             "weighted_energy": sol.weighted_energy, "degenerate": bool(u0_l2 == 0.0),
+            "null_control": sol.terminal_ratio <= SUCCESS_REL_TERMINAL,
             "C_hat_f": growth_constant(sol.control_sup, u0_l2, sol.kappa),
             "C_hat_energy": growth_constant(lhs, u0_scaled ** 2, sol.kappa)}

@@ -19,7 +19,8 @@ from scipy.linalg.lapack import dgtsv
 from .carleman import UNDERFLOW_WARNING, CarlemanSettings, WeightTables, build_weights
 from .elliptic import PhysicsParams, drift_from_state, drift_from_v, solve_elliptic
 from .grid import DomainSpec, TimeGrid
-from .hum import HumSettings, HumSolution, kappa_const, solve_penalized
+from .hum import (SUCCESS_REL_TERMINAL, HumSettings, HumSolution, kappa_const,
+                  solve_penalized)
 from .parabolic import (SolverError, level_l2, m_matrix_report, space_time_l2,
                         step_matrix_banded)
 
@@ -166,13 +167,15 @@ def verify_nonlinear(u0: np.ndarray, f: np.ndarray, physics: PhysicsParams,
     Each implicit step runs a frozen-coefficient inner loop: the drift is
     recomputed from the elliptic solve of the step-midpoint state until the
     step iterate stabilizes (or after MAX_SWEEPS sweeps), each sweep one
-    LAPACK dgtsv solve.  The first iterate of step k is u[k], or, given a
-    guide trajectory (a fixed point, which solves nearly the same step
-    equations), u[k] + guide[k+1] - guide[k]; either way every step iterates
-    to INNER_TOL.  Returns the trajectory and a dict with the total
-    number of sweeps and the number of steps stopped at MAX_SWEEPS before
-    meeting INNER_TOL ("capped_steps").  A breakdown, an elliptic source
-    that overflows included, raises SolverError.
+    LAPACK dgtsv solve.  The first iterate of step k is u[k], or, given a guide
+    trajectory (a fixed point, which solves nearly the same step equations),
+    u[k] + guide[k+1] - guide[k] + 2 c_k - c_{k-1} (c_1 alone at k = 1), where
+    c_j = (u - guide)[j] - (u - guide)[j-1] is the correction verified at step
+    j: the extrapolation of solutions of nearby systems (Fischer, CMAME 163,
+    1998).  Either way every step iterates to INNER_TOL.  Returns the trajectory
+    and a dict with the total number of sweeps and the number of steps stopped
+    at MAX_SWEEPS before meeting INNER_TOL ("capped_steps").  A breakdown, an
+    elliptic source that overflows included, raises SolverError.
     """
     u0 = np.asarray(u0, dtype=float)
     if not np.all(np.isfinite(u0)):
@@ -181,11 +184,13 @@ def verify_nonlinear(u0: np.ndarray, f: np.ndarray, physics: PhysicsParams,
     u = np.empty((time.n_steps + 1, domain.n_cells))
     u[0] = u0
     sweeps = capped = 0
+    c_prev = c = 0.0  # the corrections verified at the last two steps of a guide
     for k in range(time.n_steps):
         rhs = u[k].copy()
         if f is not None:
             rhs[mask] += time.dt * f[k + 1][mask]
-        u_next = u[k].copy() if guide is None else u[k] + (guide[k + 1] - guide[k])
+        step = None if guide is None else guide[k + 1] - guide[k]
+        u_next = u[k].copy() if guide is None else u[k] + step + (2.0 * c - c_prev)
         for _ in range(MAX_SWEEPS):
             sweeps += 1
             try:
@@ -205,6 +210,9 @@ def verify_nonlinear(u0: np.ndarray, f: np.ndarray, physics: PhysicsParams,
                 break
         else:
             capped += 1
+        if guide is not None:
+            correction = u_next - u[k] - step
+            c_prev, c = (c if k else correction), correction
         u[k + 1] = u_next
     return u, {"sweeps": sweeps, "capped_steps": capped,
                "max_sweeps": MAX_SWEEPS, "inner_tol": INNER_TOL}
@@ -227,10 +235,6 @@ def remark_check(result: NonlinearResult, domain: DomainSpec, time: TimeGrid) ->
         "max_norm": peak,
         "final_to_max_ratio": float(norms[-1] / peak) if peak > 0.0 else 0.0,
     }
-
-
-# Terminal norm, relative to |u0|_2, below which a threshold-sweep cell succeeds.
-SUCCESS_REL_TERMINAL = 0.05
 
 
 def threshold_sweep(T_list, amplitude_grid, shape: np.ndarray, physics: PhysicsParams,

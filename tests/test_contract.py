@@ -25,7 +25,7 @@ import pytest
 
 from chemosteer import cli
 from chemosteer.carleman import UNDERFLOW_WARNING
-from chemosteer.cli import (EXIT_CHECK_FAILED, EXIT_INVALID,
+from chemosteer.cli import (APPROXIMATE_CONTROL_WARNING, EXIT_CHECK_FAILED, EXIT_INVALID,
                             EXIT_NO_CONVERGENCE, EXIT_OK, main)
 from chemosteer.config import RunConfig
 from chemosteer.grid import HORIZON_RANGE
@@ -35,7 +35,10 @@ from conftest import read_report, run_fresh
 
 Row = namedtuple("Row", "argv code err check patch", defaults=(None, None))
 SIZES = {f"n{n}": f"--set domain.n_cells={n} --set time.n_steps={n}" for n in (8, 16, 24)}
-WARNINGS = {f"warning: {UNDERFLOW_WARNING}"}  # every documented warning line
+UNDERFLOWS = re.escape(f"warning: {UNDERFLOW_WARNING}\n")
+APPROXIMATE = "warning: " + re.sub(r"\\\{\w+:[^}]*\}", "[^ ]+", re.escape(
+    APPROXIMATE_CONTROL_WARNING)) + "\n"
+WARNINGS = (UNDERFLOWS, APPROXIMATE)  # every documented warning line, as a pattern
 USAGE, ERROR, CLEAN = "usage: chemosteer ", "error: ", r"\Z"  # CLEAN: an empty stderr
 # spied on in every run: an exit 2 calls none of them
 SOLVERS = ("solve_penalized", "run_nonlinear", "observability_probe",
@@ -295,9 +298,13 @@ CONTRACT = {
         "--set carleman.s_scale=1e-9 --set fixed_point.initial_guess=u0-constant "
         "--set initial_data.shape=bump --set initial_data.amplitude=1 {n16}", EXIT_OK, CLEAN,
         lambda out: reports(out)["m_matrix"]["is_m_matrix"] is False),
-    **rows(EXIT_OK, re.escape(f"warning: {UNDERFLOW_WARNING}\n") + CLEAN, {
+    **rows(EXIT_OK, UNDERFLOWS + CLEAN, {
         "linear-weight-underflow": "linear {n8} --set carleman.s_scale=1e12",
         "nonlinear-weight-underflow": "nonlinear {n8} --set carleman.s_scale=1e12"}, underflowed),
+    # a converged control that leaves |u(T)| / |u0| at 0.79 once exited 0 without a word
+    "linear-approximate-control": Row(
+        "linear {n16} --set time.T=0.01", EXIT_OK, UNDERFLOWS + APPROXIMATE + CLEAN,
+        lambda out: reports(out)["control_bound"]["null_control"] is False),
 }
 # The rows a test of tests/test_cli.py checked before this table, run under its id:
 # {its parameter id: row}, or the rows of a test that was not parametrized.
@@ -370,7 +377,8 @@ def check_run(name, code, err, root):
     assert re.match(row.err, err) and "Traceback" not in err, why
     lines = err.splitlines()
     if code == EXIT_OK:
-        assert set(lines) <= WARNINGS and len(written) == 1, why
+        assert all(any(re.fullmatch(w, line + "\n") for w in WARNINGS) for line in lines), why
+        assert len(written) == 1, why
     elif code != EXIT_CHECK_FAILED:
         assert [line for line in lines if ERROR in line] == lines[-1:], why
         assert err.startswith(USAGE if len(lines) > 1 else ERROR), why

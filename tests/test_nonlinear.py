@@ -229,6 +229,24 @@ def test_verification_guided_by_the_fixed_point(small_setup):
     assert guided["capped_steps"] == free["capped_steps"] == 0
     assert level_l2(u_guided[-1], domain.h) == pytest.approx(
         level_l2(u_free[-1], domain.h), rel=1e-8)
+    # the extrapolated first iterate moves where each step starts, not where it ends
+    for k, (level, free_level) in enumerate(zip(u_guided, u_free)):
+        gap = level_l2(level - free_level, domain.h)
+        assert gap <= 1e-8 * level_l2(free_level, domain.h), k   # 3.1e-10 measured
+
+
+def test_unconverged_cell_verifies_within_the_unguided_sweeps():
+    # the chi = 50, T = 0.25 threshold-sweep cell of amplitude 0.416 stops at the cap
+    # of 30 outer iterations.  Started from the guide's steps alone, its verification
+    # took 454 sweeps (362 extrapolated), with 2 steps capped either way
+    domain, tgrid = DomainSpec(100), TimeGrid(0.25, 200)
+    u0 = 0.416 * (1.0 + np.cos(np.pi * domain.centers)) / 2.0
+    with pytest.warns(RuntimeWarning, match="underflows"):
+        result = run_nonlinear(u0, PhysicsParams(chi=50.0), domain, tgrid,
+                               fixed_point=FixedPointSettings(max_iters=30))
+    assert result.failure.startswith("fixed point stopped at fixed_point.max_iters=30 ")
+    assert result.verification_sweeps["sweeps"] <= 454
+    assert result.verification_sweeps["capped_steps"] == 2
 
 
 def test_a_capped_cg_leaves_the_fixed_point_unconverged(small_setup):
@@ -284,9 +302,10 @@ def test_no_solution_outlives_the_start_of_the_next_solve(small_setup, monkeypat
     assert returned[-1]() is result.hum_last
 
 
-def test_fixed_point_peak_memory():
-    # one solution, no stored alpha, no separate forward source, no per-step du2 and
-    # ipiv where no row is swapped and no control off omega at the peak
+@pytest.fixture(scope="module")
+def chi10_fixed_point():
+    """(domain, time grid, result, traced peak bytes) of the N=200, M=400, chi=10
+    fixed point of cosine data of amplitude 0.5 (fixed_point.tol=3.5e-6)."""
     domain, time = DomainSpec(200), TimeGrid(1.0, 400)
     u0 = 0.5 * (1.0 + np.cos(np.pi * domain.centers)) / 2.0
     tracemalloc.start()
@@ -296,9 +315,24 @@ def test_fixed_point_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return domain, time, result, peak
+
+
+def test_fixed_point_peak_memory(chi10_fixed_point):
+    # one solution, no stored alpha, no separate forward source, no per-step du2 and
+    # ipiv where no row is swapped and no control off omega at the peak
+    domain, time, result, peak = chi10_fixed_point
     assert result.converged and result.iterations == 7
     assert sum(row["cg_iters"] for row in result.history) <= 17  # 28 with every CG tight
     assert peak <= 10.4 * (time.n_steps + 1) * domain.n_cells * 8  # 11.95 before
+
+
+def test_extrapolated_first_iterates_verify_in_one_sweep_per_step(chi10_fixed_point):
+    # each step starts from the guide's step plus the extrapolated corrections of
+    # the steps before it, which INNER_TOL confirms at once (763 sweeps without them)
+    _, time, result, _ = chi10_fixed_point
+    assert result.verification_sweeps["sweeps"] == time.n_steps
+    assert result.verification_sweeps["capped_steps"] == 0
 
 
 def test_verify_nonlinear_breakdowns_raise_solver_error(small_setup, monkeypatch):
