@@ -131,8 +131,7 @@ def select_params(b_sup: float, T: float, beta: BetaFunction,
 
 
 def build_weights(b_sup: float, domain: DomainSpec, time: TimeGrid,
-                  settings: CarlemanSettings = CarlemanSettings(), *,
-                  warn: bool = True) -> WeightTables:
+                  settings: CarlemanSettings = CarlemanSettings()) -> WeightTables:
     """The weights of a drift bounded by b_sup: the parameters select_params
     chooses for the profile of domain on the horizon of time, then alpha and
     the normalized weight at all midpoints.
@@ -141,7 +140,7 @@ def build_weights(b_sup: float, domain: DomainSpec, time: TimeGrid,
     is accepted and is what switches the feedback off near t = 0 and t = T.
     A table past the float range (lam, s or delta0 s alpha overflows) raises
     SolverError; only a table that does not emits UNDERFLOW_WARNING when the
-    raw mid-horizon weight underflows (unless warn is false).
+    raw mid-horizon weight underflows.
     """
     beta = domain.beta
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, at the peak
@@ -156,7 +155,7 @@ def build_weights(b_sup: float, domain: DomainSpec, time: TimeGrid,
     if not np.isfinite(peak):
         raise SolverError(f"the Carleman weight table overflows: delta0 s alpha is {peak} "
                           f"at lambda={params.lam:.6g}, s={params.s:.6g}")
-    if warn and params.raw_weight_underflows:
+    if params.raw_weight_underflows:
         warnings.warn(UNDERFLOW_WARNING, RuntimeWarning, stacklevel=2)
     return replace(  # w exponentiated in place
         tables, log_w_peak=peak, w=np.exp(np.subtract(exponent, peak, out=exponent), out=exponent))

@@ -1,8 +1,9 @@
 """Command-line experiment runner: configuration, persistence, selftest.
 
 Subcommands: linear, nonlinear, observability, sweep-eps, sweep-T,
-oracle-check, selftest.  Every run writes report.json (config echo plus
-content hash plus reports) and CSV artifacts into the output directory.
+oracle-check, selftest.  Every command but selftest writes report.json (config
+echo plus content hash plus reports) into the output directory, and all but
+observability and oracle-check write CSV artifacts beside it.
 Exit codes: 0 success, 1 selftest/oracle failure, 2 invalid input or an
 unwritable output directory, 3 solver non-convergence, breakdown or exhausted memory.
 """
@@ -320,23 +321,24 @@ def main(argv=None) -> int:
     # walks it again (--version and -h exit inside _parse_args)
     gc.freeze()
     handler = COMMANDS[args.command][1]
-    with warnings.catch_warnings():  # a warning is one stderr line, as an error is
-        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+    # whatever the caller's filters, warnings wait for an exit code: an error stands alone
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             if args.command == "selftest":
-                return handler(args)
-            cfg = _config_from_args(args)
-            t0 = _time.perf_counter()
-            out = _out_dir(cfg)
-            reports, code = handler(cfg, args, out)
-            _write_report(out, cfg, reports, {"wall_s": _time.perf_counter() - t0})
-            if isinstance(code, str):
-                raise SolverError(code)
-            ratio = reports.get("hum", {}).get("terminal_ratio", 0.0)  # linear and nonlinear
-            if ratio > SUCCESS_REL_TERMINAL:
-                warnings.warn(APPROXIMATE_CONTROL_WARNING.format(
-                    ratio=ratio, limit=SUCCESS_REL_TERMINAL, T=cfg.time.T), RuntimeWarning)
-            return code
+                code = handler(args)
+            else:
+                cfg = _config_from_args(args)
+                t0 = _time.perf_counter()
+                out = _out_dir(cfg)
+                reports, code = handler(cfg, args, out)
+                _write_report(out, cfg, reports, {"wall_s": _time.perf_counter() - t0})
+                if isinstance(code, str):
+                    raise SolverError(code)
+                ratio = reports.get("hum", {}).get("terminal_ratio", 0.0)  # linear and nonlinear
+                if ratio > SUCCESS_REL_TERMINAL:
+                    warnings.warn(APPROXIMATE_CONTROL_WARNING.format(
+                        ratio=ratio, limit=SUCCESS_REL_TERMINAL, T=cfg.time.T), RuntimeWarning)
         except (ConfigError, SolverError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INVALID if isinstance(exc, ConfigError) else EXIT_NO_CONVERGENCE
@@ -346,6 +348,9 @@ def main(argv=None) -> int:
         except OSError as exc:  # unreadable inputs raise ConfigError: this is an output
             print(f"error: cannot write output: {exc}", file=sys.stderr)
             return EXIT_INVALID
+    for message in dict.fromkeys(str(w.message) for w in caught):  # each once, as first raised
+        print(f"warning: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""Empirical probes: observability ratio sampling, the level-set recursion
-lemma, and the small constant evaluators used by the reports.
+"""Empirical probes: observability ratio sampling and the level-set recursion
+lemma.
 
 The observability ratio of a terminal datum phiT is
 

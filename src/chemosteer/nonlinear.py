@@ -5,18 +5,17 @@ One outer iteration maps a state guess xi to: the per-level elliptic solve
 v, the drift chi * dv/dx, refreshed weight parameters from the current drift
 bound, and the penalized control problem for that frozen drift.  A fixed
 point of this map is a controlled trajectory of the nonlinear discrete
-dynamics; a converged run is re-certified by one genuinely nonlinear forward
-solve with the found control.
+dynamics; every run is verified by one genuinely nonlinear forward solve
+with the control it found.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .carleman import UNDERFLOW_WARNING, CarlemanSettings, WeightTables, build_weights
+from .carleman import CarlemanSettings, WeightTables, build_weights
 from .elliptic import PhysicsParams, drift_from_state, drift_from_v, solve_elliptic
 from .grid import DomainSpec, TimeGrid
 from .hum import (SUCCESS_REL_TERMINAL, HumSettings, HumSolution, kappa_const,
@@ -94,23 +93,19 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
     never below hum.cg_tol, and at hum.cg_tol once the contraction of the last
     two increments predicts that it meets fixed_point.tol.  The in_K flag
     records whether every iterate stayed in the unit sup-norm ball; it is
-    diagnostic only and does not stop the iteration.  The raw-weight underflow
-    warning of build_weights, for any iterate's table, is emitted once and only
-    by a run that does not break down.
+    diagnostic only and does not stop the iteration.
     """
     u0 = np.asarray(u0, dtype=float)
     xi = state_guess(fixed_point, u0, time)
     history, failure, in_k = [], None, True
     rel = prev = math.inf  # the relative increments of the last two iterations
     weights = None
-    underflowed = False
 
     for it in range(1, fixed_point.max_iters + 1):
         sol = None  # the previous solution, but for xi, dies before the next drift is built
         drift = drift_from_state(xi, physics, domain, time)
         if weights is None or not carleman.freeze_after_first:
-            weights = build_weights(drift.sup_norm, domain, time, carleman, warn=False)
-            underflowed = underflowed or weights.params.raw_weight_underflows
+            weights = build_weights(drift.sup_norm, domain, time, carleman)
         if it > 2 and rel * min(rel, prev) <= fixed_point.tol * prev:
             cg_tol = hum.cg_tol
         else:
@@ -142,8 +137,6 @@ def run_nonlinear(u0: np.ndarray, physics: PhysicsParams, domain: DomainSpec,
                               f"{fixed_point.max_iters} with increment {increment:.3g}")
 
     verification, sweeps = verify_nonlinear(u0, sol.f, physics, domain, time, guide=xi)
-    if underflowed:
-        warnings.warn(UNDERFLOW_WARNING, RuntimeWarning, stacklevel=2)
     return NonlinearResult(
         u=xi, v=solve_elliptic(xi, physics, domain), f=sol.f,
         iterations=len(history), history=history, failure=failure, in_K=in_k,

@@ -24,28 +24,23 @@ from .grid import DomainSpec, SolverError, TimeGrid
 
 
 @np.errstate(over="ignore")  # an overflowing sum takes the exact branch below
-def _norm(values: np.ndarray, weight: float) -> float:
-    """sqrt(weight sum(values^2)).  Where the plain sum of squares leaves
-    [2^-960, 2^960], the values are first scaled exactly by the power of two
-    that brings their peak into [1/2, 1), so tiny data do not underflow.  A
-    norm past the float range is inf."""
+def level_l2(values: np.ndarray, h: float) -> float:
+    """Discrete L2(Omega) norm via cell quadrature, sqrt(h sum(values^2)).  Where
+    the plain sum of squares leaves [2^-960, 2^960], the values are first scaled
+    exactly by the power of two that brings their peak into [1/2, 1), so tiny
+    data do not underflow.  A norm past the float range is inf."""
     s = np.square(values).sum()
     if not 2.0 ** -960 <= s <= 2.0 ** 960:
         peak = float(np.abs(values).max(initial=0.0))
         if 0.0 < peak < math.inf:
             k = math.frexp(peak)[1]
-            return float(np.ldexp(math.sqrt(weight * np.square(np.ldexp(values, -k)).sum()), k))
-    return math.sqrt(weight * s)
-
-
-def level_l2(slice_values: np.ndarray, h: float) -> float:
-    """Discrete L2(Omega) norm via cell quadrature."""
-    return _norm(slice_values, h)
+            return float(np.ldexp(math.sqrt(h * np.square(np.ldexp(values, -k)).sum()), k))
+    return math.sqrt(h * s)
 
 
 def space_time_l2(values: np.ndarray, h: float, dt: float) -> float:
     """Discrete L2(Q) norm, summing levels 1..M (the implicit-step levels)."""
-    return _norm(values[1:], dt * h)
+    return level_l2(values[1:], dt * h)
 
 
 def inner_l2(x: np.ndarray, y: np.ndarray, h: float) -> float:

@@ -139,14 +139,6 @@ class TestWeightTables:
             warnings.simplefilter("error")
             build_weights(0.0, domain32, tgrid24, CarlemanSettings(lambda_scale=1e300))
 
-    def test_underflow_warning_can_be_left_to_the_caller(self, domain32, tgrid24):
-        settings = CarlemanSettings(s_scale=50.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            params = select_params(0.0, 1.0, domain32.beta, settings)
-            weights = build_weights(0.0, domain32, tgrid24, settings, warn=False)
-        assert params.raw_weight_underflows and weights.params == params
-
 
 def test_weights_exponentiated_in_place():
     domain, time = DomainSpec(200), TimeGrid(1.0, 400)

@@ -11,13 +11,12 @@ one-line warnings; exits 2 and 3 print one error line, after nothing but a usage
 error's usage; exit 2 comes before any solve.  The rows of NAMED run under the ids
 of the tests of tests/test_cli.py that checked them before this table, and the
 rows of FRESH run again in a fresh interpreter, for what only a real process
-shows: how a warning prints, and `python -O`.
+shows: how a warning prints, also under `python -W error`, and `python -O`.
 """
 
 import csv
 import json
 import re
-import warnings
 from collections import namedtuple
 from dataclasses import fields, is_dataclass
 
@@ -271,6 +270,11 @@ CONTRACT = {
            "sweep-eps-cg": ("sweep-eps --eps-list 1e-2", "hum.cg_max_iters=1", "n16",
                             lambda out: reports(out)["eps_sweep"][0]["cg_converged"] is False),
            }.items()},
+    # the same caps beside an underflowing weight: its warning once printed before the error
+    **rows(EXIT_NO_CONVERGENCE, r"error: .* stopped at hum\.cg_max_iters=1 with .*\n" + CLEAN, {
+        f"{command.split()[0]}-cg-weight-underflow": f"{command} {{n8}} --set "
+        "carleman.s_scale=1e12 --set hum.cg_max_iters=1"
+        for command in ("linear", "nonlinear", "sweep-eps --eps-list 1e-2")}),
     # the dense oracle itself fails at these penalties: its defined exit code
     **rows(EXIT_CHECK_FAILED, CLEAN, {
         f"oracle-check-hum.epsilon={eps}": f"oracle-check {{n8}} --set hum.epsilon={eps}"
@@ -284,9 +288,10 @@ CONTRACT = {
         for command in ("linear", "nonlinear") for n in ("n16", "n24")}, controlled),
     "nonlinear-huge-chemoattractant": Row(
         "nonlinear {n8} --set physics.chi=0 --set physics.delta=1e300", EXIT_OK, CLEAN),
+    # the broken cells built underflowing tables first: the sweep exits 0, so it warns
     "sweep-T-one-cell-breaks-down": Row(
         "sweep-T --t-list 0.25 1 --amplitudes 0.01 0.5 --set physics.chi=200 {n16}", EXIT_OK,
-        CLEAN, one_cell_broke_down),
+        UNDERFLOWS + CLEAN, one_cell_broke_down),
     # the edges of grid.HORIZON_RANGE run; the raw weight underflows there
     **rows(EXIT_OK, "", {
         "linear-horizon-min": f"linear --set time.T={LO!r} {{n8}}",
@@ -350,8 +355,11 @@ NAMED = {
     "test_sweep_T_breakdown_fails_one_cell": ("sweep-T-one-cell-breaks-down",),
     "test_sweep_T_missing_data_file_exits_2": ("sweep-T-missing-data-file",),
 }
-FRESH = {"linear-weight-underflow": (), "nonlinear-weight-underflow": (),
-         "nonlinear-weight-parameters-overflow": ("-O",)}
+# {test id: (row, interpreter flags)}; -W error once turned a warning into a traceback
+FRESH = {"linear-weight-underflow": ("linear-weight-underflow", ()),
+         "linear-weight-underflow-W-error": ("linear-weight-underflow", ("-W", "error")),
+         "nonlinear-weight-underflow": ("nonlinear-weight-underflow", ()),
+         "nonlinear-weight-parameters-overflow": ("nonlinear-weight-parameters-overflow", ("-O",))}
 # the rows of a fuzzed key run as one test: pytest spends more on a test than a row takes
 NAMED_ROWS = {row for rows_of in NAMED.values()
               for row in (rows_of.values() if isinstance(rows_of, dict) else rows_of)}
@@ -403,12 +411,11 @@ def run_rows(names, inputs, monkeypatch, capsys):
         for report in inputs.glob("*/report.json"):  # each row reads its own
             report.unlink()
         solved.clear()
-        with monkeypatch.context() as patch, warnings.catch_warnings():
+        with monkeypatch.context() as patch:
             for var, value in {"CHEMOSTEER_OUT": str(inputs / "out"), **env}.items():
                 patch.setenv(var, value) if value else patch.delenv(var, raising=False)
             for attr, value in (CONTRACT[name].patch or {}).items():
                 patch.setattr(cli, attr, value)
-            warnings.simplefilter("always")
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse's usage errors
@@ -436,10 +443,10 @@ def test_exit_contract(names, inputs, monkeypatch, capsys):
     run_rows(names, inputs, monkeypatch, capsys)
 
 
-@pytest.mark.parametrize("name", FRESH)
-def test_exit_contract_in_a_fresh_process(name, tmp_path):
+@pytest.mark.parametrize("name, flags", FRESH.values(), ids=FRESH)
+def test_exit_contract_in_a_fresh_process(name, flags, tmp_path):
     argv = argv_of(CONTRACT[name], tmp_path)[1]
-    code, _, err = run_fresh(argv, tmp_path / "out", FRESH[name])
+    code, _, err = run_fresh(argv, tmp_path / "out", flags)
     check_run(name, code, err, tmp_path)
 
 

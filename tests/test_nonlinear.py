@@ -1,6 +1,5 @@
 import gc
 import tracemalloc
-import warnings
 import weakref
 
 import numpy as np
@@ -132,25 +131,6 @@ def test_frozen_run_builds_its_table_once(freeze, small_setup, monkeypatch):
     assert result.converged and result.iterations > 1
     assert len(tables) == (1 if freeze else result.iterations)
     assert result.weights is tables[-1]
-
-
-def test_underflow_warned_once_by_a_run_that_does_not_break_down(small_setup,
-                                                                 monkeypatch):
-    domain, tgrid, u0 = small_setup
-    carleman = CarlemanSettings(s_scale=50.0)  # every table's raw weight underflows
-    with pytest.warns(RuntimeWarning, match="underflows") as record:
-        result = run_nonlinear(u0, PhysicsParams(), domain, tgrid, carleman=carleman)
-    assert result.iterations > 1 and len(record) == 1
-    assert record[0].filename == __file__
-
-    def broken(*args, **kwargs):
-        raise SolverError("broken")
-
-    # a breakdown after the tables are built is the run's only message
-    monkeypatch.setattr(nonlinear, "verify_nonlinear", broken)
-    with warnings.catch_warnings(), pytest.raises(SolverError, match="^broken$"):
-        warnings.simplefilter("error")
-        run_nonlinear(u0, PhysicsParams(), domain, tgrid, carleman=carleman)
 
 
 def test_verify_nonlinear_zero_control_mass(small_setup):
