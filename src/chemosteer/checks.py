@@ -45,10 +45,10 @@ def duality_defect(u0, f, phiT, drift, domain, tgrid, adjoint=solve_adjoint) -> 
 def gramian_defects(x, y, drift, weights, domain, tgrid) -> dict:
     """Gramian defects at x, y: "symmetry" |<Gx, y> - <x, Gy>| / (|x| |y|), "psd"
     -<Gx, x>, and "energy" the relative gap of <Gx, x> to adjoint_observation's energy."""
-    h = domain.h
-    gx, gy = gramian_apply(np.column_stack((x, y)), drift, weights, domain, tgrid).T
+    h, prop = domain.h, Propagator(drift.faces, domain, tgrid.dt)
+    gx, gy = gramian_apply(np.column_stack((x, y)), prop, weights)[-1].T
     q = inner_l2(gx, x, h)
-    energy = float(adjoint_observation(x, weights.w, Propagator(drift.faces, domain, tgrid.dt))[1])
+    energy = float(adjoint_observation(x, weights.w, prop)[1])
     return {"symmetry": abs(inner_l2(gx, y, h) - inner_l2(x, gy, h))
             / max(level_l2(x, h) * level_l2(y, h), 1e-300),
             "psd": -q, "energy": abs(q - energy) / max(energy, 1e-300)}

@@ -155,21 +155,24 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def initial_data(cfg: RunConfig) -> np.ndarray:
-    """Built-in initial data shapes on cfg.domain, or cell values ingested from a file."""
-    a, domain = cfg.initial_data.amplitude, cfg.domain
+    """Built-in initial data shapes on cfg.domain, or cell values ingested from a file,
+    times initial_data.amplitude; data past the float range are a ConfigError."""
+    a, domain, shape = cfg.initial_data.amplitude, cfg.domain, cfg.initial_data.shape
     x = domain.centers
-    if cfg.initial_data.shape == "cosine":
-        return a * (1.0 + np.cos(np.pi * x)) / 2.0
-    if cfg.initial_data.shape == "bump":
-        return a * np.exp(-100.0 * (x - domain.x0) ** 2)
-    try:
-        with open(cfg.initial_data.file_path) as fh:  # numpy opens a path through gzip
-            values = np.loadtxt(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read initial data file: {exc}") from exc
-    if values.shape != (domain.n_cells,) or not np.all(np.isfinite(values)):
-        raise ConfigError(
-            f"initial data file must hold {domain.n_cells} finite cell values, "
-            f"got shape {values.shape}"
-        )
-    return a * values
+    if shape == "file":
+        try:
+            with open(cfg.initial_data.file_path) as fh:  # numpy opens a path through gzip
+                values = np.loadtxt(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read initial data file: {exc}") from exc
+        if values.shape != (domain.n_cells,) or not np.all(np.isfinite(values)):
+            raise ConfigError(
+                f"initial data file must hold {domain.n_cells} finite cell values, "
+                f"got shape {values.shape}"
+            )
+    with np.errstate(over="ignore"):
+        u0 = (a * (1.0 + np.cos(np.pi * x)) / 2.0 if shape == "cosine" else
+              a * np.exp(-100.0 * (x - domain.x0) ** 2) if shape == "bump" else a * values)
+    if not np.all(np.isfinite(u0)):
+        raise ConfigError(f"initial_data.amplitude={a!r} takes the data past the float range")
+    return u0

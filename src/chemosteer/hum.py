@@ -102,28 +102,23 @@ def feedback_control(phi: np.ndarray, weights: WeightTables, domain: DomainSpec,
     return f
 
 
-def _gramian_trajectory(phiT: np.ndarray, prop: Propagator, weights: WeightTables,
-                        f=None) -> np.ndarray:
-    """The forward trajectory driven from zero data by the feedback control
-    of the adjoint from phiT (written into f if given); its last level is G phiT."""
+def gramian_apply(phiT: np.ndarray, prop: Propagator, weights: WeightTables,
+                  f=None) -> np.ndarray:
+    """The forward trajectory driven from zero data by the feedback control of
+    the adjoint from phiT (written into f if given); its last level is G phiT.
+
+    phiT is (N,) or a batch (N, K) of data, one column each; prop is the solve's
+    Propagator, whose factors every march shares.
+    """
     f = feedback_control(solve_adjoint(phiT, prop), weights, prop.domain, f)
     return solve_forward(np.zeros(f.shape[1:]), prop, f)
-
-
-def gramian_apply(phiT: np.ndarray, drift: DriftField, weights: WeightTables,
-                  domain: DomainSpec, time: TimeGrid) -> np.ndarray:
-    """G phiT = terminal value of the forward solve driven by the feedback.
-
-    phiT is (N,) or a batch (N, K) of data, one column each.
-    """
-    return _gramian_trajectory(phiT, Propagator(drift.faces, domain, time.dt),
-                               weights)[-1].copy()
 
 
 def dense_gramian(drift: DriftField, weights: WeightTables, domain: DomainSpec,
                   time: TimeGrid) -> np.ndarray:
     """Assemble G from all basis vectors in one batched apply (small grids only)."""
-    return gramian_apply(np.eye(domain.n_cells), drift, weights, domain, time)
+    return gramian_apply(np.eye(domain.n_cells), Propagator(drift.faces, domain, time.dt),
+                         weights)[-1].copy()
 
 
 def solve_penalized(u0: np.ndarray, drift: DriftField, weights: WeightTables,
@@ -160,10 +155,11 @@ def solve_penalized(u0: np.ndarray, drift: DriftField, weights: WeightTables,
         r, p = rhs.copy(), rhs.copy()
         rs = inner_l2(r, r, h)
         for iters in range(1, settings.cg_max_iters + 1):
-            u_p = _gramian_trajectory(p, prop, weights, f_p)
-            ap = u_p[-1] + settings.epsilon * p
-            curvature = inner_l2(p, ap, h)
-            alpha = rs / curvature if curvature > 0.0 else math.nan
+            u_p = gramian_apply(p, prop, weights, f_p)
+            with np.errstate(over="ignore"):  # a curvature past the float range breaks down
+                ap = u_p[-1] + settings.epsilon * p
+                curvature = inner_l2(p, ap, h)
+            alpha = rs / curvature if 0.0 < curvature < math.inf else math.nan
             if not math.isfinite(alpha):
                 raise SolverError(f"CG breakdown at iteration {iters}: curvature {curvature:.3g}")
             phiT = phiT + alpha * p

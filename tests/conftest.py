@@ -51,6 +51,7 @@ def inputs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("contract")
     (tmp / "garbled.txt").write_text("1 2 x\n")
     (tmp / "list.json").write_text("[1, 2]")
+    (tmp / "cells8.txt").write_text("1 2 3 4 5 6 7 8\n")
     return tmp
 
 

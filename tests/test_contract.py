@@ -3,7 +3,7 @@
 A row is one run: argv, exit code (None: any of 0, 2 and 3), a regex its stderr
 matches from the start, and optionally a check of its output directory and the
 attributes of cli it patches.  In an argv {n8}, {n16} and {n24} are grid sizes,
-{tmp} a directory holding garbled.txt and list.json, and a leading NAME=VALUE sets
+{tmp} a directory holding garbled.txt, list.json and cells8.txt, and a leading NAME=VALUE sets
 an environment variable (NAME= unsets it).  A row runs in {tmp} and, unless it
 unsets CHEMOSTEER_OUT, writes into {tmp}/out.  Every run also keeps the contract:
 no traceback; exit 0 writes one report.json and prints nothing but documented
@@ -162,6 +162,13 @@ CONTRACT = {
         # a negative seed reached numpy's generator
         "negative-seed-observability": "observability --samples 2 {n16} --set seed=-1",
         "negative-seed-oracle-check": "oracle-check {n8} --set seed=-1"}),
+    # initial data past the float range once reached the solver, which exited 3
+    # blaming non-finite initial data
+    **rows(EXIT_INVALID, re.escape("error: initial_data.amplitude=1e+308 takes the data past "
+                                   "the float range\n") + CLEAN, {
+        "amplitude-overflows-cosine": "linear {n8} --set initial_data.amplitude=1e308",
+        "amplitude-overflows-file-data": "linear {n8} --set initial_data.amplitude=1e308 "
+        "--set initial_data.shape=file --set initial_data.file_path={tmp}/cells8.txt"}),
     # a grid past config.MAX_GRID_VALUES once reached numpy, which asked for 745 GiB
     **rows(EXIT_INVALID, re.escape("error: domain.n_cells * (time.n_steps + 1) must be at most "), {
         "grid-too-large": "linear --set domain.n_cells=100000000000 --set time.n_steps=8",
@@ -252,6 +259,14 @@ CONTRACT = {
     "out-of-memory": Row("linear {n8}", EXIT_NO_CONVERGENCE, "error: out of memory: Unable to "
                          "allocate 745. GiB ", patch={"solve_penalized": raising(MemoryError(
                              "Unable to allocate 745. GiB for an array with shape (10**11,)"))}),
+    # a CG curvature past the float range once passed as positive, and the next march
+    # blamed terminal data the user never supplied
+    **rows(EXIT_NO_CONVERGENCE, re.escape("error: CG breakdown at iteration 1: curvature inf\n")
+           + CLEAN, {
+        f"{command.split()[0]}-cg-curvature-overflow": f"{command} {{n8}} {eps}"
+        for command, eps in (("linear", "--set hum.epsilon=1e308"),
+                             ("nonlinear", "--set hum.epsilon=1e308"),
+                             ("sweep-eps", "--eps-list 1e308"))}),
     # a run stopped by an iteration cap names it, and its report records it; each once
     # exited 3 with an empty stderr, or (a capped CG in the fixed point) exited 0
     **{name: Row(f"{argv} --set {cap} {{{n}}}", EXIT_NO_CONVERGENCE,

@@ -64,7 +64,7 @@ def test_dense_gramian_matches_apply(domain32, tgrid24):
     weights = default_weights(domain32, tgrid24, b_sup=drift.sup_norm)
     g = dense_gramian(drift, weights, domain32, tgrid24)
     x = rng.standard_normal(32)
-    gx = gramian_apply(x, drift, weights, domain32, tgrid24)
+    gx = gramian_apply(x, propagator_of(drift, domain32, tgrid24), weights)[-1]
     assert np.abs(g @ x - gx).max() <= 1e-12 * max(np.abs(gx).max(), 1e-300)
     assert np.abs(g - g.T).max() <= 1e-12 * np.abs(g).max()
 
@@ -157,6 +157,20 @@ class TestSynthesisByLinearity:
         assert sol.cg_iters >= 3
         assert len(marches) == 1 + 2 * sol.cg_iters
 
+    def test_each_cg_iteration_applies_the_gramian_once(self, domain32, tgrid24, monkeypatch):
+        # CG applies G through the public operator, so a trace of it counts CG's work
+        rng = np.random.default_rng(43)
+        drift = random_drift(rng, domain32, tgrid24, amplitude=1.0, per_step=True)
+        weights = default_weights(domain32, tgrid24, b_sup=drift.sup_norm)
+        applies = []
+        apply = hum.gramian_apply
+        monkeypatch.setattr(hum, "gramian_apply",
+                            lambda *a, **k: applies.append(1) or apply(*a, **k))
+        sol = solve_penalized(cosine_data(domain32, 1e-2), drift, weights,
+                              domain32, tgrid24, HumSettings(epsilon=1e-6))
+        assert sol.cg_iters >= 3
+        assert len(applies) == sol.cg_iters
+
     def test_one_propagator_per_solve_freed_with_it(self, domain32, tgrid24, monkeypatch):
         rng = np.random.default_rng(44)
         drift = random_drift(rng, domain32, tgrid24, amplitude=1.0, per_step=True)
@@ -224,10 +238,11 @@ class TestSynthesisByLinearity:
             solve_penalized(cosine_data(domain32, 1e160), drift, weights, domain32, tgrid24,
                             HumSettings(epsilon=1e-6))
 
-    @pytest.mark.parametrize("epsilon", [1e-320, 5e-324])
+    @pytest.mark.parametrize("epsilon", [1e-320, 5e-324, 1e308])
     def test_cg_breakdown_raises_solver_error(self, domain32, tgrid24, epsilon):
         # no weight leaves G = 0, and a subnormal eps leaves the curvature
-        # eps |p|^2 at zero or its step alpha overflowing
+        # eps |p|^2 at zero or its step alpha overflowing; eps = 1e308 takes
+        # the curvature past the float range
         drift = DriftField.zero(domain32, tgrid24)
         weights = default_weights(domain32, tgrid24)
         blind = dataclasses.replace(weights, w=np.zeros_like(weights.w))
