@@ -13,7 +13,7 @@ from .carleman import (CarlemanParams, CarlemanSettings, WeightTables, build_wei
 from .diagnostics import (ObservabilityReport, RecursionSpec,
                           observability_probe, recursion_simulate)
 from .elliptic import DriftField, PhysicsParams, drift_from_v, solve_elliptic
-from .grid import BetaFunction, DomainSpec, TimeGrid
+from .grid import DomainSpec, TimeGrid
 from .hum import (HumSettings, HumSolution, control_bound_report, gramian_apply,
                   kappa_const, solve_penalized)
 from .nonlinear import (FixedPointSettings, NonlinearResult, remark_check, run_nonlinear,

@@ -1,6 +1,6 @@
 """Carleman-style weight tables and admissible parameter selection.
 
-With the profile beta and its sup norm b = max beta, the weight machinery is
+With the profile beta and its sup norm b = max beta = beta(x0), the weight machinery is
 
     alpha(x, t)  = (e^{lam beta(x)} - e^{2 lam b}) / (t (T - t))   (< 0),
     gamma(lam)   = e^{2 lam b},
@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import BetaFunction, DomainSpec, SolverError, TimeGrid
+from .grid import DomainSpec, SolverError, TimeGrid
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,10 @@ class WeightTables:
 UNDERFLOW_WARNING = "raw mid-horizon weight underflows; normalized table remains usable"
 
 
-def select_params(b_sup: float, T: float, beta: BetaFunction,
+def select_params(b_sup: float, T: float, beta_sup: float,
                   settings: CarlemanSettings = CarlemanSettings()) -> CarlemanParams:
-    """Choose lam and s from the drift bound, enforcing both constraints.
+    """Choose lam and s from the drift bound and the profile maximum beta_sup,
+    enforcing both constraints.
 
     lam starts from lambda_scale * (1 + b_sup^2) and is raised if needed so
     that omega(lam) < delta0 - 1; s starts from s_scale * (1 + b_sup^2) *
@@ -115,15 +116,15 @@ def select_params(b_sup: float, T: float, beta: BetaFunction,
     """
     bsq = 1.0 + b_sup * b_sup
     lam = settings.lambda_scale * bsq
-    lam_min = -np.log(settings.delta0 - 1.0) / beta.sup_norm
+    lam_min = -np.log(settings.delta0 - 1.0) / beta_sup
     if lam <= lam_min:
         lam = lam_min * (1.0 + 1e-9)
-    gamma_lam = float(np.exp(2.0 * lam * beta.sup_norm))
+    gamma_lam = float(np.exp(2.0 * lam * beta_sup))
     s = settings.s_scale * bsq * (T + T * T)
     s = max(s, gamma_lam * (T + T * T))
     params = CarlemanParams(
         lam=float(lam), s=float(s), delta0=float(settings.delta0),
-        beta_sup=float(beta.sup_norm), horizon_T=float(T), b_sup=float(b_sup),
+        beta_sup=float(beta_sup), horizon_T=float(T), b_sup=float(b_sup),
     )
     if not params.constraints_certified():
         raise ValueError(f"weight parameters fail the admissibility constraints: {params}")
@@ -142,10 +143,9 @@ def build_weights(b_sup: float, domain: DomainSpec, time: TimeGrid,
     SolverError; only a table that does not emits UNDERFLOW_WARNING when the
     raw mid-horizon weight underflows.
     """
-    beta = domain.beta
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, at the peak
-        params = select_params(b_sup, time.T, beta, settings)
-        tables = WeightTables(params, time.midpoints.copy(), np.exp(params.lam * beta.at_centers),
+        params = select_params(b_sup, time.T, domain.beta_sup, settings)
+        tables = WeightTables(params, time.midpoints.copy(), np.exp(params.lam * domain.beta),
                               w=None, log_w_peak=0.0)  # its alpha forms the exponent
         # named, not a temporary: numpy tests a large temporary for in-place reuse by a
         # backtrace(), whose first call makes about 0.4 MB of unwind tables resident

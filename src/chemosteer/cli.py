@@ -80,8 +80,10 @@ def _write_report(out, cfg, reports, timings):
         "reports": reports,
         "timings": timings,
     }
+    # RFC 8259 JSON, which has no NaN or Infinity: a non-finite float is written as null
+    strict = json.loads(json.dumps(record), parse_constant=lambda name: None)
     with open(os.path.join(out, "report.json"), "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
+        json.dump(strict, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return record
 

@@ -141,8 +141,7 @@ def validate_config(cfg: RunConfig) -> None:
                           f"{MAX_GRID_VALUES}, got {values}")
     if not cfg.output.dir:
         raise ConfigError("output.dir must not be empty")
-    try:  # a failed profile certificate, or an indefinite elliptic operator
-        cfg.domain.beta
+    try:  # an indefinite elliptic operator
         elliptic_factors(cfg.physics.gamma, cfg.domain.n_cells, cfg.domain.h)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

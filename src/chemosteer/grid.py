@@ -13,7 +13,7 @@ import numpy as np
 
 
 class GeometryError(ValueError):
-    """Invalid domain, control region, or profile construction."""
+    """Invalid domain, control region, or time grid."""
 
 
 class SolverError(RuntimeError):
@@ -22,14 +22,12 @@ class SolverError(RuntimeError):
 
 # Horizons T the weights are computed for; far outside, T * T under/overflows.
 HORIZON_RANGE = (1e-6, 1e6)
-# The profile certificate samples at least this many points per cell.
-DENSE_FACTOR = 10
 
 
 @dataclass(frozen=True)
 class DomainSpec:
     """Uniform cell-centered grid on (0, 1) with a marked control subinterval;
-    the config's domain section.  h, the arrays and beta are formed on first read.
+    the config's domain section.  h, the arrays and the profile are formed on first read.
 
     Attributes:
         n_cells: number N >= 8 of cells of width h = 1/N.
@@ -37,7 +35,8 @@ class DomainSpec:
         x0: interior point of (a, b) where the weight profile peaks.
         centers: cell centers x_i = (i + 1/2) h, shape (N,).
         omega_mask: boolean per cell, True iff the center lies in (a, b).
-        beta: the certified weight profile of the grid.
+        beta: the weight profile beta_values at the centers, shape (N,).
+        beta_sup: its maximum over [0, 1], beta(x0).
     """
 
     n_cells: int = 100
@@ -71,58 +70,16 @@ class DomainSpec:
         return (self.centers > self.omega_a) & (self.centers < self.omega_b)
 
     @functools.cached_property
-    def beta(self) -> "BetaFunction":
-        """Sample the profile and certify its invariants numerically.
+    def beta(self) -> np.ndarray:
+        """The weight profile at the cell centers, shape (N,)."""
+        return beta_values(self.centers, self.x0)
 
-        The certificate checks, on a dense grid of at least DENSE_FACTOR * N
-        points: positivity in the interior, vanishing at the boundary, a
-        nonvanishing derivative outside the control region, and a single sign
-        change of the derivative located at x0.  A failed certificate signals a
-        construction bug and raises GeometryError.
-        """
-        x0 = self.x0
-        eta = (2.0 * x0 - 1.0) / (x0 * (1.0 - x0))
-        n_dense = max(DENSE_FACTOR * self.n_cells, 1000) + 1
-        xs = np.linspace(0.0, 1.0, n_dense)
-        bs = beta_values(xs, x0)
-        ds = beta_derivative(xs, x0)
-
-        interior = (xs > 0.0) & (xs < 1.0)
-        outside = (xs <= self.omega_a) | (xs >= self.omega_b)
-        # skip exact zeros (the dense grid can hit the critical point dead on)
-        nz = np.nonzero(np.sign(ds))[0]
-        nzsign = np.sign(ds)[nz]
-        trans = np.nonzero(nzsign[:-1] * nzsign[1:] < 0)[0]
-        change_locs = [0.5 * (xs[nz[i]] + xs[nz[i + 1]]) for i in trans]
-
-        validation = {
-            "beta_at_0": float(bs[0]),
-            "beta_at_1": float(bs[-1]),
-            "min_interior": float(bs[interior].min()),
-            "min_abs_deriv_outside_omega": float(np.abs(ds[outside]).min()),
-            "deriv_at_x0": float(beta_derivative(x0, x0)),
-            "n_sign_changes": int(len(change_locs)),
-            "sign_change_locations": [float(x) for x in change_locs],
-        }
-        ok = (
-            bs[0] == 0.0
-            and bs[-1] == 0.0
-            and validation["min_interior"] > 0.0
-            and validation["min_abs_deriv_outside_omega"] > 0.0
-            and abs(validation["deriv_at_x0"]) < 1e-10
-            and len(change_locs) == 1
-            and self.omega_a < change_locs[0] < self.omega_b
-        )
-        validation["ok"] = bool(ok)
-        if not ok:
-            raise GeometryError(f"profile construction failed validation: {validation}")
-
-        return BetaFunction(
-            eta=eta,
-            at_centers=beta_values(self.centers, x0),
-            sup_norm=float(bs.max()),
-            validation=validation,
-        )
+    @functools.cached_property
+    def beta_sup(self) -> float:
+        """max beta over [0, 1], which is beta(x0): beta' = e^{eta (x - x0)} q(x) with the
+        quadratic q(x) = (1 - 2x) + eta x (1 - x), q(0) = 1 and q(1) = -1, so q has one root
+        in (0, 1), which is x0 by the choice of eta: beta rises up to x0 and falls after it."""
+        return float(beta_values(self.x0, self.x0))
 
 
 @dataclass(frozen=True)
@@ -155,36 +112,9 @@ class TimeGrid:
         return (np.arange(self.n_steps) + 0.5) * self.dt
 
 
-@dataclass(frozen=True)
-class BetaFunction:
-    """Samples of the weight profile beta(x) = x(1-x) exp(eta (x - x0)).
-
-    eta = (2 x0 - 1) / (x0 (1 - x0)) places the unique interior critical
-    point of beta at x0, while keeping beta(0) = beta(1) = 0 and a
-    nonvanishing derivative on the closed set outside the control region.
-
-    Attributes:
-        eta: exponent slope.
-        at_centers: samples at the cell centers.
-        sup_norm: max of beta over [0, 1], from dense sampling.
-        validation: numeric certificate of the profile invariants.
-    """
-
-    eta: float
-    at_centers: np.ndarray
-    sup_norm: float
-    validation: dict
-
-
 def beta_values(x, x0: float):
     """beta(x) = x(1-x) exp(eta (x - x0)) with the critical point pinned at x0."""
     eta = (2.0 * x0 - 1.0) / (x0 * (1.0 - x0))
     x = np.asarray(x, dtype=float)
     return x * (1.0 - x) * np.exp(eta * (x - x0))
 
-
-def beta_derivative(x, x0: float):
-    """Analytic derivative of beta_values."""
-    eta = (2.0 * x0 - 1.0) / (x0 * (1.0 - x0))
-    x = np.asarray(x, dtype=float)
-    return np.exp(eta * (x - x0)) * ((1.0 - 2.0 * x) + eta * x * (1.0 - x))

@@ -25,7 +25,7 @@ def tgrid24():
 
 @pytest.fixture
 def beta32(domain32):
-    return domain32.beta
+    return domain32.beta_sup
 
 
 def default_weights(domain, tgrid, b_sup=0.0):

@@ -73,8 +73,8 @@ class TestWeightTables:
         T = tgrid24.T
         k, i = 5, 11
         t = tgrid24.midpoints[k]
-        expected = (np.exp(p.lam * domain32.beta.at_centers[i])
-                    - np.exp(2.0 * p.lam * domain32.beta.sup_norm)) / (t * (T - t))
+        expected = (np.exp(p.lam * domain32.beta[i])
+                    - np.exp(2.0 * p.lam * domain32.beta_sup)) / (t * (T - t))
         assert weights.alpha[k, i] == pytest.approx(expected, rel=1e-10)
 
     def test_chain_inequality(self, domain32, tgrid24):
@@ -142,7 +142,7 @@ class TestWeightTables:
 
 def test_weights_exponentiated_in_place():
     domain, time = DomainSpec(200), TimeGrid(1.0, 400)
-    domain.beta  # the profile is certified before the trace starts
+    domain.beta  # the profile is formed before the trace starts
     tracemalloc.start()
     try:
         weights = build_weights(0.0, domain, time)
@@ -161,7 +161,7 @@ def test_weights_exponentiated_in_place():
 def test_alpha_read_keeps_its_bits(domain32, tgrid24):
     weights = build_weights(0.7, domain32, tgrid24)
     p, t = weights.params, weights.t_mid[:, None]
-    expected = ((np.exp(p.lam * domain32.beta.at_centers) - np.exp(2.0 * p.lam * p.beta_sup))
+    expected = ((np.exp(p.lam * domain32.beta) - np.exp(2.0 * p.lam * p.beta_sup))
                 / (t * (p.horizon_T - t)))
     assert weights.alpha.shape == (tgrid24.n_steps, domain32.n_cells)
     assert np.array_equal(weights.alpha.view(np.uint64), expected.view(np.uint64))

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from chemosteer import cli, csvtext, grid, nonlinear
+from chemosteer import cli, csvtext, nonlinear
 from chemosteer.checks import run_checks
 from chemosteer.cli import (EXIT_CHECK_FAILED, EXIT_INVALID,
                             EXIT_NO_CONVERGENCE, EXIT_OK, main)
@@ -259,17 +259,6 @@ class TestCommands:
         options = [name for name, p in inspect.signature(run_nonlinear).parameters.items()
                    if p.default is not p.empty]
         assert set(calls[0]) == set(options)
-
-    def test_a_run_certifies_the_profile_once(self, tmp_path, monkeypatch):
-        derivative, dense = grid.beta_derivative, []
-
-        def counted(x, x0):
-            dense.append(np.size(x) > 1)   # the certificate's dense grid, not x0 alone
-            return derivative(x, x0)
-
-        monkeypatch.setattr(grid, "beta_derivative", counted)
-        assert run_cli(["linear"] + SMALL, tmp_path, monkeypatch)[0] == EXIT_OK
-        assert sum(dense) == 1
 
     def test_a_zero_iteration_cap_writes_no_output(self, tmp_path, monkeypatch):
         # the cap once ran no iteration, wrote all-zero fields and exited 3

@@ -7,11 +7,12 @@ attributes of cli it patches.  In an argv {n8}, {n16} and {n24} are grid sizes,
 an environment variable (NAME= unsets it).  A row runs in {tmp} and, unless it
 unsets CHEMOSTEER_OUT, writes into {tmp}/out.  Every run also keeps the contract:
 no traceback; exit 0 writes one report.json and prints nothing but documented
-one-line warnings; exits 2 and 3 print one error line, after nothing but a usage
-error's usage; exit 2 comes before any solve.  The rows of NAMED run under the ids
-of the tests of tests/test_cli.py that checked them before this table, and the
-rows of FRESH run again in a fresh interpreter, for what only a real process
-shows: how a warning prints, also under `python -W error`, and `python -O`.
+one-line warnings; a report.json is RFC 8259 JSON; exits 2 and 3 print one error
+line, after nothing but a usage error's usage; exit 2 comes before any solve.
+The rows of NAMED run under the ids of the tests of tests/test_cli.py that
+checked them before this table, and the rows of FRESH run again in a fresh
+interpreter, for what only a real process shows: how a warning prints, also
+under `python -W error`, and `python -O`.
 """
 
 import csv
@@ -301,6 +302,10 @@ CONTRACT = {
     **rows(EXIT_OK, CLEAN, {
         f"{command}-tiny-amplitude-{n}": f"{command} --set initial_data.amplitude=1e-155 {{{n}}}"
         for command in ("linear", "nonlinear") for n in ("n16", "n24")}, controlled),
+    # x0 2e-4 inside omega: a dense certificate of the profile, once made by every
+    # run, refused it (exit 2) since its grid put the critical point outside omega
+    "profile-near-omega-edge": Row(
+        "linear {n8} --set domain.omega_a=0.3006 --set domain.x0=0.3008", EXIT_OK, CLEAN),
     "nonlinear-huge-chemoattractant": Row(
         "nonlinear {n8} --set physics.chi=0 --set physics.delta=1e300", EXIT_OK, CLEAN),
     # the broken cells built underflowing tables first: the sweep exits 0, so it warns
@@ -395,6 +400,9 @@ def check_run(name, code, err, root):
     into a directory of root."""
     row, why = CONTRACT[name], f"{name} exited {code}: {err!r}"
     written = [report.parent for report in root.glob("*/report.json")]
+    for report in written:  # RFC 8259 JSON, which has no NaN or Infinity: those are null
+        json.loads((report / "report.json").read_text(), parse_constant=raising(
+            AssertionError(f"{name} wrote a non-finite number into report.json")))
     assert code == row.code or row.code is None and code in (
         EXIT_OK, EXIT_INVALID, EXIT_NO_CONVERGENCE), why
     assert re.match(row.err, err) and "Traceback" not in err, why

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from chemosteer.grid import (HORIZON_RANGE, DomainSpec, GeometryError, TimeGrid,
-                             beta_derivative, beta_values)
+from chemosteer.checks import beta_derivative, profile_certificate
+from chemosteer.grid import HORIZON_RANGE, DomainSpec, GeometryError, TimeGrid, beta_values
 
 
 class TestBuildDomain:
@@ -51,12 +51,13 @@ class TestBuildDomain:
 
 def test_arrays_keep_the_bits_of_their_formulas():
     """The records' arrays, formed on first read, are bitwise these closed formulas."""
-    n, m, a, b, T = 200, 400, 0.3, 0.7, 1.0
-    dom, tg = DomainSpec(n, a, b, 0.5), TimeGrid(T, m)
-    h, dt = 1.0 / n, T / m
+    n, m, a, b, x0, T = 200, 400, 0.3, 0.7, 0.35, 1.0
+    dom, tg = DomainSpec(n, a, b, x0), TimeGrid(T, m)
+    h, dt, eta = 1.0 / n, T / m, (2.0 * x0 - 1.0) / (x0 * (1.0 - x0))
     centers = (np.arange(n) + 0.5) * h
     expected = {"centers": centers,
                 "omega_mask": (centers > a) & (centers < b),
+                "beta": centers * (1.0 - centers) * np.exp(eta * (centers - x0)),
                 "levels": np.linspace(0.0, T, m + 1), "midpoints": (np.arange(m) + 0.5) * dt}
     assert (dom.h, tg.dt) == (h, dt)
     for name, want in expected.items():
@@ -87,33 +88,70 @@ class TestTimeGrid:
                 TimeGrid(T, 8)
 
 
+def random_domains(count=300, seed=0):
+    """Seeded random valid domains: N in [8, 2000) and a < x0 < b drawn uniform in (0, 1)."""
+    rng, domains = np.random.default_rng(seed), []
+    while len(domains) < count:
+        a, x0, b = np.sort(rng.uniform(0.0, 1.0, 3))
+        try:
+            domains.append(DomainSpec(int(rng.integers(8, 2000)), float(a), float(b), float(x0)))
+        except GeometryError:  # omega narrower than two cells
+            pass
+    return domains
+
+
+# x0 lies 2e-4 inside omega, and the certificate's grid points 0.300 and 0.301 bracket it:
+# the midpoint of the two, 0.3005, lies outside omega, and such domains were once refused
+NEAR_OMEGA_EDGE = DomainSpec(8, 0.3006, 0.7, 0.3008)
+
+
 class TestBeta:
     def test_symmetric_case(self):
         dom = DomainSpec(100)
-        beta = dom.beta
-        assert beta.eta == 0.0
-        assert beta.sup_norm == pytest.approx(0.25, abs=1e-12)
+        assert dom.beta_sup == 0.25
         assert beta_derivative(0.0, 0.5) == pytest.approx(1.0)
         assert beta_derivative(1.0, 0.5) == pytest.approx(-1.0)
         # symmetric case is plain x(1-x)
-        assert np.allclose(beta.at_centers, dom.centers * (1 - dom.centers))
+        assert np.allclose(dom.beta, dom.centers * (1 - dom.centers))
 
     def test_skewed_critical_point(self):
         # the second root of the derivative's quadratic factor is
         # (1 - x0) / (1 - 2 x0) = 1.5 for x0 = 0.25, outside [0, 1]
         dom = DomainSpec(100, 0.1, 0.4, 0.25)
-        beta = dom.beta
-        assert beta.eta == pytest.approx(-8.0 / 3.0)
-        assert beta.validation["n_sign_changes"] == 1
-        assert beta.validation["sign_change_locations"][0] == pytest.approx(0.25, abs=1e-3)
+        x = dom.centers
+        assert np.allclose(dom.beta, x * (1 - x) * np.exp(-8.0 / 3.0 * (x - 0.25)))
+        certificate = profile_certificate(dom)
+        assert certificate["n_sign_changes"] == 1
+        assert certificate["sign_change_locations"][0] == pytest.approx(0.25, abs=1e-3)
 
     @pytest.mark.parametrize("x0,omega", [(0.5, (0.3, 0.7)), (0.35, (0.2, 0.5)),
                                           (0.62, (0.5, 0.8))])
     def test_boundary_values_exact(self, x0, omega):
         assert beta_values(0.0, x0) == 0.0
         assert beta_values(1.0, x0) == 0.0
-        dom = DomainSpec(64, *omega, x0)
-        beta = dom.beta
-        assert abs(beta.validation["deriv_at_x0"]) < 1e-10
-        assert beta.validation["min_abs_deriv_outside_omega"] > 0.0
-        assert beta.validation["min_interior"] > 0.0
+        certificate = profile_certificate(DomainSpec(64, *omega, x0))
+        assert abs(certificate["deriv_at_x0"]) < 1e-10
+        assert certificate["min_abs_deriv_outside_omega"] > 0.0
+        assert certificate["min_interior"] > 0.0
+
+
+@pytest.mark.parametrize("n", [8, 32, 100, 200, 1000])
+def test_default_sup_is_a_quarter_bitwise(n):
+    # every default run's weight parameters are formed from these bits
+    sup = DomainSpec(n).beta_sup
+    assert type(sup) is float and sup == 0.25
+
+
+def test_sup_is_the_value_at_x0_and_bounds_the_dense_grid():
+    for dom in random_domains():
+        xs = np.linspace(0.0, 1.0, max(10 * dom.n_cells, 1000) + 1)
+        assert dom.beta_sup == beta_values(dom.x0, dom.x0), dom
+        assert dom.beta_sup >= beta_values(xs, dom.x0).max(), dom
+
+
+def test_certificate_passes_on_valid_domains():
+    failed = [dom for dom in random_domains() + [NEAR_OMEGA_EDGE]
+              if not profile_certificate(dom)["ok"]]
+    assert not failed, failed
+    location, = profile_certificate(NEAR_OMEGA_EDGE)["sign_change_locations"]
+    assert location == pytest.approx(0.3005) and location < NEAR_OMEGA_EDGE.omega_a

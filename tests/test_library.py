@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import chemosteer
@@ -15,6 +16,26 @@ def test_no_assert_in_library_paths():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert SOURCES and not found, f"assert statements in {found}"
+
+
+# The LAPACK routines the solvers call: with numpy, the only imports outside the standard library.
+LAPACK = {"dgtsv", "dgttrf", "dgttrs", "dpttrf", "dpttrs"}
+
+
+def test_only_numpy_and_the_pinned_lapack_routines_are_imported():
+    # the exactness guarantees and the solver timings rest on these routines: a new
+    # solver import (scipy.linalg.solve_banded, say) has to be added here first
+    found = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                found.update(f"import {a.name} as {a.asname}" for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.update(f"from {node.module} import {a.name}" for a in node.names)
+    third_party = {line for line in found
+                   if line.split()[1].split(".")[0] not in sys.stdlib_module_names}
+    assert third_party == {"import numpy as np"} | {
+        f"from scipy.linalg.lapack import {name}" for name in LAPACK}, third_party
 
 
 def names(stmt):
