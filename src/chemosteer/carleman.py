@@ -147,10 +147,8 @@ def build_weights(b_sup: float, domain: DomainSpec, time: TimeGrid,
         params = select_params(b_sup, time.T, domain.beta_sup, settings)
         tables = WeightTables(params, time.midpoints.copy(), np.exp(params.lam * domain.beta),
                               w=None, log_w_peak=0.0)  # its alpha forms the exponent
-        # named, not a temporary: numpy tests a large temporary for in-place reuse by a
-        # backtrace(), whose first call makes about 0.4 MB of unwind tables resident
-        alpha = tables.alpha
-        exponent = params.delta0 * params.s * alpha
+        exponent = tables.alpha
+        exponent *= params.delta0 * params.s  # in place, so alpha is the one (M, N) table
     peak = float(exponent.max())
     if not np.isfinite(peak):
         raise SolverError(f"the Carleman weight table overflows: delta0 s alpha is {peak} "

@@ -173,6 +173,7 @@ def cmd_observability(cfg: RunConfig, args, out):
         report = observability_probe(drift, weights, domain, tgrid,
                                      args.samples, cfg.seed)
         per_t.append({"T": float(T), **{k: v for k, v in vars(report).items() if k != "ratios"}})
+        del drift, weights, report  # freed before the next horizon builds its own
     return {"observability": per_t}, EXIT_OK
 
 

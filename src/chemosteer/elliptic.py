@@ -38,36 +38,39 @@ class DriftField:
     """Face-sampled drift per time step, boundary faces identically zero.
 
     faces has shape (n_steps, n_cells + 1); row k is the drift used by the
-    implicit step from level k to level k+1.
+    implicit step from level k to level k+1.  Rows that are one row (a
+    zero-stride broadcast, as zero and constant build) are stored as that row.
     """
 
     faces: np.ndarray
 
     def __post_init__(self):
-        # a read-only copy, so the frozen record cannot change under its users
-        f = np.array(self.faces, dtype=float)
-        f.flags.writeable = False
-        object.__setattr__(self, "faces", f)
+        # a private copy, read-only, so the frozen record cannot change under its users
+        f = np.asarray(self.faces)
         if f.ndim != 2:
             raise ValueError("drift faces must be a (n_steps, n_faces) array")
-        if np.any(f[:, 0] != 0.0) or np.any(f[:, -1] != 0.0):
+        rows = np.array(f[:1] if f.strides[0] == 0 else f, dtype=float)
+        object.__setattr__(self, "faces", np.broadcast_to(rows, f.shape))
+        if np.any(rows[:, 0] != 0.0) or np.any(rows[:, -1] != 0.0):
             raise ValueError("drift must vanish on boundary faces")
-        if not np.all(np.isfinite(f)):
+        if not np.all(np.isfinite(rows)):
             raise SolverError("drift contains non-finite values")
 
     @property
     def sup_norm(self) -> float:
-        return float(np.abs(self.faces).max())
+        """np.abs(faces).max() without the |faces| table; + 0.0 makes a zero
+        maximum +0.0, as abs does."""
+        return float(max(self.faces.max(), -self.faces.min()) + 0.0)
 
     @classmethod
     def zero(cls, domain: DomainSpec, time: TimeGrid) -> "DriftField":
-        return cls(faces=np.zeros((time.n_steps, domain.n_cells + 1)))
+        return cls(faces=np.broadcast_to(0.0, (time.n_steps, domain.n_cells + 1)))
 
     @classmethod
     def constant(cls, face_slice: np.ndarray, time: TimeGrid) -> "DriftField":
         """Broadcast one face slice to every time step."""
         face_slice = np.asarray(face_slice, dtype=float)
-        return cls(faces=np.tile(face_slice, (time.n_steps, 1)))
+        return cls(faces=np.broadcast_to(face_slice, (time.n_steps, face_slice.shape[-1])))
 
 
 @functools.lru_cache(maxsize=1)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from chemosteer.carleman import build_weights
 from chemosteer.checks import random_drift, recursion_hand_rows
 from chemosteer.diagnostics import (ObservabilityReport, RecursionSpec, observability_probe,
                                     observability_ratio, recursion_simulate)
@@ -104,6 +105,21 @@ class TestObservability:
         assert ratios.shape == (20,) and np.all(np.isfinite(ratios))
         # less than one (M+1, N) trajectory, let alone one per column
         assert peak < (time.n_steps + 1) * domain.n_cells * 8
+
+    def test_probe_horizon_holds_one_weight_table(self):
+        domain, time = DomainSpec(200), TimeGrid(1.0, 400)
+        domain.beta  # the profile is formed before the trace starts
+        tracemalloc.start()
+        try:
+            drift = DriftField.zero(domain, time)
+            weights = build_weights(drift.sup_norm, domain, time)
+            report = observability_probe(drift, weights, domain, time, 20, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_samples == 20
+        # the weight table w and less than one more (M, N) table beside it (~1.5 measured)
+        assert peak < 2 * time.n_steps * domain.n_cells * 8
 
     def test_probe_rejects_zero_samples(self, domain32, tgrid24):
         drift = DriftField.zero(domain32, tgrid24)

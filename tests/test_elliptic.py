@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from scipy.linalg import solveh_banded
 
-from chemosteer.checks import elliptic_constant_defect, elliptic_error, refinement_ratio
+from chemosteer.checks import (elliptic_constant_defect, elliptic_error, random_drift,
+                               refinement_ratio)
 from chemosteer.elliptic import (DriftField, PhysicsParams, drift_from_state,
                                  drift_from_v, solve_elliptic)
 from chemosteer.grid import DomainSpec
-from chemosteer.parabolic import SolverError
+from chemosteer.parabolic import SolverError, m_matrix_report
 
 
 def test_constant_solution_exact(domain32):
@@ -127,6 +128,52 @@ class TestDrift:
         bad[0, 5] = np.inf
         with pytest.raises(SolverError, match="^drift contains non-finite values$"):
             DriftField(faces=bad)
+
+    @pytest.mark.parametrize("kind", ["zero", "constant"])
+    def test_time_invariant_drift_is_one_row_broadcast(self, kind, domain32, tgrid24):
+        row = random_drift(np.random.default_rng(4), domain32, tgrid24).faces[0]
+        drift = (DriftField.zero(domain32, tgrid24) if kind == "zero"
+                 else DriftField.constant(row, tgrid24))
+        faces = drift.faces
+        assert faces.shape == (tgrid24.n_steps, 33)
+        assert faces.strides[0] == 0 and not faces.flags.writeable
+        expected = np.zeros(33) if kind == "zero" else row
+        assert np.array_equal(faces, np.tile(expected, (tgrid24.n_steps, 1)))
+
+    def test_drift_record_does_not_alias_its_input(self, tgrid24):
+        row = np.zeros(33)
+        row[1:-1] = np.linspace(-1.0, 1.0, 31)
+        broadcast = DriftField(faces=np.broadcast_to(row, (tgrid24.n_steps, 33)))
+        per_step_input = np.tile(row, (tgrid24.n_steps, 1))
+        per_step = DriftField(faces=per_step_input)
+        expected = per_step_input.copy()
+        row[1:-1] = 7.0
+        per_step_input[:, 1:-1] = 7.0
+        assert broadcast.faces.strides[0] == 0 and per_step.faces.strides[0] != 0
+        for drift in (broadcast, per_step):
+            assert not drift.faces.flags.writeable
+            assert np.array_equal(drift.faces, expected)
+
+    @pytest.mark.parametrize("kind", ["per-step", "constant", "chi-zero", "signed-zeros"])
+    def test_sup_norms_are_the_abs_maximum_bitwise(self, kind, domain32, tgrid24):
+        # a zero maximum must read +0.0, as np.abs gives it, not -0.0 (printed as -0)
+        rng = np.random.default_rng(6)
+        if kind == "chi-zero":  # 0 * (a falling v) makes interior faces -0.0
+            xi = rng.standard_normal((tgrid24.n_steps + 1, 32))
+            drift = drift_from_state(xi, PhysicsParams(chi=0.0), domain32, tgrid24)
+            assert np.signbit(drift.faces[:, 1:-1]).any()
+        elif kind == "signed-zeros":
+            faces = -np.zeros((tgrid24.n_steps, 33))
+            faces[0, 0] = 0.0
+            drift = DriftField(faces=faces)
+        else:
+            drift = random_drift(rng, domain32, tgrid24, per_step=kind == "per-step")
+        pairs = [(drift.sup_norm, np.abs(drift.faces).max()),
+                 (m_matrix_report(drift, domain32)["max_face_drift"],
+                  np.abs(drift.faces[:, 1:-1]).max())]
+        for value, expected in pairs:
+            assert type(value) is float
+            assert np.float64(value).tobytes() == expected.tobytes()
 
     def test_drift_from_state_decoupled(self, domain32, tgrid24):
         phys = PhysicsParams(chi=0.0, gamma=1.0, delta=1.0)

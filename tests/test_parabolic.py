@@ -183,6 +183,23 @@ class TestPropagator:
         assert propagator_of(constant, domain32, tgrid24).n_factored == 1
         assert propagator_of(per_step, domain32, tgrid24).n_factored == tgrid24.n_steps
 
+    @pytest.mark.parametrize("kind, solve", [("zero", dpttrs), ("constant", dgttrs)],
+                             ids=["zero", "constant"])
+    def test_broadcast_drift_marches_as_its_tiled_copy(self, kind, solve, domain32, tgrid24):
+        rng = np.random.default_rng(24)
+        drift = (DriftField.zero(domain32, tgrid24) if kind == "zero"
+                 else random_drift(rng, domain32, tgrid24, amplitude=1.5))
+        assert drift.faces.strides[0] == 0
+        tiled = DriftField(faces=np.tile(drift.faces[0], (tgrid24.n_steps, 1)))
+        assert tiled.faces.strides[0] != 0
+        props = [propagator_of(d, domain32, tgrid24) for d in (drift, tiled)]
+        for prop in props:
+            assert prop.solve is solve and prop.n_factored == 1
+        start = rng.standard_normal((32, 3))
+        f = rng.standard_normal((tgrid24.n_steps + 1, 32, 3))
+        for march in (lambda p: solve_forward(start, p, f), lambda p: solve_adjoint(start, p)):
+            assert march(props[0]).tobytes() == march(props[1]).tobytes()
+
     def test_only_the_zero_drift_solves_with_ldlt(self, domain32, tgrid24):
         rng = np.random.default_rng(23)
         constant = random_drift(rng, domain32, tgrid24, amplitude=1.0)
